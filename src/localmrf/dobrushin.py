@@ -10,12 +10,15 @@ term 2J_ij and the rest M, the entry is
 f is even in M and decreasing in |M|, so the sup over assignments is f at the
 achievable M closest to zero (a signed-sum search over the other neighbours).
 
-When max_i sum_j C_ij < 1 the comparison series D = (I - C)^-1 = sum_k C^k
-converges and, for a model nu and its localisation mu agreeing inside alpha,
+When rho(C) < 1 the comparison series D = (I - C)^-1 = sum_k C^k converges
+and, for a model nu and its localisation mu agreeing inside alpha,
 
     |mu(x_q = s) - nu(x_q = s)| <= sum_{j in boundary_alpha} D_qj b_j
 
-where b_j is the worst-case conditional gap between the two models at j. The
+where b_j is the worst-case conditional gap between the two models at j.
+Validity is decided by the solve that yields D: C is nonnegative, so
+rho(C) < 1 exactly when I - C is nonsingular with a nonnegative inverse, and
+a Collatz-Wielandt check on v = D 1 guards that test against rounding. The
 same geometric-series shape yields a distance form: influence decays like
 c^d, giving a radius that certifies a target accuracy from c alone.
 """
@@ -30,8 +33,6 @@ import numpy as np
 from .model import IsingModel, LocalMRFError, LocalizedModel, Region
 
 ENUMERATION_CAP = 25
-POWER_ITERS = 200
-POWER_TOL = 1e-10
 _T_LOW = 1e-6  # search domain is t in (1 + _T_LOW, _T_HIGH]
 _T_HIGH = 1e4
 NEG_TOL = 1e-12  # tolerated numerical negativity in D
@@ -126,94 +127,30 @@ def dobrushin_coefficient(model: IsingModel, cap: int = ENUMERATION_CAP) -> tupl
     return best, best_node
 
 
-def spectral_radius(c: np.ndarray, iters: int = POWER_ITERS, tol: float = POWER_TOL) -> float:
-    """Power-iteration estimate of rho(C) for entrywise nonnegative C.
+def spectral_radius(c: np.ndarray) -> float:
+    """rho(C) from the eigenvalues; 0.0 for an empty C. Not used for validity."""
+    return float(np.max(np.abs(np.linalg.eigvals(c)))) if c.size else 0.0
 
-    Iterates on C + I: the shift keeps the iteration aperiodic and moves the
-    radius by exactly +1 for nonnegative matrices.
+
+def influence_matrix(c: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(D, valid) with D = (I - C)^-1 from one direct solve.
+
+    For entrywise nonnegative C, rho(C) < 1 holds exactly when I - C is
+    nonsingular and its inverse is nonnegative (the M-matrix
+    characterisation), so validity is read off the solve: it must succeed,
+    D must be >= -NEG_TOL entrywise, and v = D 1 must satisfy C v < v
+    entrywise. The last test is the Collatz-Wielandt certificate for
+    rho(C) < 1 (in exact arithmetic C v = v - 1); it guards the sign test
+    against rounding when rho(C) is close to 1.
     """
-    n = c.shape[0]
-    if n == 0:
-        return 0.0
-    v = np.full(n, 1.0 / n)
-    lam = 0.0
-    for _ in range(iters):
-        w = c @ v + v
-        new_lam = float(np.max(np.abs(w)))
-        if new_lam == 0.0:
-            return 0.0
-        v = w / new_lam
-        if abs(new_lam - lam) <= tol:
-            lam = new_lam
-            break
-        lam = new_lam
-    return lam - 1.0
-
-
-def influence_matrix(
-    c: np.ndarray,
-    prev: tuple[np.ndarray, int, np.ndarray] | None = None,
-) -> tuple[np.ndarray, bool]:
-    """(D, valid) with D = (I - C)^-1.
-
-    valid requires rho(C) < 1 (power iteration) and D >= -1e-12 entrywise.
-    With `prev = (D_prev, new_index, C_prev)` the inverse is updated from the
-    previous alpha's solution: rank-one corrections for the rows whose
-    neighbourhood changed, then a bordering step for the appended node. The
-    update path agrees with the direct solve to 1e-8.
-    """
-    n = c.shape[0]
-    rho = spectral_radius(c)
-    if prev is None:
-        d, solved = _direct_inverse(c)
-    else:
-        d, solved = _incremental_inverse(c, *prev)
-        if not solved:
-            d, solved = _direct_inverse(c)
-    if not solved:
-        return np.full((n, n), np.nan), False
-    valid = rho < 1.0 and float(d.min()) >= -NEG_TOL
-    return d, valid
-
-
-def _direct_inverse(c: np.ndarray) -> tuple[np.ndarray, bool]:
     n = c.shape[0]
     try:
-        return np.linalg.solve(np.eye(n) - c, np.eye(n)), True
+        d = np.linalg.solve(np.eye(n) - c, np.eye(n))
     except np.linalg.LinAlgError:
         return np.full((n, n), np.nan), False
-
-
-def _incremental_inverse(
-    c: np.ndarray, d_prev: np.ndarray, new_index: int, c_prev: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    n = c.shape[0]
-    old = [i for i in range(n) if i != new_index]
-    a_new = np.eye(n - 1) - c[np.ix_(old, old)]
-    delta = a_new - (np.eye(n - 1) - c_prev)
-    d_old = d_prev.copy()
-    for r in np.flatnonzero(np.any(delta != 0.0, axis=1)):
-        u = delta[r]
-        col = d_old[:, r].copy()
-        row = u @ d_old
-        denom = 1.0 + row[r]
-        if abs(denom) < 1e-14:
-            return d_prev, False
-        d_old -= np.outer(col, row) / denom
-    # bordering: inverse of [[A, b], [c, d]] from A^-1 via the Schur complement
-    b_col = -c[old, new_index]
-    c_row = -c[new_index, old]
-    x = d_old @ b_col
-    y = c_row @ d_old
-    s = (1.0 - c[new_index, new_index]) - float(c_row @ x)
-    if abs(s) < 1e-14:
-        return d_prev, False
-    d = np.empty((n, n))
-    d[np.ix_(old, old)] = d_old + np.outer(x, y) / s
-    d[old, new_index] = -x / s
-    d[new_index, old] = -y / s
-    d[new_index, new_index] = 1.0 / s
-    return d, True
+    v = d.sum(axis=1)
+    valid = float(d.min()) >= -NEG_TOL and bool(np.all(c @ v < v))
+    return d, valid
 
 
 def perturbation_vector(
@@ -298,18 +235,17 @@ def local_certificate(
     region: Region,
     localized: LocalizedModel,
     cap: int = ENUMERATION_CAP,
-    prev: tuple[np.ndarray, int, np.ndarray] | None = None,
 ) -> DobrushinCertificate:
     """Certificate for the query marginal of a localized model.
 
     C is computed on the localized submodel (compensated fields, alpha-internal
     edges only); b compares the two conditionals at the alpha boundary; the
-    bound is row `query` of D against b. An unusable solve or rho >= 1 yields
-    valid=False and bound=+inf.
+    bound is row `query` of D against b. A solve that fails influence_matrix's
+    validity test yields valid=False and bound=+inf.
     """
     sub = localized.submodel
     c = interaction_matrix(sub, cap=cap)
-    d, valid = influence_matrix(c, prev=prev)
+    d, valid = influence_matrix(c)
     b = perturbation_vector(model, localized, region, cap=cap)
     c_local = float(np.max(c.sum(axis=1))) if c.size else 0.0
     qi = region.alpha.index(region.query)

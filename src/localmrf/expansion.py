@@ -20,9 +20,7 @@ from .meanfield import MeanFieldConfig, mean_field
 from .model import (
     BoundaryMethod,
     IsingModel,
-    LocalizedModel,
     MeanFieldDivergence,
-    Region,
     localize,
     make_region,
 )
@@ -63,6 +61,7 @@ class ExpansionTrace:
     final_certificate: DobrushinCertificate
     stop_reason: StopReason
     degraded: bool = False
+    mf_config: MeanFieldConfig | None = None  # boundary solve settings used
 
     @property
     def valid(self) -> bool:
@@ -100,11 +99,10 @@ def _certificate(
     method: BoundaryMethod,
     cap: int,
     mf_config: MeanFieldConfig | None,
-) -> tuple[Region, LocalizedModel, DobrushinCertificate]:
+) -> DobrushinCertificate:
     region = make_region(model, alpha, query)
     loc = localize(model, region, method=method, mf_config=mf_config)
-    cert = local_certificate(model, region, loc, cap=cap)
-    return region, loc, cert
+    return local_certificate(model, region, loc, cap=cap)
 
 
 def _boundary_beta(model: IsingModel, alpha: list[int]) -> list[int]:
@@ -138,7 +136,6 @@ def greedy_expand(
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
     cap: int = 25,
     mf_config: MeanFieldConfig | None = None,
-    incremental: bool = False,
 ) -> ExpansionTrace:
     """Bound-driven expansion.
 
@@ -150,8 +147,8 @@ def greedy_expand(
     every candidate is invalid the maxnorm rule picks the node instead and the
     trace is marked degraded.
 
-    With incremental=True the certificate solves reuse the previous step's
-    influence matrix (documented to agree with direct solves to 1e-8).
+    The final certificate is the one scored for the node appended last; it is
+    only built afresh when alpha is still {query} or that node's build raised.
     """
     if not (0 <= query < model.n):
         raise ValueError(f"query {query} out of range")
@@ -162,24 +159,18 @@ def greedy_expand(
     steps: list[ExpansionStep] = []
     degraded = False
     stop = StopReason.REACHED_K
-    prev_state: tuple[np.ndarray, np.ndarray] | None = None  # (C, D) of current alpha
+    final_cert: DobrushinCertificate | None = None
     while len(alpha) < K:
         candidates = _boundary_beta(model, alpha)
         if not candidates:
             stop = StopReason.BOUNDARY_EMPTY
             break
         bounds: dict[int, float] = {}
-        cert_cache: dict[int, DobrushinCertificate] = {}
+        certs: dict[int, DobrushinCertificate] = {}
         for k in candidates:
             try:
-                region = make_region(model, alpha + [k], query)
-                loc = localize(model, region, method=method, mf_config=mf_config)
-                prev = None
-                if incremental and prev_state is not None:
-                    prev = (prev_state[1], len(alpha), prev_state[0])
-                cert = local_certificate(model, region, loc, cap=cap, prev=prev)
-                bounds[k] = cert.bound if cert.valid else math.inf
-                cert_cache[k] = cert
+                certs[k] = _certificate(model, alpha + [k], query, method, cap, mf_config)
+                bounds[k] = certs[k].bound
             except (MeanFieldDivergence, EnumerationCapError):
                 bounds[k] = math.inf
         chosen = min(candidates, key=lambda k: (bounds[k], k))
@@ -193,10 +184,10 @@ def greedy_expand(
             stop = StopReason.NO_IMPROVEMENT
             break
         alpha.append(chosen)
-        cert = cert_cache.get(chosen)
-        prev_state = (cert.C, cert.D) if cert is not None and cert.valid else None
+        final_cert = certs.get(chosen)
         steps.append(ExpansionStep(tuple(candidates), bounds, chosen, best_bound))
-    _, _, final_cert = _certificate(model, alpha, query, method, cap, mf_config)
+    if final_cert is None:
+        final_cert = _certificate(model, alpha, query, method, cap, mf_config)
     return ExpansionTrace(
         query=query,
         method=method,
@@ -205,6 +196,7 @@ def greedy_expand(
         final_certificate=final_cert,
         stop_reason=stop,
         degraded=degraded,
+        mf_config=mf_config,
     )
 
 
@@ -253,6 +245,7 @@ def _baseline_expand(model, query, K, method, cap, mf_config, pick) -> Expansion
     steps: list[ExpansionStep] = []
     stop = StopReason.REACHED_K
     degraded = False
+    cert: DobrushinCertificate | None = None
     while len(alpha) < K:
         candidates = _boundary_beta(model, alpha)
         if not candidates:
@@ -261,22 +254,24 @@ def _baseline_expand(model, query, K, method, cap, mf_config, pick) -> Expansion
         chosen = pick(alpha, candidates)
         alpha.append(chosen)
         try:
-            _, _, cert = _certificate(model, alpha, query, method, cap, mf_config)
-            bound = cert.bound if cert.valid else math.inf
+            cert = _certificate(model, alpha, query, method, cap, mf_config)
+            bound = cert.bound
             degraded = degraded or not cert.valid
         except (MeanFieldDivergence, EnumerationCapError):
-            bound = math.inf
+            cert, bound = None, math.inf
             degraded = True
         steps.append(ExpansionStep(tuple(candidates), {chosen: bound}, chosen, bound))
-    _, _, final_cert = _certificate(model, alpha, query, method, cap, mf_config)
+    if cert is None:
+        cert = _certificate(model, alpha, query, method, cap, mf_config)
     return ExpansionTrace(
         query=query,
         method=method,
         steps=steps,
         final_alpha=tuple(alpha),
-        final_certificate=final_cert,
+        final_certificate=cert,
         stop_reason=stop,
         degraded=degraded,
+        mf_config=mf_config,
     )
 
 

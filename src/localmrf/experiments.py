@@ -19,7 +19,7 @@ import numpy as np
 
 from .dobrushin import dobrushin_coefficient, local_certificate
 from .exact import eliminate_marginal
-from .meanfield import MeanFieldConfig, mean_field
+from .meanfield import mean_field
 from .model import (
     BoundaryMethod,
     IsingModel,
@@ -284,24 +284,37 @@ def evaluate_prefixes(
     K: int,
     method: BoundaryMethod,
     cap: int = 25,
-    mf_config: MeanFieldConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """True error and certificate bound of the size-1..K prefixes of a trace.
 
-    Sizes beyond the final region repeat its value, so curves over a fixed
-    size axis stay well defined when expansion stopped early.
+    Bounds are read off the trace: the size-s prefix (s >= 2) has the bound
+    scored when its last node was accepted, step.bounds[step.chosen], and
+    only the size-1 prefix gets a certificate built here. Every prefix is
+    still localized and eliminated for its error. Sizes beyond the final
+    region repeat its value, so curves over a fixed size axis stay well
+    defined when expansion stopped early. Prefixes are localized with the
+    trace's own mean-field settings; a method or cap that differs from the
+    trace's raises ValueError, since its bounds would not describe the call.
     """
+    final = trace.final_certificate
+    if method is not trace.method or cap != final.cap:
+        raise ValueError(
+            f"trace was expanded with method={trace.method.value}, cap={final.cap}; "
+            f"got method={method.value}, cap={cap}"
+        )
+    scored = [s.bounds[s.chosen] for s in trace.steps if s.chosen is not None]
     errors = np.empty(K)
     bounds = np.empty(K)
     query = trace.query
     for s in range(1, K + 1):
-        alpha = trace.alpha_prefix(s)
-        region = make_region(model, alpha, query)
-        loc = localize(model, region, method=method, mf_config=mf_config)
-        cert = local_certificate(model, region, loc, cap=cap)
+        region = make_region(model, trace.alpha_prefix(s), query)
+        loc = localize(model, region, method=method, mf_config=trace.mf_config)
         p_loc = eliminate_marginal(loc.submodel, loc.index_of(query))
         errors[s - 1] = abs(p_loc - p_true)
-        bounds[s - 1] = cert.bound if cert.valid else math.inf
+        if s == 1:
+            bounds[0] = local_certificate(model, region, loc, cap=cap).bound
+        else:
+            bounds[s - 1] = scored[s - 2] if s - 2 < len(scored) else final.bound
     return errors, bounds
 
 

@@ -4,18 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from localmrf import (
     BoundaryMethod,
     GridSpec,
     InferenceMethod,
+    MeanFieldDivergence,
     StopReason,
+    brute_force_marginal,
     build_model,
     eliminate_marginal,
     gen_grid,
     graph_distance,
     greedy_expand,
     grid_node_id,
+    localize,
+    make_region,
     maxnorm_expand,
     query_marginal,
     random_expand,
@@ -92,19 +97,31 @@ class TestGreedyExpand:
         assert not trace.final_certificate.valid
         assert trace.final_certificate.bound == math.inf
 
-    def test_incremental_matches_direct(self):
+    def test_final_certificate_is_last_scored(self):
         model = gen_grid(GridSpec(4, 4, I1=1.0, I2=0.25, seed=5))
-        q = GridSpec(4, 4).query
-        a = greedy_expand(model, q, K=8, delta=-math.inf, incremental=False)
-        b = greedy_expand(model, q, K=8, delta=-math.inf, incremental=True)
-        assert a.final_alpha == b.final_alpha
-        for sa, sb in zip(a.steps, b.steps):
-            assert sa.chosen == sb.chosen
-            for k in sa.bounds:
-                assert sa.bounds[k] == pytest.approx(sb.bounds[k], abs=1e-8)
-        assert a.final_certificate.bound == pytest.approx(
-            b.final_certificate.bound, abs=1e-8
-        )
+        trace = greedy_expand(model, GridSpec(4, 4).query, K=8, delta=-math.inf)
+        assert trace.stop_reason is StopReason.REACHED_K
+        last = trace.steps[-1]
+        assert trace.final_certificate.alpha == trace.final_alpha
+        assert trace.final_certificate.bound == last.bounds[last.chosen]
+
+    @given(
+        st.integers(2, 10),
+        st.integers(0, 10**6),
+        st.sampled_from([1.0, 2.0]),
+        st.sampled_from(list(BoundaryMethod)),
+    )
+    def test_valid_certificate_covers_oracle_error(self, n, seed, j_scale, method):
+        model = random_connected_model(n, seed, j_scale=j_scale)
+        try:
+            trace = greedy_expand(model, 0, K=n, delta=-math.inf, method=method)
+            loc = localize(model, make_region(model, trace.final_alpha, 0), method)
+        except MeanFieldDivergence:
+            return
+        cert = trace.final_certificate
+        if cert.valid:
+            p_loc = eliminate_marginal(loc.submodel, loc.index_of(0))
+            assert abs(p_loc - brute_force_marginal(model, 0)) <= cert.bound + 1e-12
 
     def test_alpha_prefix_clips(self, chain3):
         trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)

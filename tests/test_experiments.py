@@ -11,6 +11,7 @@ from localmrf import (
     BoundaryMethod,
     CoraSpec,
     GridSpec,
+    MeanFieldConfig,
     ModelError,
     cora_pipeline,
     dobrushin_heatmap,
@@ -23,9 +24,12 @@ from localmrf import (
     grid_edges,
     i1_sweep,
     load_citation_graph,
+    local_certificate,
     localize,
+    maxnorm_expand,
     make_region,
     model_json,
+    random_expand,
     substream,
     write_csv,
     write_edge_file,
@@ -156,13 +160,50 @@ class TestEvaluatePrefixes:
     def test_soundness_per_size(self):
         spec = GridSpec(5, 5, I1=1.0, I2=0.25, seed=11)
         model = gen_grid(spec)
-        p_true = eliminate_marginal(model, spec.query)
-        trace = greedy_expand(model, spec.query, K=8, delta=-math.inf)
-        errors, bounds = evaluate_prefixes(
-            model, trace, p_true, 8, BoundaryMethod.DROP_OUT
+        q = spec.query
+        p_true = eliminate_marginal(model, q)
+        drop, mf = BoundaryMethod.DROP_OUT, BoundaryMethod.MEAN_FIELD
+        traces = [
+            (greedy_expand(model, q, K=8, delta=-math.inf, method=drop), drop),
+            (greedy_expand(model, q, K=8, delta=-math.inf, method=mf), mf),
+            (random_expand(model, q, K=8, seed=5), drop),
+            (maxnorm_expand(model, q, K=8), drop),
+        ]
+        for trace, method in traces:
+            errors, bounds = evaluate_prefixes(model, trace, p_true, 8, method)
+            assert errors.shape == (8,) and bounds.shape == (8,)
+            assert np.all(errors <= bounds + 1e-9)
+            for s in range(1, 9):
+                region = make_region(model, trace.alpha_prefix(s), q)
+                loc = localize(model, region, method)
+                # read off the trace, yet bit-identical to a fresh certificate
+                assert bounds[s - 1] == local_certificate(model, region, loc).bound
+
+    def test_prefixes_use_the_trace_mean_field_config(self):
+        spec = GridSpec(4, 4, I1=1.0, I2=0.25, seed=2)
+        model = gen_grid(spec)
+        q = spec.query
+        p_true = eliminate_marginal(model, q)
+        cfg = MeanFieldConfig(tol=1e-3, max_iter=200, restarts=1)
+        trace = greedy_expand(
+            model, q, K=4, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD, mf_config=cfg
         )
-        assert errors.shape == (8,) and bounds.shape == (8,)
-        assert np.all(errors <= bounds + 1e-9)
+        errors, _ = evaluate_prefixes(model, trace, p_true, 4, BoundaryMethod.MEAN_FIELD)
+        for s in range(1, 5):
+            region = make_region(model, trace.alpha_prefix(s), q)
+            loc = localize(model, region, BoundaryMethod.MEAN_FIELD, mf_config=cfg)
+            p_loc = eliminate_marginal(loc.submodel, loc.index_of(q))
+            assert errors[s - 1] == abs(p_loc - p_true)
+
+    def test_mismatched_method_or_cap_raises(self):
+        spec = GridSpec(4, 4, I1=1.0, I2=0.25, seed=2)
+        model = gen_grid(spec)
+        trace = greedy_expand(model, spec.query, K=4, delta=-math.inf)
+        p_true = eliminate_marginal(model, spec.query)
+        with pytest.raises(ValueError, match="got method=meanfield"):
+            evaluate_prefixes(model, trace, p_true, 4, BoundaryMethod.MEAN_FIELD)
+        with pytest.raises(ValueError, match="cap=10$"):
+            evaluate_prefixes(model, trace, p_true, 4, BoundaryMethod.DROP_OUT, cap=10)
 
     def test_short_trace_repeats_final_value(self, chain3):
         trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)
