@@ -206,7 +206,9 @@ class DobrushinCertificate:
     """Certified error bound for a localized marginal query.
 
     bound upper-bounds |p_local(x_query = s) - p_global(x_query = s)| for both
-    spin values whenever valid is True. C, D and b are aligned with alpha.
+    spin values whenever valid is True. C, D and b are aligned with alpha;
+    localized is the model the certificate describes, on which the local
+    marginal is computed.
     """
 
     alpha: tuple[int, ...]
@@ -216,7 +218,7 @@ class DobrushinCertificate:
     bound: float
     valid: bool
     c_local: float
-    method: str
+    localized: LocalizedModel
     cap: int
 
     def to_json(self) -> str:
@@ -258,7 +260,7 @@ def local_certificate(
         bound=bound,
         valid=valid,
         c_local=c_local,
-        method=localized.method.value,
+        localized=localized,
         cap=cap,
     )
 

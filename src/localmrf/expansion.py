@@ -3,7 +3,8 @@
 Starting from alpha = {query}, each step scores every outside boundary node by
 the certificate bound of alpha plus that node and accepts the best one while
 it improves the current bound by more than delta. Random and coupling-norm
-baselines share the trace format so experiments can compare like for like.
+baselines run the same loop but score only the node their rule picks, so all
+three strategies share one trace format and one final-certificate rule.
 """
 from __future__ import annotations
 
@@ -146,57 +147,9 @@ def greedy_expand(
     whose boundary solve fails) scores +inf and loses to any valid one; when
     every candidate is invalid the maxnorm rule picks the node instead and the
     trace is marked degraded.
-
-    The final certificate is the one scored for the node appended last; it is
-    only built afresh when alpha is still {query} or that node's build raised.
     """
-    if not (0 <= query < model.n):
-        raise ValueError(f"query {query} out of range")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    alpha = [query]
-    best_bound = 1.0
-    steps: list[ExpansionStep] = []
-    degraded = False
-    stop = StopReason.REACHED_K
-    final_cert: DobrushinCertificate | None = None
-    while len(alpha) < K:
-        candidates = _boundary_beta(model, alpha)
-        if not candidates:
-            stop = StopReason.BOUNDARY_EMPTY
-            break
-        bounds: dict[int, float] = {}
-        certs: dict[int, DobrushinCertificate] = {}
-        for k in candidates:
-            try:
-                certs[k] = _certificate(model, alpha + [k], query, method, cap, mf_config)
-                bounds[k] = certs[k].bound
-            except (MeanFieldDivergence, EnumerationCapError):
-                bounds[k] = math.inf
-        chosen = min(candidates, key=lambda k: (bounds[k], k))
-        if bounds[chosen] < best_bound - delta:
-            best_bound = bounds[chosen]
-        elif all(math.isinf(bounds[k]) for k in candidates):
-            chosen = _maxnorm_choice(model, alpha, candidates)
-            degraded = True
-        else:
-            steps.append(ExpansionStep(tuple(candidates), bounds, None, best_bound))
-            stop = StopReason.NO_IMPROVEMENT
-            break
-        alpha.append(chosen)
-        final_cert = certs.get(chosen)
-        steps.append(ExpansionStep(tuple(candidates), bounds, chosen, best_bound))
-    if final_cert is None:
-        final_cert = _certificate(model, alpha, query, method, cap, mf_config)
-    return ExpansionTrace(
-        query=query,
-        method=method,
-        steps=steps,
-        final_alpha=tuple(alpha),
-        final_certificate=final_cert,
-        stop_reason=stop,
-        degraded=degraded,
-        mf_config=mf_config,
+    return _expand(
+        model, query, K, delta, method, cap, mf_config, lambda alpha, cands: cands
     )
 
 
@@ -215,9 +168,9 @@ def random_expand(
         if isinstance(seed, np.random.Generator)
         else np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     )
-    return _baseline_expand(
-        model, query, K, method, cap, mf_config,
-        lambda alpha, cands: cands[int(rng.integers(len(cands)))],
+    return _expand(
+        model, query, K, -math.inf, method, cap, mf_config,
+        lambda alpha, cands: [cands[int(rng.integers(len(cands)))]],
     )
 
 
@@ -230,45 +183,66 @@ def maxnorm_expand(
     mf_config: MeanFieldConfig | None = None,
 ) -> ExpansionTrace:
     """Strongest-coupling growth: argmax sum of squared couplings into alpha."""
-    return _baseline_expand(
-        model, query, K, method, cap, mf_config,
-        lambda alpha, cands: _maxnorm_choice(model, alpha, cands),
+    return _expand(
+        model, query, K, -math.inf, method, cap, mf_config,
+        lambda alpha, cands: [_maxnorm_choice(model, alpha, cands)],
     )
 
 
-def _baseline_expand(model, query, K, method, cap, mf_config, pick) -> ExpansionTrace:
+def _expand(model, query, K, delta, method, cap, mf_config, to_score) -> ExpansionTrace:
+    """The growth loop every strategy shares.
+
+    to_score(alpha, candidates) names the candidates scored at a step: all of
+    them for greedy, the one its pick rule names for a baseline, which runs
+    with delta=-inf so any finite bound is accepted. When every scored node is
+    invalid, the maxnorm rule picks among them and the trace is degraded. The
+    final certificate is the one scored for the node appended last; it is only
+    built afresh when alpha is still {query} or that node's build raised.
+    """
     if not (0 <= query < model.n):
         raise ValueError(f"query {query} out of range")
     if K < 1:
         raise ValueError("K must be >= 1")
     alpha = [query]
+    best_bound = 1.0
     steps: list[ExpansionStep] = []
-    stop = StopReason.REACHED_K
     degraded = False
-    cert: DobrushinCertificate | None = None
+    stop = StopReason.REACHED_K
+    final_cert: DobrushinCertificate | None = None
     while len(alpha) < K:
         candidates = _boundary_beta(model, alpha)
         if not candidates:
             stop = StopReason.BOUNDARY_EMPTY
             break
-        chosen = pick(alpha, candidates)
-        alpha.append(chosen)
-        try:
-            cert = _certificate(model, alpha, query, method, cap, mf_config)
-            bound = cert.bound
-            degraded = degraded or not cert.valid
-        except (MeanFieldDivergence, EnumerationCapError):
-            cert, bound = None, math.inf
+        bounds: dict[int, float] = {}
+        certs: dict[int, DobrushinCertificate] = {}
+        for k in to_score(alpha, candidates):
+            try:
+                certs[k] = _certificate(model, alpha + [k], query, method, cap, mf_config)
+                bounds[k] = certs[k].bound
+            except (MeanFieldDivergence, EnumerationCapError):
+                bounds[k] = math.inf
+        chosen = min(bounds, key=lambda k: (bounds[k], k))
+        if bounds[chosen] < best_bound - delta:
+            best_bound = bounds[chosen]
+        elif all(math.isinf(b) for b in bounds.values()):
+            chosen = _maxnorm_choice(model, alpha, list(bounds))
             degraded = True
-        steps.append(ExpansionStep(tuple(candidates), {chosen: bound}, chosen, bound))
-    if cert is None:
-        cert = _certificate(model, alpha, query, method, cap, mf_config)
+        else:
+            steps.append(ExpansionStep(tuple(candidates), bounds, None, best_bound))
+            stop = StopReason.NO_IMPROVEMENT
+            break
+        alpha.append(chosen)
+        final_cert = certs.get(chosen)
+        steps.append(ExpansionStep(tuple(candidates), bounds, chosen, best_bound))
+    if final_cert is None:
+        final_cert = _certificate(model, alpha, query, method, cap, mf_config)
     return ExpansionTrace(
         query=query,
         method=method,
         steps=steps,
         final_alpha=tuple(alpha),
-        final_certificate=cert,
+        final_certificate=final_cert,
         stop_reason=stop,
         degraded=degraded,
         mf_config=mf_config,
@@ -294,26 +268,26 @@ def query_marginal(
     cap: int = 25,
     mf_config: MeanFieldConfig | None = None,
 ) -> QueryResult:
-    """Greedy-expand around the query, localize, and infer on alpha only.
+    """Greedy-expand around the query and infer on alpha only.
 
-    The answer never touches nodes beyond the expanded region, so its cost is
-    independent of the global graph size.
+    Inference runs on the localized model the final certificate was built
+    on, so the region is localized once per answer. The answer never touches
+    nodes beyond the expanded region, so its cost is independent of the
+    global graph size.
     """
     trace = greedy_expand(
         model, query, K=K, delta=delta, method=method, cap=cap, mf_config=mf_config
     )
-    region = make_region(model, trace.final_alpha, query)
-    loc = localize(model, region, method=method, mf_config=mf_config)
+    loc = trace.final_certificate.localized
     qi = loc.index_of(query)
     if inference is InferenceMethod.EXACT:
         p = eliminate_marginal(loc.submodel, qi)
     else:
         state = mean_field(loc.submodel, **_mf_kwargs(mf_config))
         p = (1.0 + float(state.m[qi])) / 2.0
-    cert = trace.final_certificate
     return QueryResult(
         marginal=p,
-        bound=cert.bound if cert.valid else math.inf,
+        bound=trace.final_certificate.bound,
         valid=trace.valid,
         alpha=trace.final_alpha,
         trace=trace,

@@ -37,9 +37,6 @@ from .expansion import (
     random_expand,
 )
 
-COMPARISON_METHODS = ("greedy_drop", "greedy_mf", "random", "maxnorm")
-
-
 def substream(seed: int, *path: int) -> np.random.SeedSequence:
     """Named child stream: same (seed, path) always yields the same stream."""
     return np.random.SeedSequence(seed, spawn_key=tuple(path))
@@ -282,8 +279,6 @@ def evaluate_prefixes(
     trace: ExpansionTrace,
     p_true: float,
     K: int,
-    method: BoundaryMethod,
-    cap: int = 25,
 ) -> tuple[np.ndarray, np.ndarray]:
     """True error and certificate bound of the size-1..K prefixes of a trace.
 
@@ -293,29 +288,43 @@ def evaluate_prefixes(
     still localized and eliminated for its error. Sizes beyond the final
     region repeat its value, so curves over a fixed size axis stay well
     defined when expansion stopped early. Prefixes are localized with the
-    trace's own mean-field settings; a method or cap that differs from the
-    trace's raises ValueError, since its bounds would not describe the call.
+    trace's boundary method, enumeration cap and mean-field settings, so
+    errors and bounds describe the same localization.
     """
     final = trace.final_certificate
-    if method is not trace.method or cap != final.cap:
-        raise ValueError(
-            f"trace was expanded with method={trace.method.value}, cap={final.cap}; "
-            f"got method={method.value}, cap={cap}"
-        )
     scored = [s.bounds[s.chosen] for s in trace.steps if s.chosen is not None]
     errors = np.empty(K)
     bounds = np.empty(K)
     query = trace.query
     for s in range(1, K + 1):
         region = make_region(model, trace.alpha_prefix(s), query)
-        loc = localize(model, region, method=method, mf_config=trace.mf_config)
+        loc = localize(model, region, method=trace.method, mf_config=trace.mf_config)
         p_loc = eliminate_marginal(loc.submodel, loc.index_of(query))
         errors[s - 1] = abs(p_loc - p_true)
         if s == 1:
-            bounds[0] = local_certificate(model, region, loc, cap=cap).bound
+            bounds[0] = local_certificate(model, region, loc, cap=final.cap).bound
         else:
             bounds[s - 1] = scored[s - 2] if s - 2 < len(scored) else final.bound
     return errors, bounds
+
+
+# How each comparison strategy grows its trace: (model, query, K, cap, stream)
+# -> trace, where stream is the trial's named substream for random choices.
+_COMPARISON_EXPANDERS = {
+    "greedy_drop": lambda model, query, K, cap, stream: greedy_expand(
+        model, query, K=K, delta=-math.inf, method=BoundaryMethod.DROP_OUT, cap=cap
+    ),
+    "greedy_mf": lambda model, query, K, cap, stream: greedy_expand(
+        model, query, K=K, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD, cap=cap
+    ),
+    "random": lambda model, query, K, cap, stream: random_expand(
+        model, query, K=K, seed=_rng(stream), cap=cap
+    ),
+    "maxnorm": lambda model, query, K, cap, stream: maxnorm_expand(
+        model, query, K=K, cap=cap
+    ),
+}
+COMPARISON_METHODS = tuple(_COMPARISON_EXPANDERS)
 
 
 def _comparison_trial(args) -> tuple[np.ndarray, np.ndarray]:
@@ -326,29 +335,9 @@ def _comparison_trial(args) -> tuple[np.ndarray, np.ndarray]:
     errors = np.empty((len(methods), K))
     bounds = np.empty((len(methods), K))
     for m, name in enumerate(methods):
-        if name == "greedy_drop":
-            trace = greedy_expand(
-                model, query, K=K, delta=-math.inf,
-                method=BoundaryMethod.DROP_OUT, cap=cap,
-            )
-            bm = BoundaryMethod.DROP_OUT
-        elif name == "greedy_mf":
-            trace = greedy_expand(
-                model, query, K=K, delta=-math.inf,
-                method=BoundaryMethod.MEAN_FIELD, cap=cap,
-            )
-            bm = BoundaryMethod.MEAN_FIELD
-        elif name == "random":
-            trace = random_expand(
-                model, query, K=K, seed=_rng(substream(seed, trial, 1)), cap=cap
-            )
-            bm = BoundaryMethod.DROP_OUT
-        elif name == "maxnorm":
-            trace = maxnorm_expand(model, query, K=K, cap=cap)
-            bm = BoundaryMethod.DROP_OUT
-        else:
-            raise ValueError(f"unknown method {name!r}")
-        errors[m], bounds[m] = evaluate_prefixes(model, trace, p_true, K, bm, cap=cap)
+        expand = _COMPARISON_EXPANDERS[name]
+        trace = expand(model, query, K, cap, substream(seed, trial, 1))
+        errors[m], bounds[m] = evaluate_prefixes(model, trace, p_true, K)
     return errors, bounds
 
 
@@ -422,15 +411,10 @@ def _sweep_trial(args) -> tuple[float, float]:
     rows, cols, i1, i2, K, delta, cap, seed, trial = args
     model = gen_grid(GridSpec(rows, cols, i1, i2, seed=substream(seed, trial)))
     query = GridSpec(rows, cols, i1, i2).query
-    trace = greedy_expand(
+    res = query_marginal(
         model, query, K=K, delta=delta, method=BoundaryMethod.DROP_OUT, cap=cap
     )
-    region = make_region(model, trace.final_alpha, query)
-    loc = localize(model, region, method=BoundaryMethod.DROP_OUT)
-    p_loc = eliminate_marginal(loc.submodel, loc.index_of(query))
-    p_true = eliminate_marginal(model, query)
-    cert = trace.final_certificate
-    return abs(p_loc - p_true), cert.bound if cert.valid else math.inf
+    return abs(res.marginal - eliminate_marginal(model, query)), res.bound
 
 
 def i1_sweep(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import entr
 
-from .model import BoundaryMethod, IsingModel, Region, build_model
+from .model import IsingModel, Region, build_model
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,6 @@ def boundary_mean_field(
 
 
 __all__ = [
-    "BoundaryMethod",
     "MeanFieldConfig",
     "MeanFieldState",
     "boundary_mean_field",

@@ -71,9 +71,6 @@ class IsingModel:
     h: np.ndarray
     max_degree: int
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.adjacency[i]
-
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
 

@@ -97,9 +97,18 @@ class TestGreedyExpand:
         assert not trace.final_certificate.valid
         assert trace.final_certificate.bound == math.inf
 
-    def test_final_certificate_is_last_scored(self):
+    @pytest.mark.parametrize(
+        "expand",
+        [
+            lambda m, q: greedy_expand(m, q, K=8, delta=-math.inf),
+            lambda m, q: random_expand(m, q, K=8, seed=5),
+            lambda m, q: maxnorm_expand(m, q, K=8),
+        ],
+        ids=["greedy", "random", "maxnorm"],
+    )
+    def test_final_certificate_is_last_scored(self, expand):
         model = gen_grid(GridSpec(4, 4, I1=1.0, I2=0.25, seed=5))
-        trace = greedy_expand(model, GridSpec(4, 4).query, K=8, delta=-math.inf)
+        trace = expand(model, GridSpec(4, 4).query)
         assert trace.stop_reason is StopReason.REACHED_K
         last = trace.steps[-1]
         assert trace.final_certificate.alpha == trace.final_alpha
@@ -119,6 +128,7 @@ class TestGreedyExpand:
         except MeanFieldDivergence:
             return
         cert = trace.final_certificate
+        assert cert.valid or cert.bound == math.inf
         if cert.valid:
             p_loc = eliminate_marginal(loc.submodel, loc.index_of(0))
             assert abs(p_loc - brute_force_marginal(model, 0)) <= cert.bound + 1e-12
@@ -183,6 +193,15 @@ class TestBaselines:
         tie = build_model([(0, 1, 0.2), (0, 2, -0.2)], [0.0] * 3)
         assert maxnorm_expand(tie, 0, K=2).final_alpha == (0, 1)
 
+    def test_degraded_step_keeps_incumbent_bound(self, frustrated_star):
+        trace = maxnorm_expand(frustrated_star, 0, K=4)
+        assert trace.final_alpha == (0, 1, 2, 3)
+        assert trace.degraded and not trace.valid
+        last, before = trace.steps[2], trace.steps[1]
+        assert last.bounds == {3: math.inf}
+        assert math.isfinite(before.best_bound)
+        assert last.best_bound == before.best_bound
+
     def test_baseline_validation(self, chain3):
         with pytest.raises(ValueError):
             random_expand(chain3, 5)
@@ -241,6 +260,36 @@ class TestQueryMarginal:
         assert res.valid
         assert 0.0 <= res.marginal <= 1.0
         assert res.trace.method is BoundaryMethod.MEAN_FIELD
+
+    def test_meanfield_answer_localizes_once_per_certificate(self, monkeypatch):
+        import localmrf.expansion as expansion
+        import localmrf.meanfield as meanfield
+
+        calls = {"cert": 0, "boundary": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            expansion, "local_certificate", counting("cert", expansion.local_certificate)
+        )
+        # localize imports boundary_mean_field from the meanfield module per call
+        monkeypatch.setattr(
+            meanfield,
+            "boundary_mean_field",
+            counting("boundary", meanfield.boundary_mean_field),
+        )
+        model = gen_grid(GridSpec(5, 5, I1=1.0, I2=0.25, seed=1))
+        query_marginal(
+            model, GridSpec(5, 5).query, K=6, delta=-math.inf,
+            method=BoundaryMethod.MEAN_FIELD,
+        )
+        assert calls["cert"] > 0
+        assert calls["boundary"] == calls["cert"]
 
     def test_invalid_region_reports_inf_bound(self, frustrated_star=None):
         m = build_model(

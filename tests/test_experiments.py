@@ -170,7 +170,7 @@ class TestEvaluatePrefixes:
             (maxnorm_expand(model, q, K=8), drop),
         ]
         for trace, method in traces:
-            errors, bounds = evaluate_prefixes(model, trace, p_true, 8, method)
+            errors, bounds = evaluate_prefixes(model, trace, p_true, 8)
             assert errors.shape == (8,) and bounds.shape == (8,)
             assert np.all(errors <= bounds + 1e-9)
             for s in range(1, 9):
@@ -188,29 +188,17 @@ class TestEvaluatePrefixes:
         trace = greedy_expand(
             model, q, K=4, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD, mf_config=cfg
         )
-        errors, _ = evaluate_prefixes(model, trace, p_true, 4, BoundaryMethod.MEAN_FIELD)
+        errors, _ = evaluate_prefixes(model, trace, p_true, 4)
         for s in range(1, 5):
             region = make_region(model, trace.alpha_prefix(s), q)
             loc = localize(model, region, BoundaryMethod.MEAN_FIELD, mf_config=cfg)
             p_loc = eliminate_marginal(loc.submodel, loc.index_of(q))
             assert errors[s - 1] == abs(p_loc - p_true)
 
-    def test_mismatched_method_or_cap_raises(self):
-        spec = GridSpec(4, 4, I1=1.0, I2=0.25, seed=2)
-        model = gen_grid(spec)
-        trace = greedy_expand(model, spec.query, K=4, delta=-math.inf)
-        p_true = eliminate_marginal(model, spec.query)
-        with pytest.raises(ValueError, match="got method=meanfield"):
-            evaluate_prefixes(model, trace, p_true, 4, BoundaryMethod.MEAN_FIELD)
-        with pytest.raises(ValueError, match="cap=10$"):
-            evaluate_prefixes(model, trace, p_true, 4, BoundaryMethod.DROP_OUT, cap=10)
-
     def test_short_trace_repeats_final_value(self, chain3):
         trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)
         p_true = eliminate_marginal(chain3, 0)
-        errors, bounds = evaluate_prefixes(
-            chain3, trace, p_true, 5, BoundaryMethod.DROP_OUT
-        )
+        errors, bounds = evaluate_prefixes(chain3, trace, p_true, 5)
         assert errors[2] == errors[3] == errors[4]
         assert bounds[2] == bounds[3] == bounds[4] == 0.0
 
