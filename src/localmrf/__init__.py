@@ -61,7 +61,6 @@ from .experiments import (
     write_label_file,
 )
 from .meanfield import (
-    MeanFieldConfig,
     marginals,
     MeanFieldState,
     boundary_mean_field,
@@ -92,78 +91,3 @@ from .model import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryMethod",
-    "COMPARISON_METHODS",
-    "CitationGraph",
-    "CliqueTooLargeError",
-    "CoraSpec",
-    "DobrushinCertificate",
-    "DobrushinConditionError",
-    "EnumerationCapError",
-    "ExpansionStep",
-    "ExpansionTrace",
-    "GraphTooLargeError",
-    "GridSpec",
-    "InferenceMethod",
-    "IsingModel",
-    "LocalMRFError",
-    "LocalizedModel",
-    "MeanFieldConfig",
-    "MeanFieldDivergence",
-    "MeanFieldState",
-    "ModelError",
-    "QueryResult",
-    "Region",
-    "RegionError",
-    "StopReason",
-    "boundary_mean_field",
-    "brute_force_marginal",
-    "build_model",
-    "conditional_gap",
-    "connected_component",
-    "connected_components",
-    "cora_pipeline",
-    "decay_bound",
-    "decay_radius",
-    "distance_to_set",
-    "dobrushin_coefficient",
-    "dobrushin_heatmap",
-    "eliminate_marginal",
-    "evaluate_prefixes",
-    "expansion_comparison",
-    "gen_citation_graph",
-    "gen_grid",
-    "graph_distance",
-    "greedy_expand",
-    "grid_edges",
-    "grid_node_id",
-    "i1_sweep",
-    "influence_matrix",
-    "interaction_entry",
-    "interaction_matrix",
-    "load_citation_graph",
-    "load_model",
-    "local_certificate",
-    "localize",
-    "log_partition",
-    "make_region",
-    "marginals",
-    "maxnorm_expand",
-    "mean_field",
-    "min_fill_order",
-    "model_json",
-    "perturbation_vector",
-    "query_marginal",
-    "random_expand",
-    "read_edge_list",
-    "read_labels",
-    "save_model",
-    "spectral_radius",
-    "substream",
-    "variational_objective",
-    "write_csv",
-    "write_edge_file",
-    "write_label_file",
-]

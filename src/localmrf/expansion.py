@@ -3,8 +3,9 @@
 Starting from alpha = {query}, each step scores every outside boundary node by
 the certificate bound of alpha plus that node and accepts the best one while
 it improves the current bound by more than delta. Random and coupling-norm
-baselines run the same loop but score only the node their rule picks, so all
-three strategies share one trace format and one final-certificate rule.
+baselines run the same loop but score only the node their rule picks, and
+always detach alpha by dropping the cross edges, so all three strategies share
+one trace format and one final-certificate rule.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .dobrushin import DobrushinCertificate, EnumerationCapError, local_certificate
 from .exact import eliminate_marginal
-from .meanfield import MeanFieldConfig, mean_field
+from .meanfield import mean_field
 from .model import (
     BoundaryMethod,
     IsingModel,
@@ -62,7 +63,6 @@ class ExpansionTrace:
     final_certificate: DobrushinCertificate
     stop_reason: StopReason
     degraded: bool = False
-    mf_config: MeanFieldConfig | None = None  # boundary solve settings used
 
     @property
     def valid(self) -> bool:
@@ -99,10 +99,9 @@ def _certificate(
     query: int,
     method: BoundaryMethod,
     cap: int,
-    mf_config: MeanFieldConfig | None,
 ) -> DobrushinCertificate:
     region = make_region(model, alpha, query)
-    loc = localize(model, region, method=method, mf_config=mf_config)
+    loc = localize(model, region, method=method)
     return local_certificate(model, region, loc, cap=cap)
 
 
@@ -136,7 +135,6 @@ def greedy_expand(
     delta: float = 0.005,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
     cap: int = 25,
-    mf_config: MeanFieldConfig | None = None,
 ) -> ExpansionTrace:
     """Bound-driven expansion.
 
@@ -148,9 +146,7 @@ def greedy_expand(
     every candidate is invalid the maxnorm rule picks the node instead and the
     trace is marked degraded.
     """
-    return _expand(
-        model, query, K, delta, method, cap, mf_config, lambda alpha, cands: cands
-    )
+    return _expand(model, query, K, delta, method, cap, lambda alpha, cands: cands)
 
 
 def random_expand(
@@ -158,9 +154,7 @@ def random_expand(
     query: int,
     K: int = 16,
     seed: int | np.random.Generator = 0,
-    method: BoundaryMethod = BoundaryMethod.DROP_OUT,
     cap: int = 25,
-    mf_config: MeanFieldConfig | None = None,
 ) -> ExpansionTrace:
     """Uniform random boundary growth; bounds still computed for reporting."""
     rng = (
@@ -169,7 +163,7 @@ def random_expand(
         else np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     )
     return _expand(
-        model, query, K, -math.inf, method, cap, mf_config,
+        model, query, K, -math.inf, BoundaryMethod.DROP_OUT, cap,
         lambda alpha, cands: [cands[int(rng.integers(len(cands)))]],
     )
 
@@ -178,18 +172,16 @@ def maxnorm_expand(
     model: IsingModel,
     query: int,
     K: int = 16,
-    method: BoundaryMethod = BoundaryMethod.DROP_OUT,
     cap: int = 25,
-    mf_config: MeanFieldConfig | None = None,
 ) -> ExpansionTrace:
     """Strongest-coupling growth: argmax sum of squared couplings into alpha."""
     return _expand(
-        model, query, K, -math.inf, method, cap, mf_config,
+        model, query, K, -math.inf, BoundaryMethod.DROP_OUT, cap,
         lambda alpha, cands: [_maxnorm_choice(model, alpha, cands)],
     )
 
 
-def _expand(model, query, K, delta, method, cap, mf_config, to_score) -> ExpansionTrace:
+def _expand(model, query, K, delta, method, cap, to_score) -> ExpansionTrace:
     """The growth loop every strategy shares.
 
     to_score(alpha, candidates) names the candidates scored at a step: all of
@@ -218,7 +210,7 @@ def _expand(model, query, K, delta, method, cap, mf_config, to_score) -> Expansi
         certs: dict[int, DobrushinCertificate] = {}
         for k in to_score(alpha, candidates):
             try:
-                certs[k] = _certificate(model, alpha + [k], query, method, cap, mf_config)
+                certs[k] = _certificate(model, alpha + [k], query, method, cap)
                 bounds[k] = certs[k].bound
             except (MeanFieldDivergence, EnumerationCapError):
                 bounds[k] = math.inf
@@ -236,7 +228,7 @@ def _expand(model, query, K, delta, method, cap, mf_config, to_score) -> Expansi
         final_cert = certs.get(chosen)
         steps.append(ExpansionStep(tuple(candidates), bounds, chosen, best_bound))
     if final_cert is None:
-        final_cert = _certificate(model, alpha, query, method, cap, mf_config)
+        final_cert = _certificate(model, alpha, query, method, cap)
     return ExpansionTrace(
         query=query,
         method=method,
@@ -245,7 +237,6 @@ def _expand(model, query, K, delta, method, cap, mf_config, to_score) -> Expansi
         final_certificate=final_cert,
         stop_reason=stop,
         degraded=degraded,
-        mf_config=mf_config,
     )
 
 
@@ -266,7 +257,6 @@ def query_marginal(
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
     inference: InferenceMethod = InferenceMethod.EXACT,
     cap: int = 25,
-    mf_config: MeanFieldConfig | None = None,
 ) -> QueryResult:
     """Greedy-expand around the query and infer on alpha only.
 
@@ -275,15 +265,13 @@ def query_marginal(
     nodes beyond the expanded region, so its cost is independent of the
     global graph size.
     """
-    trace = greedy_expand(
-        model, query, K=K, delta=delta, method=method, cap=cap, mf_config=mf_config
-    )
+    trace = greedy_expand(model, query, K=K, delta=delta, method=method, cap=cap)
     loc = trace.final_certificate.localized
     qi = loc.index_of(query)
     if inference is InferenceMethod.EXACT:
         p = eliminate_marginal(loc.submodel, qi)
     else:
-        state = mean_field(loc.submodel, **_mf_kwargs(mf_config))
+        state = mean_field(loc.submodel)
         p = (1.0 + float(state.m[qi])) / 2.0
     return QueryResult(
         marginal=p,
@@ -292,8 +280,3 @@ def query_marginal(
         alpha=trace.final_alpha,
         trace=trace,
     )
-
-
-def _mf_kwargs(cfg: MeanFieldConfig | None) -> dict:
-    c = cfg or MeanFieldConfig()
-    return {"tol": c.tol, "max_iter": c.max_iter, "restarts": c.restarts, "seed": c.seed}

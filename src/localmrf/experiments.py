@@ -288,8 +288,8 @@ def evaluate_prefixes(
     still localized and eliminated for its error. Sizes beyond the final
     region repeat its value, so curves over a fixed size axis stay well
     defined when expansion stopped early. Prefixes are localized with the
-    trace's boundary method, enumeration cap and mean-field settings, so
-    errors and bounds describe the same localization.
+    trace's boundary method and enumeration cap, so errors and bounds
+    describe the same localization.
     """
     final = trace.final_certificate
     scored = [s.bounds[s.chosen] for s in trace.steps if s.chosen is not None]
@@ -298,7 +298,7 @@ def evaluate_prefixes(
     query = trace.query
     for s in range(1, K + 1):
         region = make_region(model, trace.alpha_prefix(s), query)
-        loc = localize(model, region, method=trace.method, mf_config=trace.mf_config)
+        loc = localize(model, region, method=trace.method)
         p_loc = eliminate_marginal(loc.submodel, loc.index_of(query))
         errors[s - 1] = abs(p_loc - p_true)
         if s == 1:

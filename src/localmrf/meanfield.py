@@ -18,15 +18,6 @@ from scipy.special import entr
 from .model import IsingModel, Region, build_model
 
 
-@dataclass(frozen=True)
-class MeanFieldConfig:
-    tol: float = 1e-8
-    max_iter: int = 1000
-    restarts: int = 3
-    seed: int = 0
-    include_local_terms: bool = True
-
-
 @dataclass
 class MeanFieldState:
     m: np.ndarray
@@ -125,45 +116,26 @@ def marginals(state: MeanFieldState) -> np.ndarray:
 
 
 def boundary_mean_field(
-    model: IsingModel,
-    region: Region,
-    config: MeanFieldConfig | None = None,
+    model: IsingModel, region: Region
 ) -> tuple[dict[int, float], MeanFieldState]:
     """Mean-field means of the outside boundary spins.
 
     The subproblem holds the two boundary layers: variables are
-    boundary_alpha + boundary_beta, edges are the cross edges plus (with
-    include_local_terms) the original edges inside each layer, fields are the
-    original fields (zero when include_local_terms is off). Returns the means
-    of the boundary_beta nodes and the underlying solver state.
+    boundary_alpha + boundary_beta, edges are the cross edges plus the
+    original edges inside each layer, fields are the original fields. It is
+    solved by `mean_field` with its default settings. Returns the means of the
+    boundary_beta nodes and the underlying solver state.
     """
-    cfg = config or MeanFieldConfig()
     nodes = sorted(set(region.boundary_alpha) | set(region.boundary_beta))
     index = {g: i for i, g in enumerate(nodes)}
     edges = [(index[j], index[k], jv) for j, k, jv in region.cross_edges]
-    if cfg.include_local_terms:
-        for side in (region.boundary_alpha, region.boundary_beta):
-            side_set = set(side)
-            for u in side:
-                for v in model.adjacency[u]:
-                    if v in side_set and u < v:
-                        edges.append((index[u], index[v], model.coupling(u, v)))
-        fields = [float(model.h[g]) for g in nodes]
-    else:
-        fields = [0.0] * len(nodes)
-    sub = build_model(edges, fields)
-    state = mean_field(
-        sub, tol=cfg.tol, max_iter=cfg.max_iter, restarts=cfg.restarts, seed=cfg.seed
-    )
+    for side in (region.boundary_alpha, region.boundary_beta):
+        side_set = set(side)
+        for u in side:
+            for v in model.adjacency[u]:
+                if v in side_set and u < v:
+                    edges.append((index[u], index[v], model.coupling(u, v)))
+    sub = build_model(edges, [float(model.h[g]) for g in nodes])
+    state = mean_field(sub)
     means = {k: float(state.m[index[k]]) for k in region.boundary_beta}
     return means, state
-
-
-__all__ = [
-    "MeanFieldConfig",
-    "MeanFieldState",
-    "boundary_mean_field",
-    "marginals",
-    "mean_field",
-    "variational_objective",
-]

@@ -92,14 +92,17 @@ class IsingModel:
     @staticmethod
     def from_dict(payload: Mapping) -> "IsingModel":
         try:
-            n = int(payload["n"])
-            raw_edges = payload["edges"]
-            h = payload["h"]
+            n, raw_edges, raw_h = payload["n"], payload["edges"], payload["h"]
         except (KeyError, TypeError) as exc:
             raise ModelError(f"model payload missing field: {exc}") from exc
+        try:
+            n = int(n)
+            h = [float(x) for x in raw_h]
+            edges = [(int(u), int(v), float(j)) for u, v, j in raw_edges]
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"malformed model payload: {exc}") from exc
         if len(h) != n:
             raise ModelError(f"field vector has {len(h)} entries for n={n}")
-        edges = [(int(u), int(v), float(j)) for u, v, j in raw_edges]
         return build_model(edges, h)
 
 
@@ -327,7 +330,6 @@ def localize(
     model: IsingModel,
     region: Region,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
-    mf_config=None,
 ) -> LocalizedModel:
     """Build the alpha-only model for a region.
 
@@ -348,7 +350,7 @@ def localize(
     if method is BoundaryMethod.MEAN_FIELD:
         from .meanfield import boundary_mean_field
 
-        means, state = boundary_mean_field(model, region, config=mf_config)
+        means, state = boundary_mean_field(model, region)
         if not state.converged:
             raise MeanFieldDivergence(
                 f"boundary mean field stalled at residual {state.residual:.3e}",

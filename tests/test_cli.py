@@ -1,11 +1,13 @@
 """CLI contract: exit codes, JSON mirroring, config merging, file outputs."""
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import localmrf
 from localmrf import build_model, eliminate_marginal, load_model, save_model
 from localmrf.cli import run
 from conftest import chain_model
@@ -50,6 +52,12 @@ class TestExitCodes:
 
     def test_bad_query_node_exits_one(self, chain_file, capsys):
         assert run(["query", "--model", chain_file, "--node", "99"]) == 1
+
+    def test_malformed_model_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "edges": [[0, 1, null]], "h": [0, 0]}')
+        assert run(["query", "--model", str(path), "--node", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed model payload")
 
 
 class TestGenGrid:
@@ -263,11 +271,15 @@ class TestThreads:
 
 class TestConsoleScript:
     def test_module_entry_point(self):
+        # run the package under test, whether or not a copy is installed
+        src = os.path.dirname(os.path.dirname(localmrf.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "localmrf.cli"],
             capture_output=True,
             text=True,
             input="",
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 2  # no subcommand: usage error via main()
 

@@ -161,6 +161,57 @@ class TestGreedyExpand:
         assert greedy_expand(chain3, 0, K=1).to_jsonl() == ""
 
 
+class TestBoundaryDivergence:
+    """A stalled boundary mean-field solve scores a candidate +inf."""
+
+    @pytest.fixture
+    def star(self):
+        return build_model(
+            [(0, 1, 0.3), (0, 2, 0.5), (0, 3, 0.2)], [0.1, 0.0, 0.2, -0.1]
+        )
+
+    @staticmethod
+    def _stall(monkeypatch, when):
+        import localmrf.meanfield as meanfield
+
+        real = meanfield.boundary_mean_field
+
+        def stalled(model, region):
+            means, state = real(model, region)
+            if when(region.alpha):
+                state.converged = False
+            return means, state
+
+        # localize imports boundary_mean_field from the meanfield module per call
+        monkeypatch.setattr(meanfield, "boundary_mean_field", stalled)
+
+    def test_diverging_candidate_loses_to_valid_one(self, star, monkeypatch):
+        def expand():
+            return greedy_expand(
+                star, 0, K=2, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD
+            )
+
+        assert expand().steps[0].chosen == 2
+        self._stall(monkeypatch, lambda alpha: 2 in alpha)
+        trace = expand()
+        step = trace.steps[0]
+        assert step.bounds[2] == math.inf
+        assert json.loads(trace.to_jsonl())["bounds"]["2"] is None
+        assert step.chosen != 2 and math.isfinite(step.bounds[step.chosen])
+        assert not trace.degraded and trace.valid
+
+    def test_all_diverging_step_takes_maxnorm_pick(self, star, monkeypatch):
+        self._stall(monkeypatch, lambda alpha: len(alpha) == 2)
+        trace = greedy_expand(
+            star, 0, K=3, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD
+        )
+        first, second = trace.steps
+        assert first.bounds == {1: math.inf, 2: math.inf, 3: math.inf}
+        assert first.chosen == maxnorm_expand(star, 0, K=2).final_alpha[1] == 2
+        assert math.isfinite(second.bounds[second.chosen])
+        assert trace.degraded and not trace.valid
+
+
 class TestBaselines:
     def test_random_deterministic_per_seed(self):
         model = gen_grid(GridSpec(5, 5, I1=1.0, I2=0.25, seed=4))

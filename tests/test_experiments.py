@@ -11,7 +11,6 @@ from localmrf import (
     BoundaryMethod,
     CoraSpec,
     GridSpec,
-    MeanFieldConfig,
     ModelError,
     cora_pipeline,
     dobrushin_heatmap,
@@ -178,22 +177,6 @@ class TestEvaluatePrefixes:
                 loc = localize(model, region, method)
                 # read off the trace, yet bit-identical to a fresh certificate
                 assert bounds[s - 1] == local_certificate(model, region, loc).bound
-
-    def test_prefixes_use_the_trace_mean_field_config(self):
-        spec = GridSpec(4, 4, I1=1.0, I2=0.25, seed=2)
-        model = gen_grid(spec)
-        q = spec.query
-        p_true = eliminate_marginal(model, q)
-        cfg = MeanFieldConfig(tol=1e-3, max_iter=200, restarts=1)
-        trace = greedy_expand(
-            model, q, K=4, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD, mf_config=cfg
-        )
-        errors, _ = evaluate_prefixes(model, trace, p_true, 4)
-        for s in range(1, 5):
-            region = make_region(model, trace.alpha_prefix(s), q)
-            loc = localize(model, region, BoundaryMethod.MEAN_FIELD, mf_config=cfg)
-            p_loc = eliminate_marginal(loc.submodel, loc.index_of(q))
-            assert errors[s - 1] == abs(p_loc - p_true)
 
     def test_short_trace_repeats_final_value(self, chain3):
         trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localmrf import (
-    MeanFieldConfig,
     boundary_mean_field,
     build_model,
     make_region,
@@ -117,14 +116,6 @@ class TestBoundaryMeanField:
         assert set(means) == {2}
         assert means[2] == pytest.approx(0.8327154235150449, abs=1e-7)
 
-    def test_without_local_terms_uses_zero_fields(self, chain3_mf):
-        region = make_region(chain3_mf, [0, 1], 0)
-        cfg = MeanFieldConfig(include_local_terms=False)
-        means, state = boundary_mean_field(chain3_mf, region, config=cfg)
-        assert state.converged
-        # zero-field symmetric subproblem: means vanish
-        assert means[2] == pytest.approx(0.0, abs=1e-8)
-
     def test_symmetric_boundary_means_vanish(self):
         m = build_model([(0, 1, 0.2), (1, 2, 0.2), (2, 3, 0.2)], [0.0] * 4)
         region = make_region(m, [0, 1], 0)
@@ -148,8 +139,8 @@ class TestBoundaryMeanField:
         )
         region = make_region(m, [0, 1], 0)
         means, _ = boundary_mean_field(m, region)
-        cfg_off = MeanFieldConfig(include_local_terms=False)
-        means_off, _ = boundary_mean_field(m, region, config=cfg_off)
+        # the same layers with only the cross edges and zero fields
+        cross_only = mean_field(build_model([(0, 2, 0.4), (1, 3, 0.4)], [0.0] * 4))
         # with the (2,3) edge and h_2 > 0 both means are pulled positive
-        assert means[3] > means_off[3] + 0.05
+        assert means[3] > cross_only.m[3] + 0.05
         assert means[2] > 0.3

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from localmrf import (
     BoundaryMethod,
     IsingModel,
-    MeanFieldConfig,
     ModelError,
     RegionError,
     build_model,
@@ -101,6 +100,18 @@ class TestSerialization:
         with pytest.raises(ModelError, match="2 entries for n=3"):
             IsingModel.from_dict({"n": 3, "edges": [], "h": [0.0, 0.0]})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 2, "edges": [], "h": 5},
+            {"n": 2, "edges": 5, "h": [0, 0]},
+            {"n": 2, "edges": [[0, 1, None]], "h": [0, 0]},
+        ],
+    )
+    def test_wrong_shape_payload_is_model_error(self, payload):
+        with pytest.raises(ModelError, match="malformed model payload"):
+            IsingModel.from_dict(payload)
+
 
 class TestDistances:
     def test_distance_to_self(self):
@@ -190,13 +201,17 @@ class TestLocalize:
         assert loc.h_tilde[0] == 0.1
         assert loc.h_tilde[1] == pytest.approx(0.41635771175752245, abs=1e-9)
 
-    def test_meanfield_divergence_carries_residual(self, chain3_mf):
-        from localmrf import MeanFieldDivergence
+    def test_meanfield_divergence_carries_residual(self, chain3_mf, monkeypatch):
+        from localmrf import MeanFieldDivergence, meanfield
 
+        real = meanfield.mean_field
+        monkeypatch.setattr(
+            meanfield, "mean_field",
+            lambda sub: real(sub, tol=1e-30, max_iter=1, restarts=1),
+        )
         r = make_region(chain3_mf, [0, 1], 0)
-        cfg = MeanFieldConfig(tol=1e-30, max_iter=1, restarts=1)
         with pytest.raises(MeanFieldDivergence) as exc:
-            localize(chain3_mf, r, BoundaryMethod.MEAN_FIELD, mf_config=cfg)
+            localize(chain3_mf, r, BoundaryMethod.MEAN_FIELD)
         assert exc.value.residual > 1e-30
 
     def test_dropout_equals_edge_deleted_global(self):
