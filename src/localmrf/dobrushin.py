@@ -90,27 +90,61 @@ def _min_abs_offset_sum(values: list[float], offset: float) -> float:
     return best
 
 
+def _row_inputs(model: IsingModel, i: int, cap: int) -> tuple[float, tuple[float, ...]]:
+    """(h_i, i's couplings in adjacency order): all that row i of C reads.
+
+    Raises EnumerationCapError when some nonzero entry of the row would
+    enumerate more than cap other neighbours.
+    """
+    adj = model.adjacency[i]
+    js = tuple(model.coupling(i, j) for j in adj)
+    if len(adj) - 1 > cap and any(js):
+        raise EnumerationCapError(
+            f"node {i} has {len(adj)} neighbours, enumeration cap is {cap}"
+        )
+    return float(model.h[i]), js
+
+
+def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
+    """Row of C, in adjacency order, for a node with field h and couplings js."""
+    row = []
+    for p, j in enumerate(js):
+        if j == 0.0:
+            row.append(0.0)
+            continue
+        others = [2.0 * x for l, x in enumerate(js) if l != p]
+        row.append(conditional_gap(_min_abs_offset_sum(others, 2.0 * h), j))
+    return row
+
+
 def interaction_entry(model: IsingModel, i: int, j: int, cap: int = ENUMERATION_CAP) -> float:
     """C_ij of the given model; zero unless i and j are adjacent."""
-    j_ij = model.coupling(i, j)
-    if j_ij == 0.0:
+    if model.coupling(i, j) == 0.0:
         return 0.0
-    others = [2.0 * model.coupling(i, l) for l in model.adjacency[i] if l != j]
-    if len(others) > cap:
-        raise EnumerationCapError(
-            f"node {i} has {len(others) + 1} neighbours, enumeration cap is {cap}"
-        )
-    m = _min_abs_offset_sum(others, 2.0 * float(model.h[i]))
-    return conditional_gap(m, j_ij)
+    return _interaction_row(*_row_inputs(model, i, cap))[model.adjacency[i].index(j)]
 
 
-def interaction_matrix(model: IsingModel, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """Dense C for a (small) model; rows are conditioned nodes."""
+def interaction_matrix(
+    model: IsingModel, cap: int = ENUMERATION_CAP, *, memo: dict | None = None
+) -> np.ndarray:
+    """Dense C for a (small) model; rows are conditioned nodes.
+
+    Row i is a pure function of h_i and of i's couplings in adjacency order,
+    so it is looked up in memo under exactly those floats and computed only
+    on a miss; a cached row is bit-identical to a fresh one. The cap check
+    runs before the lookup, so a row over the cap raises whatever memo holds.
+    """
+    memo = {} if memo is None else memo
     n = model.n
     c = np.zeros((n, n))
     for i in range(n):
-        for j in model.adjacency[i]:
-            c[i, j] = interaction_entry(model, i, j, cap=cap)
+        h, js = _row_inputs(model, i, cap)
+        key = ("C", h, js)
+        row = memo.get(key)
+        if row is None:
+            row = memo[key] = _interaction_row(h, js)
+        for j, entry in zip(model.adjacency[i], row):
+            c[i, j] = entry
     return c
 
 
@@ -120,8 +154,8 @@ def dobrushin_coefficient(model: IsingModel, cap: int = ENUMERATION_CAP) -> tupl
     best_node = 0
     for i in range(model.n):
         row = 0.0
-        for j in model.adjacency[i]:
-            row += interaction_entry(model, i, j, cap=cap)
+        for entry in _interaction_row(*_row_inputs(model, i, cap)):
+            row += entry
         if row > best:
             best, best_node = row, i
     return best, best_node
@@ -158,6 +192,8 @@ def perturbation_vector(
     localized: LocalizedModel,
     region: Region,
     cap: int = ENUMERATION_CAP,
+    *,
+    memo: dict | None = None,
 ) -> np.ndarray:
     """Worst-case conditional gaps b, aligned with the alpha order.
 
@@ -167,7 +203,13 @@ def perturbation_vector(
     model's also sums the outside neighbours; the sup over outside assignments
     is attained at the extreme cross sums, so only alpha-side assignments are
     enumerated.
+
+    b_j is a pure function of the compensated field, the global field, the
+    in-alpha couplings in global adjacency order and the cross sum t, so it
+    is looked up in memo under exactly those floats and computed only on a
+    miss. The cap check runs before the lookup.
     """
+    memo = {} if memo is None else memo
     alpha = region.alpha
     index = {g: i for i, g in enumerate(alpha)}
     b = np.zeros(len(alpha))
@@ -178,17 +220,23 @@ def perturbation_vector(
             raise EnumerationCapError(
                 f"node {j} has degree {model.degree(j)}, enumeration cap is {cap}"
             )
-        alpha_js = [2.0 * sub.coupling(li, index[k]) for k in model.adjacency[j] if k in index]
-        t = 2.0 * sum(abs(model.coupling(j, k)) for k in model.adjacency[j] if k not in index)
-        sums = _signed_sums(alpha_js)
-        base_mu = 2.0 * sub.h[li] + sums
-        base_nu = 2.0 * model.h[j] + sums
-        p_mu = _expit(base_mu)
-        gap = np.maximum(
-            np.abs(p_mu - _expit(base_nu + t)),
-            np.abs(p_mu - _expit(base_nu - t)),
+        alpha_js = tuple(
+            2.0 * sub.coupling(li, index[k]) for k in model.adjacency[j] if k in index
         )
-        b[li] = float(np.max(gap))
+        t = 2.0 * sum(abs(model.coupling(j, k)) for k in model.adjacency[j] if k not in index)
+        key = ("b", float(sub.h[li]), float(model.h[j]), alpha_js, t)
+        entry = memo.get(key)
+        if entry is None:
+            sums = _signed_sums(alpha_js)
+            base_mu = 2.0 * sub.h[li] + sums
+            base_nu = 2.0 * model.h[j] + sums
+            p_mu = _expit(base_mu)
+            gap = np.maximum(
+                np.abs(p_mu - _expit(base_nu + t)),
+                np.abs(p_mu - _expit(base_nu - t)),
+            )
+            entry = memo[key] = float(np.max(gap))
+        b[li] = entry
     return b
 
 
@@ -237,18 +285,23 @@ def local_certificate(
     region: Region,
     localized: LocalizedModel,
     cap: int = ENUMERATION_CAP,
+    *,
+    memo: dict | None = None,
 ) -> DobrushinCertificate:
     """Certificate for the query marginal of a localized model.
 
     C is computed on the localized submodel (compensated fields, alpha-internal
     edges only); b compares the two conditionals at the alpha boundary; the
     bound is row `query` of D against b. A solve that fails influence_matrix's
-    validity test yields valid=False and bound=+inf.
+    validity test yields valid=False and bound=+inf. memo holds the rows of C
+    and the entries of b computed so far, such as for one expansion's earlier
+    candidates, each keyed on every input it reads; it saves work and never
+    changes a bit of the result.
     """
     sub = localized.submodel
-    c = interaction_matrix(sub, cap=cap)
+    c = interaction_matrix(sub, cap=cap, memo=memo)
     d, valid = influence_matrix(c)
-    b = perturbation_vector(model, localized, region, cap=cap)
+    b = perturbation_vector(model, localized, region, cap=cap, memo=memo)
     c_local = float(np.max(c.sum(axis=1))) if c.size else 0.0
     qi = region.alpha.index(region.query)
     bound = float(d[qi] @ b) if valid else math.inf

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -23,6 +23,7 @@ from .model import (
     BoundaryMethod,
     IsingModel,
     MeanFieldDivergence,
+    Region,
     localize,
     make_region,
 )
@@ -46,12 +47,15 @@ class ExpansionStep:
     candidates is the outside boundary when the step ran; bounds maps the
     scored candidates to their certificate bounds (+inf for invalid ones);
     chosen is None when the step only established that no candidate improves.
+    certificate is the one scored for the chosen node, None when there is no
+    chosen node or its build raised; it is not serialised by to_jsonl.
     """
 
     candidates: tuple[int, ...]
     bounds: dict[int, float]
     chosen: int | None
     best_bound: float
+    certificate: DobrushinCertificate | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -95,27 +99,16 @@ class ExpansionTrace:
 
 def _certificate(
     model: IsingModel,
-    alpha: list[int],
-    query: int,
+    region: Region,
     method: BoundaryMethod,
     cap: int,
+    memo: dict,
 ) -> DobrushinCertificate:
-    region = make_region(model, alpha, query)
     loc = localize(model, region, method=method)
-    return local_certificate(model, region, loc, cap=cap)
+    return local_certificate(model, region, loc, cap=cap, memo=memo)
 
 
-def _boundary_beta(model: IsingModel, alpha: list[int]) -> list[int]:
-    inside = set(alpha)
-    out: set[int] = set()
-    for a in alpha:
-        for k in model.adjacency[a]:
-            if k not in inside:
-                out.add(k)
-    return sorted(out)
-
-
-def _maxnorm_choice(model: IsingModel, alpha: list[int], candidates: list[int]) -> int:
+def _maxnorm_choice(model: IsingModel, alpha: list[int], candidates: tuple[int, ...]) -> int:
     """argmax over candidates of sum over alpha neighbours of J^2, ties low id."""
     inside = set(alpha)
     best, best_score = candidates[0], -1.0
@@ -190,27 +183,35 @@ def _expand(model, query, K, delta, method, cap, to_score) -> ExpansionTrace:
     invalid, the maxnorm rule picks among them and the trace is degraded. The
     final certificate is the one scored for the node appended last; it is only
     built afresh when alpha is still {query} or that node's build raised.
+
+    One memo of C rows and b entries lives for the call: a step's candidates
+    share alpha and each step keeps the previous alpha, so most rows and
+    entries repeat from one certificate to the next.
     """
     if not (0 <= query < model.n):
         raise ValueError(f"query {query} out of range")
     if K < 1:
         raise ValueError("K must be >= 1")
     alpha = [query]
+    region = make_region(model, alpha, query)
     best_bound = 1.0
     steps: list[ExpansionStep] = []
     degraded = False
     stop = StopReason.REACHED_K
     final_cert: DobrushinCertificate | None = None
+    memo: dict = {}
     while len(alpha) < K:
-        candidates = _boundary_beta(model, alpha)
+        candidates = region.boundary_beta
         if not candidates:
             stop = StopReason.BOUNDARY_EMPTY
             break
         bounds: dict[int, float] = {}
+        regions: dict[int, Region] = {}
         certs: dict[int, DobrushinCertificate] = {}
         for k in to_score(alpha, candidates):
+            regions[k] = make_region(model, alpha + [k], query)
             try:
-                certs[k] = _certificate(model, alpha + [k], query, method, cap)
+                certs[k] = _certificate(model, regions[k], method, cap, memo)
                 bounds[k] = certs[k].bound
             except (MeanFieldDivergence, EnumerationCapError):
                 bounds[k] = math.inf
@@ -218,17 +219,18 @@ def _expand(model, query, K, delta, method, cap, to_score) -> ExpansionTrace:
         if bounds[chosen] < best_bound - delta:
             best_bound = bounds[chosen]
         elif all(math.isinf(b) for b in bounds.values()):
-            chosen = _maxnorm_choice(model, alpha, list(bounds))
+            chosen = _maxnorm_choice(model, alpha, tuple(bounds))
             degraded = True
         else:
-            steps.append(ExpansionStep(tuple(candidates), bounds, None, best_bound))
+            steps.append(ExpansionStep(candidates, bounds, None, best_bound))
             stop = StopReason.NO_IMPROVEMENT
             break
         alpha.append(chosen)
+        region = regions[chosen]
         final_cert = certs.get(chosen)
-        steps.append(ExpansionStep(tuple(candidates), bounds, chosen, best_bound))
+        steps.append(ExpansionStep(candidates, bounds, chosen, best_bound, final_cert))
     if final_cert is None:
-        final_cert = _certificate(model, alpha, query, method, cap)
+        final_cert = _certificate(model, region, method, cap, memo)
     return ExpansionTrace(
         query=query,
         method=method,

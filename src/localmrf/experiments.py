@@ -282,29 +282,35 @@ def evaluate_prefixes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """True error and certificate bound of the size-1..K prefixes of a trace.
 
-    Bounds are read off the trace: the size-s prefix (s >= 2) has the bound
-    scored when its last node was accepted, step.bounds[step.chosen], and
-    only the size-1 prefix gets a certificate built here. Every prefix is
-    still localized and eliminated for its error. Sizes beyond the final
-    region repeat its value, so curves over a fixed size axis stay well
-    defined when expansion stopped early. Prefixes are localized with the
-    trace's boundary method and enumeration cap, so errors and bounds
-    describe the same localization.
+    The size-s prefix (s >= 2) is read off the step that accepted its last
+    node: its bound is step.bounds[step.chosen] and its error is eliminated
+    on step.certificate.localized. Only the size-1 prefix is localized and
+    certified here, with the trace's boundary method and enumeration cap; so
+    is the localization of a step whose certificate build raised. Sizes
+    beyond the final region repeat its value, so curves over a fixed size
+    axis stay well defined when expansion stopped early.
     """
     final = trace.final_certificate
-    scored = [s.bounds[s.chosen] for s in trace.steps if s.chosen is not None]
+    accepted = [s for s in trace.steps if s.chosen is not None]
     errors = np.empty(K)
     bounds = np.empty(K)
     query = trace.query
-    for s in range(1, K + 1):
-        region = make_region(model, trace.alpha_prefix(s), query)
-        loc = localize(model, region, method=trace.method)
+    sizes = min(K, len(trace.final_alpha))
+    for s in range(1, sizes + 1):
+        step = accepted[s - 2] if s >= 2 else None
+        if step is None or step.certificate is None:
+            region = make_region(model, trace.alpha_prefix(s), query)
+            loc = localize(model, region, method=trace.method)
+        else:
+            loc = step.certificate.localized
         p_loc = eliminate_marginal(loc.submodel, loc.index_of(query))
         errors[s - 1] = abs(p_loc - p_true)
-        if s == 1:
+        if step is None:
             bounds[0] = local_certificate(model, region, loc, cap=final.cap).bound
         else:
-            bounds[s - 1] = scored[s - 2] if s - 2 < len(scored) else final.bound
+            bounds[s - 1] = step.bounds[step.chosen]
+    errors[sizes:] = errors[sizes - 1]
+    bounds[sizes:] = final.bound
     return errors, bounds
 
 

@@ -17,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,14 +97,29 @@ class IsingModel:
         except (KeyError, TypeError) as exc:
             raise ModelError(f"model payload missing field: {exc}") from exc
         try:
-            n = int(n)
-            h = [float(x) for x in raw_h]
-            edges = [(int(u), int(v), float(j)) for u, v, j in raw_edges]
+            n = _payload_number(n, Integral)
+            h = [_payload_number(x, Real) for x in raw_h]
+            edges = [
+                (_payload_number(u, Integral), _payload_number(v, Integral), _payload_number(j, Real))
+                for u, v, j in raw_edges
+            ]
         except (TypeError, ValueError) as exc:
             raise ModelError(f"malformed model payload: {exc}") from exc
         if len(h) != n:
             raise ModelError(f"field vector has {len(h)} entries for n={n}")
         return build_model(edges, h)
+
+
+def _payload_number(value, kind: type) -> int | float:
+    """value as an int (kind Integral) or a float (kind Real), else TypeError.
+
+    Bools and values of another type are refused rather than converted, so a
+    node id 0.5 is not truncated to 0, a string is not read as a sequence of
+    digits, and true is not taken for 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not {'an integer' if kind is Integral else 'a number'}")
+    return int(value) if kind is Integral else float(value)
 
 
 def build_model(edges: Iterable[tuple[int, int, float]], fields: Sequence[float]) -> IsingModel:

@@ -9,6 +9,7 @@ from localmrf import (
     BoundaryMethod,
     DobrushinConditionError,
     EnumerationCapError,
+    LocalizedModel,
     MeanFieldDivergence,
     build_model,
     conditional_gap,
@@ -359,6 +360,62 @@ class TestCertificate:
                 continue
             err = abs(eliminate_marginal(loc.submodel, loc.index_of(0)) - p_true)
             assert err <= cert.bound + 1e-9
+
+
+class TestCertificateMemo:
+    """A memo shared between certificates that differ in one input of a C row
+    or a b entry must not hand one certificate's row or entry to the other.
+
+    A star: hub 0 with leaves 1 and 2 inside alpha and leaf 3 outside, so the
+    hub is the one boundary node and its C row has two entries.
+    """
+
+    @staticmethod
+    def star(j01=0.4, j03=0.3, h0=0.1, h_tilde0=None, alpha=(0, 1, 2)):
+        model = build_model([(0, 1, j01), (0, 2, 0.2), (0, 3, j03)], [h0, -0.2, 0.3, 0.0])
+        region = make_region(model, alpha, 0)
+        loc = localize(model, region)
+        if h_tilde0 is not None:  # a compensated hub field, as mean field gives
+            h = loc.submodel.h.copy()
+            h[loc.index_of(0)] = h_tilde0
+            loc = LocalizedModel(loc.alpha, build_model(list(loc.submodel.edges()), h), loc.method)
+        return model, region, loc
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"alpha": (0, 2, 1)},  # the hub's couplings in another order
+            {"h0": 0.6, "h_tilde0": 0.1},  # the global field only
+            {"h_tilde0": 0.6},  # the compensated field only
+            {"j03": 0.7},  # the outside coupling, so t
+            {"j01": 0.5},  # an in-alpha coupling
+        ],
+        ids=["order", "h", "h_tilde", "t", "alpha_js"],
+    )
+    def test_one_input_changed_is_a_miss(self, changed):
+        memo: dict = {}
+        local_certificate(*self.star(), memo=memo)
+        shared = local_certificate(*self.star(**changed), memo=memo)
+        fresh = local_certificate(*self.star(**changed))
+        assert shared.C.tobytes() == fresh.C.tobytes()
+        assert shared.b.tobytes() == fresh.b.tobytes()
+        assert shared.bound == fresh.bound
+
+    def test_same_inputs_are_looked_up(self):
+        memo: dict = {}
+        first = local_certificate(*self.star(), memo=memo)
+        size = len(memo)
+        again = local_certificate(*self.star(), memo=memo)
+        assert len(memo) == size  # every row and entry was found
+        assert again.C.tobytes() == first.C.tobytes() and again.bound == first.bound
+
+    def test_cap_raises_whatever_the_memo_holds(self):
+        # all of the star in alpha: no boundary, so only the hub's C row,
+        # with two other neighbours per entry, can exceed cap=1
+        memo: dict = {}
+        local_certificate(*self.star(alpha=(0, 1, 2, 3)), memo=memo)
+        with pytest.raises(EnumerationCapError, match="node 0 has 3 neighbours"):
+            local_certificate(*self.star(alpha=(0, 1, 2, 3)), cap=1, memo=memo)
 
 
 class TestDecayRadius:

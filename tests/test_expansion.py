@@ -19,6 +19,7 @@ from localmrf import (
     graph_distance,
     greedy_expand,
     grid_node_id,
+    local_certificate,
     localize,
     make_region,
     maxnorm_expand,
@@ -132,6 +133,58 @@ class TestGreedyExpand:
         if cert.valid:
             p_loc = eliminate_marginal(loc.submodel, loc.index_of(0))
             assert abs(p_loc - brute_force_marginal(model, 0)) <= cert.bound + 1e-12
+
+    @given(
+        st.integers(2, 10),
+        st.integers(0, 10**6),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.sampled_from(["greedy_drop", "greedy_mf", "random", "maxnorm"]),
+        st.booleans(),
+    )
+    def test_trace_certificates_match_fresh(self, n, seed, j_scale, strategy, coarse):
+        """Every certificate a trace holds, built with the expansion's memo,
+        equals bit for bit one built afresh on the same alpha without it.
+        coarse rounds fields and couplings to multiples of 0.5, so different
+        nodes share fields and couplings and their memo keys meet."""
+        model = random_connected_model(n, seed, j_scale=j_scale)
+        if coarse:
+            model = build_model(
+                [(u, v, round(2.0 * j) / 2.0) for u, v, j in model.edges()],
+                np.round(2.0 * model.h) / 2.0,
+            )
+        expand = {
+            "greedy_drop": lambda: greedy_expand(model, 0, K=n, delta=-math.inf),
+            "greedy_mf": lambda: greedy_expand(
+                model, 0, K=n, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD
+            ),
+            "random": lambda: random_expand(model, 0, K=n, seed=seed),
+            "maxnorm": lambda: maxnorm_expand(model, 0, K=n),
+        }[strategy]
+        try:
+            trace = expand()
+        except MeanFieldDivergence:
+            return
+        accepted = [s for s in trace.steps if s.chosen is not None]
+        held = [s.certificate for s in accepted if s.certificate is not None]
+        for size, step in enumerate(accepted, start=2):
+            if step.certificate is not None:
+                assert step.certificate.alpha == trace.final_alpha[:size]
+                assert step.certificate.bound == step.bounds[step.chosen]
+        for cert in held + [trace.final_certificate]:
+            region = make_region(model, cert.alpha, 0)
+            fresh = local_certificate(model, region, localize(model, region, trace.method))
+            assert cert.bound.hex() == fresh.bound.hex()
+            assert cert.valid == fresh.valid
+            assert cert.b.tobytes() == fresh.b.tobytes()
+            assert cert.C.tobytes() == fresh.C.tobytes()
+
+    def test_step_certificate_not_serialised(self):
+        model = gen_grid(GridSpec(4, 4, I1=1.0, I2=0.25, seed=7))
+        trace = greedy_expand(model, GridSpec(4, 4).query, K=5, delta=-math.inf)
+        step = trace.steps[-1]
+        assert step.certificate is trace.final_certificate
+        assert "certificate" not in repr(step)
+        assert "certificate" not in trace.to_jsonl()
 
     def test_alpha_prefix_clips(self, chain3):
         trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)

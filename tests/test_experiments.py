@@ -12,6 +12,7 @@ from localmrf import (
     CoraSpec,
     GridSpec,
     ModelError,
+    build_model,
     cora_pipeline,
     dobrushin_heatmap,
     eliminate_marginal,
@@ -34,6 +35,7 @@ from localmrf import (
     write_edge_file,
     write_label_file,
 )
+from localmrf import experiments
 from localmrf.experiments import _fmt, write_manifest
 
 GOLDEN_GRID_SHA = "6a3b8848f3d2727f2119f492c4f45a73b0d8571ececf31f5d1ac6402b2e52395"
@@ -177,6 +179,64 @@ class TestEvaluatePrefixes:
                 loc = localize(model, region, method)
                 # read off the trace, yet bit-identical to a fresh certificate
                 assert bounds[s - 1] == local_certificate(model, region, loc).bound
+
+    @staticmethod
+    def _fresh_errors(model, trace, p_true, K):
+        """The errors as every prefix localized afresh gives them."""
+        out = []
+        for s in range(1, K + 1):
+            region = make_region(model, trace.alpha_prefix(s), trace.query)
+            loc = localize(model, region, trace.method)
+            out.append(abs(eliminate_marginal(loc.submodel, loc.index_of(trace.query)) - p_true))
+        return out
+
+    @staticmethod
+    def _count_localize(monkeypatch):
+        calls = []
+        real = experiments.localize
+        monkeypatch.setattr(
+            experiments, "localize", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        return calls
+
+    def test_prefixes_localize_once_per_trace(self, monkeypatch):
+        spec = GridSpec(5, 5, I1=1.0, I2=0.25, seed=11)
+        model = gen_grid(spec)
+        q = spec.query
+        p_true = eliminate_marginal(model, q)
+        traces = [
+            greedy_expand(model, q, K=8, delta=-math.inf),
+            greedy_expand(model, q, K=8, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD),
+            greedy_expand(model, q, K=8, delta=0.005),
+            random_expand(model, q, K=8, seed=5),
+            maxnorm_expand(model, q, K=8),
+        ]
+        for trace in traces:
+            assert all(s.certificate is not None for s in trace.steps if s.chosen is not None)
+            calls = self._count_localize(monkeypatch)
+            errors, _ = evaluate_prefixes(model, trace, p_true, 10)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            fresh = self._fresh_errors(model, trace, p_true, 10)
+            assert [e.hex() for e in errors] == [e.hex() for e in fresh]
+
+    def test_raised_step_is_localized_afresh(self, monkeypatch):
+        # hub 0 has degree 4 > cap 3, so every region that leaves it on the
+        # boundary raises while building b; once all leaves are in, it is not
+        star = build_model(
+            [(0, k, 0.1 * k) for k in range(1, 5)], [0.2, -0.1, 0.4, 0.0, -0.3]
+        )
+        trace = greedy_expand(star, 1, K=5, delta=-math.inf, cap=3)
+        assert trace.degraded and trace.final_certificate.valid
+        assert [s.certificate is None for s in trace.steps] == [True, True, True, False]
+        p_true = eliminate_marginal(star, 1)
+        calls = self._count_localize(monkeypatch)
+        errors, bounds = evaluate_prefixes(star, trace, p_true, 6)
+        monkeypatch.undo()
+        assert len(calls) == 4  # the size-1 prefix and the three raised steps
+        fresh = self._fresh_errors(star, trace, p_true, 6)
+        assert [e.hex() for e in errors] == [e.hex() for e in fresh]
+        assert list(bounds[1:4]) == [math.inf] * 3
 
     def test_short_trace_repeats_final_value(self, chain3):
         trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)

@@ -106,6 +106,10 @@ class TestSerialization:
             {"n": 2, "edges": [], "h": 5},
             {"n": 2, "edges": 5, "h": [0, 0]},
             {"n": 2, "edges": [[0, 1, None]], "h": [0, 0]},
+            {"n": 2, "edges": [[0.5, 1, 1]], "h": [0, 0]},
+            {"n": 2, "edges": [], "h": "12"},
+            {"n": True, "edges": [], "h": [0]},
+            {"n": 1.5, "edges": [], "h": [0]},
         ],
     )
     def test_wrong_shape_payload_is_model_error(self, payload):
@@ -263,9 +267,10 @@ class TestFileReaders:
 
     def test_edge_list_malformed_names_line(self, tmp_path):
         p = tmp_path / "edges.tsv"
-        p.write_text("0\t1\nx\t2\n")
-        with pytest.raises(ModelError, match=r"edges\.tsv:2"):
-            read_edge_list(p)
+        for bad in ("x\t2", "0.5\t2"):
+            p.write_text(f"0\t1\n{bad}\n")
+            with pytest.raises(ModelError, match=r"edges\.tsv:2"):
+                read_edge_list(p)
 
     def test_edge_list_wrong_field_count(self, tmp_path):
         p = tmp_path / "edges.tsv"
@@ -280,6 +285,7 @@ class TestFileReaders:
 
     def test_labels_malformed_names_line(self, tmp_path):
         p = tmp_path / "labels.tsv"
-        p.write_text("3\tA\nnope\tB\n")
-        with pytest.raises(ModelError, match=r"labels\.tsv:2"):
-            read_labels(p)
+        for bad in ("nope", "0.5"):
+            p.write_text(f"3\tA\n{bad}\tB\n")
+            with pytest.raises(ModelError, match=r"labels\.tsv:2"):
+                read_labels(p)
