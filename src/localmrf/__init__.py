@@ -15,7 +15,6 @@ from .dobrushin import (
     decay_radius,
     dobrushin_coefficient,
     influence_matrix,
-    interaction_entry,
     interaction_matrix,
     local_certificate,
     perturbation_vector,
@@ -61,7 +60,6 @@ from .experiments import (
     write_label_file,
 )
 from .meanfield import (
-    marginals,
     MeanFieldState,
     boundary_mean_field,
     mean_field,
@@ -79,7 +77,6 @@ from .model import (
     build_model,
     connected_component,
     connected_components,
-    distance_to_set,
     graph_distance,
     load_model,
     localize,

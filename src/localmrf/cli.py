@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .dobrushin import decay_radius, dobrushin_coefficient
+from .dobrushin import ENUMERATION_CAP, decay_radius, dobrushin_coefficient
 from .expansion import InferenceMethod, greedy_expand, query_marginal
 from .experiments import (
     COMPARISON_METHODS,
@@ -25,8 +25,11 @@ from .experiments import (
     cora_pipeline,
     dobrushin_heatmap,
     expansion_comparison,
+    gen_citation_graph,
     gen_grid,
     i1_sweep,
+    write_edge_file,
+    write_label_file,
 )
 from .model import BoundaryMethod, LocalMRFError, load_model, save_model
 
@@ -81,9 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="model JSON path")
     common(sp)
 
+    sp = sub.add_parser("gen-citation", help="generate a seeded citation-style graph")
+    sp.add_argument("--n", type=int, required=True, help="node count")
+    sp.add_argument("--attach", type=int, default=2, help="links per arriving node")
+    sp.add_argument("--homophily", type=float, default=0.0, help="label copy probability")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out-dir", required=True, help="gets edges.tsv and labels.tsv")
+    common(sp)
+
     sp = sub.add_parser("check-dobrushin", help="coefficient c and its argmax node")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--cap", type=int, default=25)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     common(sp)
 
     sp = sub.add_parser("radius", help="contraction radius for a target accuracy")
@@ -98,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.005)
     sp.add_argument("--method", choices=sorted(_METHODS), default="dropout")
     sp.add_argument("--inference", choices=sorted(_INFERENCE), default="exact")
-    sp.add_argument("--cap", type=int, default=25)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     common(sp)
 
     sp = sub.add_parser("expand", help="greedy expansion trace only")
@@ -107,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.005)
     sp.add_argument("--method", choices=sorted(_METHODS), default="dropout")
-    sp.add_argument("--cap", type=int, default=25)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--out", help="write the JSONL trace here instead of stdout")
     common(sp)
 
@@ -133,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(COMPARISON_METHODS),
         help=f"comma list from {COMPARISON_METHODS}",
     )
-    sp.add_argument("--cap", type=int, default=25)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
     common(sp)
@@ -146,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.005)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--cap", type=int, default=25)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
     common(sp)
@@ -168,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-queries", type=int, default=500)
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.005)
-    sp.add_argument("--cap", type=int, default=25)
+    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
     common(sp)
@@ -231,6 +242,23 @@ def _cmd_gen_grid(ns) -> int:
         ns,
         f"wrote {ns.out}: {model.n} nodes, {len(model.J)} edges, query node {spec.query}",
         {"out": ns.out, "n": model.n, "edges": len(model.J), "query": spec.query},
+    )
+    return 0
+
+
+def _cmd_gen_citation(ns) -> int:
+    edges, labels = gen_citation_graph(
+        ns.n, attach=ns.attach, seed=ns.seed, homophily=ns.homophily
+    )
+    os.makedirs(ns.out_dir, exist_ok=True)
+    edge_file = os.path.join(ns.out_dir, "edges.tsv")
+    label_file = os.path.join(ns.out_dir, "labels.tsv")
+    write_edge_file(edge_file, edges)
+    write_label_file(label_file, labels)
+    _emit(
+        ns,
+        f"wrote {edge_file} ({len(edges)} edges) and {label_file} ({len(labels)} nodes)",
+        {"edge_file": edge_file, "label_file": label_file, "n": len(labels), "edges": len(edges)},
     )
     return 0
 
@@ -400,6 +428,7 @@ def _cmd_cora(ns) -> int:
 
 _HANDLERS = {
     "gen-grid": _cmd_gen_grid,
+    "gen-citation": _cmd_gen_citation,
     "check-dobrushin": _cmd_check_dobrushin,
     "radius": _cmd_radius,
     "query": _cmd_query,

@@ -117,13 +117,6 @@ def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
     return row
 
 
-def interaction_entry(model: IsingModel, i: int, j: int, cap: int = ENUMERATION_CAP) -> float:
-    """C_ij of the given model; zero unless i and j are adjacent."""
-    if model.coupling(i, j) == 0.0:
-        return 0.0
-    return _interaction_row(*_row_inputs(model, i, cap))[model.adjacency[i].index(j)]
-
-
 def interaction_matrix(
     model: IsingModel, cap: int = ENUMERATION_CAP, *, memo: dict | None = None
 ) -> np.ndarray:
@@ -254,14 +247,12 @@ class DobrushinCertificate:
     """Certified error bound for a localized marginal query.
 
     bound upper-bounds |p_local(x_query = s) - p_global(x_query = s)| for both
-    spin values whenever valid is True. C, D and b are aligned with alpha;
-    localized is the model the certificate describes, on which the local
-    marginal is computed.
+    spin values whenever valid is True. C and b are aligned with
+    localized.alpha; localized is the model the certificate describes, on
+    which the local marginal is computed.
     """
 
-    alpha: tuple[int, ...]
     C: np.ndarray
-    D: np.ndarray
     b: np.ndarray
     bound: float
     valid: bool
@@ -271,7 +262,7 @@ class DobrushinCertificate:
 
     def to_json(self) -> str:
         payload = {
-            "alpha": list(self.alpha),
+            "alpha": list(self.localized.alpha),
             "bound": self.bound if self.valid else None,
             "valid": self.valid,
             "b": [float(x) for x in self.b],
@@ -306,9 +297,7 @@ def local_certificate(
     qi = region.alpha.index(region.query)
     bound = float(d[qi] @ b) if valid else math.inf
     return DobrushinCertificate(
-        alpha=region.alpha,
         C=c,
-        D=d,
         b=b,
         bound=bound,
         valid=valid,
@@ -361,7 +350,7 @@ def _candidate_ts(fun) -> list[float]:
 
 
 def _check_c(c: float) -> None:
-    if c >= 1.0:
+    if not c < 1.0:  # also catches NaN
         raise DobrushinConditionError(f"contraction coefficient c={c} is not < 1")
     if c <= 0.0:
         raise DobrushinConditionError(f"contraction coefficient c={c} is not > 0")
@@ -378,8 +367,8 @@ def decay_radius(c: float, eps: float, return_t: bool = False):
     attained the minimum.
     """
     _check_c(c)
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     best, best_t = math.inf, 2.0
     for t in _candidate_ts(lambda t: _radius_objective(c, eps, t)):
         r = max(0, math.ceil(_radius_objective(c, eps, t)))
@@ -395,7 +384,7 @@ def decay_bound(c: float, d: float) -> float:
     is at most eps.
     """
     _check_c(c)
-    if d < 0:
+    if not d >= 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     best = math.inf
     for t in _candidate_ts(lambda t: _bound_objective(c, d, t)):

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dobrushin import DobrushinCertificate, EnumerationCapError, local_certificate
+from .dobrushin import ENUMERATION_CAP, DobrushinCertificate, EnumerationCapError, local_certificate
 from .exact import eliminate_marginal
 from .meanfield import mean_field
 from .model import (
@@ -127,7 +127,7 @@ def greedy_expand(
     K: int = 16,
     delta: float = 0.005,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
-    cap: int = 25,
+    cap: int = ENUMERATION_CAP,
 ) -> ExpansionTrace:
     """Bound-driven expansion.
 
@@ -147,7 +147,7 @@ def random_expand(
     query: int,
     K: int = 16,
     seed: int | np.random.Generator = 0,
-    cap: int = 25,
+    cap: int = ENUMERATION_CAP,
 ) -> ExpansionTrace:
     """Uniform random boundary growth; bounds still computed for reporting."""
     rng = (
@@ -165,7 +165,7 @@ def maxnorm_expand(
     model: IsingModel,
     query: int,
     K: int = 16,
-    cap: int = 25,
+    cap: int = ENUMERATION_CAP,
 ) -> ExpansionTrace:
     """Strongest-coupling growth: argmax sum of squared couplings into alpha."""
     return _expand(
@@ -258,7 +258,7 @@ def query_marginal(
     delta: float = 0.005,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
     inference: InferenceMethod = InferenceMethod.EXACT,
-    cap: int = 25,
+    cap: int = ENUMERATION_CAP,
 ) -> QueryResult:
     """Greedy-expand around the query and infer on alpha only.
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dobrushin import dobrushin_coefficient, local_certificate
+from .dobrushin import ENUMERATION_CAP, dobrushin_coefficient, local_certificate
 from .exact import eliminate_marginal
 from .meanfield import mean_field
 from .model import (
@@ -199,11 +199,13 @@ def write_manifest(out_dir, experiment: str, params: dict) -> None:
 
 def _parallel_map(fn, items, threads: int):
     """Order-preserving map; serial when threads <= 1. Results are identical
-    either way because each item carries its own named substream."""
+    either way because each item carries its own named substream. At most one
+    worker per item is started: under fork the pool starts every worker at
+    the first submit."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as ex:
         return list(ex.map(fn, items))
 
 
@@ -352,7 +354,7 @@ def expansion_comparison(
     K: int = 16,
     trials: int = 100,
     methods=COMPARISON_METHODS,
-    cap: int = 25,
+    cap: int = ENUMERATION_CAP,
     out_dir=None,
     threads: int = 1,
 ):
@@ -431,7 +433,7 @@ def i1_sweep(
     K: int = 16,
     delta: float = 0.005,
     trials: int = 100,
-    cap: int = 25,
+    cap: int = ENUMERATION_CAP,
     seed: int = 0,
     out_dir=None,
     threads: int = 1,
@@ -442,6 +444,8 @@ def i1_sweep(
     literally identical along a row and only the fields scale.
     """
     i1_values = [float(v) for v in i1_values]
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     table = []
     for i1 in i1_values:
         args = [
@@ -614,7 +618,7 @@ def _cora_query(args) -> int:
 def cora_pipeline(
     spec: CoraSpec,
     i1_values=None,
-    cap: int = 25,
+    cap: int = ENUMERATION_CAP,
     out_dir=None,
     threads: int = 1,
 ):

@@ -110,11 +110,6 @@ def mean_field(
     return best
 
 
-def marginals(state: MeanFieldState) -> np.ndarray:
-    """Per-node p(x_j = +1) under the product ansatz."""
-    return (1.0 + state.m) / 2.0
-
-
 def boundary_mean_field(
     model: IsingModel, region: Region
 ) -> tuple[dict[int, float], MeanFieldState]:

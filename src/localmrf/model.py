@@ -63,14 +63,12 @@ class IsingModel:
         adjacency: per-node tuple of neighbour ids, ascending.
         J: coupling per undirected edge, keyed by (min(u,v), max(u,v)).
         h: per-node field, float64 array of shape (n,).
-        max_degree: cached maximum node degree.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     J: Mapping[tuple[int, int], float]
     h: np.ndarray
-    max_degree: int
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -155,8 +153,7 @@ def build_model(edges: Iterable[tuple[int, int, float]], fields: Sequence[float]
         nbrs[u].append(v)
         nbrs[v].append(u)
     adjacency = tuple(tuple(sorted(lst)) for lst in nbrs)
-    max_degree = max((len(a) for a in adjacency), default=0)
-    return IsingModel(n=n, adjacency=adjacency, J=coupling, h=h, max_degree=max_degree)
+    return IsingModel(n=n, adjacency=adjacency, J=coupling, h=h)
 
 
 def save_model(model: IsingModel, path) -> None:
@@ -240,15 +237,6 @@ def graph_distance(model: IsingModel, source: int, targets: Iterable[int] | None
     return {int(t): float(dist[int(t)]) for t in targets}
 
 
-def distance_to_set(model: IsingModel, source: int, targets: Iterable[int]) -> float:
-    """Minimum hop distance from source to any node of the set (inf if none)."""
-    dist = _bfs_distances(model, source)
-    best = math.inf
-    for t in targets:
-        best = min(best, float(dist[int(t)]))
-    return best
-
-
 def connected_component(model: IsingModel, node: int) -> tuple[int, ...]:
     """Sorted node ids of the component containing node."""
     dist = _bfs_distances(model, node)
@@ -325,21 +313,9 @@ class LocalizedModel:
 
     alpha: tuple[int, ...]
     submodel: IsingModel
-    method: BoundaryMethod
 
     def index_of(self, node: int) -> int:
         return self.alpha.index(node)
-
-    @property
-    def h_tilde(self) -> dict[int, float]:
-        return {g: float(self.submodel.h[i]) for i, g in enumerate(self.alpha)}
-
-    @property
-    def J_local(self) -> dict[tuple[int, int], float]:
-        out = {}
-        for u, v, j in self.submodel.edges():
-            out[_canonical_edge(self.alpha[u], self.alpha[v])] = j
-        return out
 
 
 def localize(
@@ -375,4 +351,4 @@ def localize(
         for j, k, jv in region.cross_edges:
             h_tilde[index[j]] += jv * means[k]
     sub = build_model(edges, h_tilde)
-    return LocalizedModel(alpha=region.alpha, submodel=sub, method=method)
+    return LocalizedModel(alpha=region.alpha, submodel=sub)

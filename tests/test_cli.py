@@ -8,8 +8,16 @@ import sys
 import pytest
 
 import localmrf
-from localmrf import build_model, eliminate_marginal, load_model, save_model
-from localmrf.cli import run
+from localmrf import (
+    build_model,
+    eliminate_marginal,
+    gen_citation_graph,
+    load_model,
+    save_model,
+    write_edge_file,
+    write_label_file,
+)
+from localmrf.cli import _HANDLERS, run
 from conftest import chain_model
 
 
@@ -39,6 +47,10 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert run(["query", "--help"]) == 0
+
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_every_handler_has_a_parser(self, command, capsys):
+        assert run([command, "--help"]) == 0
 
     def test_version_exits_zero(self, capsys):
         assert run(["--version"]) == 0
@@ -85,6 +97,44 @@ class TestGenGrid:
         assert "query node 18" in capsys.readouterr().out
 
 
+class TestGenCitation:
+    @pytest.mark.parametrize(
+        "flags, kwargs",
+        [
+            ([], {}),
+            (
+                ["--attach", "3", "--homophily", "0.7", "--seed", "4"],
+                {"attach": 3, "homophily": 0.7, "seed": 4},
+            ),
+        ],
+        ids=["defaults", "explicit"],
+    )
+    def test_files_match_library_writers(self, tmp_path, capsys, flags, kwargs):
+        out = tmp_path / "cit"
+        assert run(["gen-citation", "--n", "60", *flags, "--out-dir", str(out)]) == 0
+        edges, labels = gen_citation_graph(60, **kwargs)
+        write_edge_file(tmp_path / "e.tsv", edges)
+        write_label_file(tmp_path / "l.tsv", labels)
+        assert (out / "edges.tsv").read_bytes() == (tmp_path / "e.tsv").read_bytes()
+        assert (out / "labels.tsv").read_bytes() == (tmp_path / "l.tsv").read_bytes()
+
+    def test_json_reports_paths_and_counts(self, tmp_path, capsys):
+        out = tmp_path / "cit"
+        assert run(["gen-citation", "--n", "30", "--out-dir", str(out), "--json"]) == 0
+        assert _json_out(capsys) == {
+            "edge_file": str(out / "edges.tsv"),
+            "label_file": str(out / "labels.tsv"),
+            "n": 30,
+            "edges": 3 + 27 * 2,  # a 3-clique, then 2 links per arriving node
+        }
+
+    def test_bad_size_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "cit"
+        assert run(["gen-citation", "--n", "2", "--attach", "2", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: need n >= attach + 1")
+        assert not out.exists()
+
+
 class TestCheckDobrushin:
     def test_reports_coefficient(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
@@ -113,6 +163,15 @@ class TestRadius:
         assert run(["radius", "--c", "0.5", "--eps", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "r = 11" in out and "optimizing t" in out
+
+    @pytest.mark.parametrize(
+        "c, eps, named",
+        [("nan", "0.01", "c=nan"), ("0.5", "inf", "got inf"), ("0.5", "nan", "got nan")],
+    )
+    def test_non_finite_input_exits_one_naming_it(self, c, eps, named, capsys):
+        assert run(["radius", "--c", c, "--eps", eps]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
 
 
 class TestQuery:
@@ -203,6 +262,12 @@ class TestExperimentCommands:
         ])
         assert code == 0
         assert (out / "i1_sweep.csv").read_text().startswith("i1,mean_error,mean_bound\n")
+
+    def test_i1_sweep_zero_trials_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run(["i1-sweep", "--i1", "1", "--trials", "0", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: trials must be >= 1\n"
+        assert not (out / "i1_sweep.csv").exists()
 
     def test_cora(self, tmp_path, capsys):
         from localmrf import gen_citation_graph, write_edge_file, write_label_file

@@ -18,7 +18,6 @@ from localmrf import (
     dobrushin_coefficient,
     eliminate_marginal,
     influence_matrix,
-    interaction_entry,
     interaction_matrix,
     local_certificate,
     localize,
@@ -54,7 +53,7 @@ class TestConditionalGap:
 
 class TestInteractionMatrix:
     def test_non_adjacent_zero(self, chain3):
-        assert interaction_entry(chain3, 0, 2) == 0.0
+        assert interaction_matrix(chain3)[0, 2] == 0.0
 
     def test_single_edge_rows(self):
         m = build_model([(0, 1, 0.25)], [0.0, 0.0])
@@ -68,12 +67,12 @@ class TestInteractionMatrix:
     def test_field_offset_reduces_entry(self):
         m = build_model([(0, 1, 0.25)], [0.5, 0.0])
         # M* = 2 h_0 = 1.0
-        assert interaction_entry(m, 0, 1) == pytest.approx(0.19511514499178906, abs=1e-15)
+        assert interaction_matrix(m)[0, 1] == pytest.approx(0.19511514499178906, abs=1e-15)
 
     def test_signed_neighbor_sum_offset(self):
         # entry(0,1): other neighbour contributes 2*0.4, field 2*0.1 -> M* = 0.6
         m = build_model([(0, 1, 0.25), (0, 2, 0.4)], [0.1, 0.0, 0.0])
-        assert interaction_entry(m, 0, 1) == pytest.approx(0.2252809181161778, abs=1e-15)
+        assert interaction_matrix(m)[0, 1] == pytest.approx(0.2252809181161778, abs=1e-15)
 
     def test_edgeless_coefficient(self):
         m = build_model([], [0.3, -0.2])
@@ -82,7 +81,7 @@ class TestInteractionMatrix:
     def test_enumeration_cap(self):
         star = build_model([(0, k, 0.2) for k in range(1, 6)], [0.0] * 6)
         with pytest.raises(EnumerationCapError, match="cap is 3"):
-            interaction_entry(star, 0, 1, cap=3)
+            interaction_matrix(star, cap=3)
 
     @given(st.integers(2, 9), st.integers(0, 10**6))
     def test_entries_bounded_by_tanh(self, n, seed):
@@ -378,7 +377,7 @@ class TestCertificateMemo:
         if h_tilde0 is not None:  # a compensated hub field, as mean field gives
             h = loc.submodel.h.copy()
             h[loc.index_of(0)] = h_tilde0
-            loc = LocalizedModel(loc.alpha, build_model(list(loc.submodel.edges()), h), loc.method)
+            loc = LocalizedModel(loc.alpha, build_model(list(loc.submodel.edges()), h))
         return model, region, loc
 
     @pytest.mark.parametrize(
@@ -451,6 +450,13 @@ class TestDecayRadius:
         with pytest.raises(ValueError, match="eps"):
             decay_radius(0.5, 0.0)
 
+    def test_non_finite_input_named(self):
+        with pytest.raises(DobrushinConditionError, match="c=nan"):
+            decay_radius(math.nan, 0.01)
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"got {eps}"):
+                decay_radius(0.5, eps)
+
 
 class TestDecayBound:
     def test_frozen_values(self):
@@ -470,6 +476,12 @@ class TestDecayBound:
             decay_bound(1.2, 3)
         with pytest.raises(ValueError, match="distance"):
             decay_bound(0.5, -1)
+
+    def test_non_finite_input_named(self):
+        with pytest.raises(DobrushinConditionError, match="c=nan"):
+            decay_bound(math.nan, 3)
+        with pytest.raises(ValueError, match="got nan"):
+            decay_bound(0.5, math.nan)
 
     def test_inverse_consistency_with_radius(self):
         for c in np.linspace(0.05, 0.95, 10):

@@ -112,7 +112,7 @@ class TestGreedyExpand:
         trace = expand(model, GridSpec(4, 4).query)
         assert trace.stop_reason is StopReason.REACHED_K
         last = trace.steps[-1]
-        assert trace.final_certificate.alpha == trace.final_alpha
+        assert trace.final_certificate.localized.alpha == trace.final_alpha
         assert trace.final_certificate.bound == last.bounds[last.chosen]
 
     @given(
@@ -168,10 +168,10 @@ class TestGreedyExpand:
         held = [s.certificate for s in accepted if s.certificate is not None]
         for size, step in enumerate(accepted, start=2):
             if step.certificate is not None:
-                assert step.certificate.alpha == trace.final_alpha[:size]
+                assert step.certificate.localized.alpha == trace.final_alpha[:size]
                 assert step.certificate.bound == step.bounds[step.chosen]
         for cert in held + [trace.final_certificate]:
-            region = make_region(model, cert.alpha, 0)
+            region = make_region(model, cert.localized.alpha, 0)
             fresh = local_certificate(model, region, localize(model, region, trace.method))
             assert cert.bound.hex() == fresh.bound.hex()
             assert cert.valid == fresh.valid

@@ -156,6 +156,28 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             dobrushin_heatmap([1.0], [0.1], trials=0)
 
+    def test_workers_capped_at_item_count(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        serial = dobrushin_heatmap([0.5], [0.2], rows=3, cols=3, trials=2, seed=1)
+        pooled = dobrushin_heatmap([0.5], [0.2], rows=3, cols=3, trials=2, seed=1, threads=4096)
+        assert started == [2]
+        assert pooled == serial
+
 
 class TestEvaluatePrefixes:
     def test_soundness_per_size(self):
@@ -290,6 +312,10 @@ class TestI1Sweep:
         assert (tmp_path / "i1_sweep.csv").exists()
         again = i1_sweep([0.0, 2.0], rows=4, cols=4, I2=0.25, K=4, delta=0.005, trials=3, seed=0)
         assert again[1] == table
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            i1_sweep([1.0], trials=0)
 
 
 class TestCitationGraph:

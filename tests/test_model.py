@@ -14,7 +14,6 @@ from localmrf import (
     build_model,
     connected_component,
     connected_components,
-    distance_to_set,
     eliminate_marginal,
     graph_distance,
     grid_edges,
@@ -33,14 +32,14 @@ from conftest import chain_model, random_connected_model, sigmoid
 class TestBuildModel:
     def test_single_node(self):
         m = build_model([], [0.5])
-        assert m.n == 1 and m.adjacency == ((),) and m.max_degree == 0
+        assert m.n == 1 and m.adjacency == ((),) and max(map(len, m.adjacency)) == 0
 
     def test_adjacency_sorted_and_symmetric(self):
         m = build_model([(2, 0, 0.1), (1, 2, -0.2)], [0.0, 0.0, 0.0])
         assert m.adjacency == ((2,), (2,), (0, 1))
         assert m.coupling(0, 2) == m.coupling(2, 0) == 0.1
         assert m.coupling(0, 1) == 0.0
-        assert m.max_degree == 2
+        assert max(map(len, m.adjacency)) == 2
 
     def test_self_loop_rejected(self):
         with pytest.raises(ModelError, match="self loop on node 1"):
@@ -67,7 +66,7 @@ class TestBuildModel:
         edges = grid_edges(10, 10)
         assert len(edges) == 180
         m = build_model([(u, v, 0.1) for u, v in edges], [0.0] * 100)
-        assert m.n == 100 and m.max_degree == 4
+        assert m.n == 100 and max(map(len, m.adjacency)) == 4
 
     def test_grid_node_id(self):
         assert grid_node_id(0, 0, 10) == 0
@@ -125,12 +124,12 @@ class TestDistances:
     def test_chain_distance(self):
         m = chain_model([0.1, 0.1], [0.0, 0.0, 0.0])
         assert graph_distance(m, 0, [2]) == {2: 2.0}
-        assert distance_to_set(m, 0, [1, 2]) == 1.0
+        assert min(graph_distance(m, 0, [1, 2]).values()) == 1.0
 
     def test_unreachable_is_inf(self):
         m = build_model([], [0.0, 0.0])
         assert graph_distance(m, 0)[1] == math.inf
-        assert distance_to_set(m, 0, [1]) == math.inf
+        assert min(graph_distance(m, 0, [1]).values()) == math.inf
 
     def test_grid_center_to_outer_ring(self):
         m = build_model([(u, v, 0.1) for u, v in grid_edges(10, 10)], [0.0] * 100)
@@ -140,7 +139,7 @@ class TestDistances:
             for c in range(10)
             if r in (0, 9) or c in (0, 9)
         ]
-        assert distance_to_set(m, grid_node_id(5, 5, 10), ring) == 4.0
+        assert min(graph_distance(m, grid_node_id(5, 5, 10), ring).values()) == 4.0
 
     def test_source_validated(self):
         m = build_model([], [0.0])
@@ -188,22 +187,21 @@ class TestLocalize:
     def test_dropout_keeps_fields(self, chain3):
         r = make_region(chain3, [0, 1], 0)
         loc = localize(chain3, r, BoundaryMethod.DROP_OUT)
-        assert loc.h_tilde == {0: 0.1, 1: 0.0}
-        assert loc.J_local == {(0, 1): 0.3}
-        assert loc.method is BoundaryMethod.DROP_OUT
+        assert loc.alpha == (0, 1) and loc.submodel.h.tolist() == [0.1, 0.0]
+        assert {(loc.alpha[u], loc.alpha[v]): j for u, v, j in loc.submodel.edges()} == {(0, 1): 0.3}
 
     def test_meanfield_zero_cross_keeps_fields(self):
         m = chain_model([0.3, 0.0], [0.1, -0.2, 0.4])
         r = make_region(m, [0, 1], 0)
         loc = localize(m, r, BoundaryMethod.MEAN_FIELD)
-        assert loc.h_tilde == {0: 0.1, 1: -0.2}
+        assert loc.alpha == (0, 1) and loc.submodel.h.tolist() == [0.1, -0.2]
 
     def test_meanfield_chain_compensation(self, chain3_mf):
         # boundary solve over {1, 2}: m_1 = tanh(0.5 m_2), m_2 = tanh(1 + 0.5 m_1)
         r = make_region(chain3_mf, [0, 1], 0)
         loc = localize(chain3_mf, r, BoundaryMethod.MEAN_FIELD)
-        assert loc.h_tilde[0] == 0.1
-        assert loc.h_tilde[1] == pytest.approx(0.41635771175752245, abs=1e-9)
+        assert loc.submodel.h[loc.index_of(0)] == 0.1
+        assert loc.submodel.h[loc.index_of(1)] == pytest.approx(0.41635771175752245, abs=1e-9)
 
     def test_meanfield_divergence_carries_residual(self, chain3_mf, monkeypatch):
         from localmrf import MeanFieldDivergence, meanfield
@@ -248,8 +246,9 @@ class TestLocalize:
         m2 = build_model(edges2, h2)
         loc = localize(m, r, method)
         loc2 = localize(m2, make_region(m2, alpha, 0), method)
-        assert loc.h_tilde == loc2.h_tilde
-        assert loc.J_local == loc2.J_local
+        assert loc.alpha == loc2.alpha
+        assert loc.submodel.h.tolist() == loc2.submodel.h.tolist()
+        assert list(loc.submodel.edges()) == list(loc2.submodel.edges())
 
     def test_single_node_region_marginal_is_logistic(self):
         m = chain_model([0.4], [0.5, -0.3])
