@@ -49,9 +49,12 @@ def _default_threads() -> int:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty float list: {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

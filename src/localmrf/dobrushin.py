@@ -21,11 +21,25 @@ rho(C) < 1 exactly when I - C is nonsingular with a nonnegative inverse, and
 a Collatz-Wielandt check on v = D 1 guards that test against rounding. The
 same geometric-series shape yields a distance form: influence decays like
 c^d, giving a radius that certifies a target accuracy from c alone.
+
+Both searches run on one kernel, _nearest_sums: given couplings v_1..v_k and
+a target, it returns the achievable sums s = sum_l (+-v_l) nearest to the
+target from below and from above. A C entry is f at the one of the two sums
+around -2h_i that makes |M| smallest. b_j is the max over alpha-side sums s of
+|sigma(a + s) - sigma(c + s +- t)| (a, c the two fields doubled, t the outside
+coupling mass); each term has one sign and a single extremum in s, at
+s* = -(a + c +- t)/2, so its max over any set of sums lies at the nearest sum
+on one side of s*, and b_j is read off at most four sums. Up to SCALAR_MAX_K
+couplings the kernel lists all 2^k sums in pure Python and bisects them.
+Beyond, it meets in the middle over two halves (Horowitz & Sahni 1974), in
+O(k 2^(k/2)) time and O(2^(k/2)) memory, so a search at ENUMERATION_CAP
+(k <= 25) holds two arrays of at most 8,192 sums instead of 2^25.
 """
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +47,7 @@ import numpy as np
 from .model import IsingModel, LocalMRFError, LocalizedModel, Region
 
 ENUMERATION_CAP = 25
+SCALAR_MAX_K = 8  # _nearest_sums lists all 2^k sums up to here, splits in halves beyond
 _T_LOW = 1e-6  # search domain is t in (1 + _T_LOW, _T_HIGH]
 _T_HIGH = 1e4
 NEG_TOL = 1e-12  # tolerated numerical negativity in D
@@ -58,36 +73,60 @@ def conditional_gap(m: float, j: float) -> float:
     return abs(_sigmoid(-(m + 2.0 * j)) - _sigmoid(-(m - 2.0 * j)))
 
 
-def _signed_sums(values: list[float]) -> np.ndarray:
-    sums = np.zeros(1)
-    for v in values:
-        sums = np.concatenate([sums - v, sums + v])
-    return sums
+def _nearest_sums(values: list[float], targets: tuple[float, ...]) -> list[float]:
+    """Achievable signed sums sum_l (+-values_l) nearest to each target.
+
+    For every target it returns the largest sum below it and the smallest sum
+    at or above it (one of them when the target lies outside the range). Each
+    sum is added left to right from 0.0, so it carries the bits a full
+    enumeration gives its sign pattern, and SCALAR_MAX_K decides only the
+    speed (up to which rounding is returned when two patterns reach one exact
+    sum). Up to SCALAR_MAX_K values all 2^k sums are listed in pure Python
+    and bisected.
+    Beyond, the values are split in two halves whose 2^(k/2) sums are listed
+    with numpy, and for each left sum the sorted right half is searched for
+    its nearest partners (Horowitz & Sahni 1974): time O(k 2^(k/2)), memory
+    O(2^(k/2)), not O(2^k).
+    """
+    if len(values) <= SCALAR_MAX_K:
+        sums = [0.0]
+        for v in values:
+            sums = [s - v for s in sums] + [s + v for s in sums]
+        sums.sort()
+        nearest = []
+        for target in targets:
+            i = bisect_left(sums, target)
+            nearest += sums[max(i - 1, 0) : i + 1]
+        return nearest
+    half = len(values) // 2
+    left, right = np.zeros(1), np.zeros(1)
+    for v in values[:half]:  # bit l of an index set means +values[l]
+        left = np.concatenate([left - v, left + v])
+    for v in values[half:]:
+        right = np.concatenate([right - v, right + v])
+    order = np.argsort(right)
+    right = right[order]
+    nearest = []
+    for target in targets:
+        pos = np.searchsorted(right, target - left)
+        cols = np.concatenate([np.maximum(pos - 1, 0), np.minimum(pos, right.size - 1)])
+        pairs = np.tile(left, 2) + right[cols]
+        for side, pick in ((pairs < target, np.argmax), (pairs >= target, np.argmin)):
+            idx = np.flatnonzero(side)
+            if not idx.size:
+                continue
+            p = int(idx[pick(pairs[idx])])
+            bits = p % left.size | int(order[cols[p]]) << half
+            s = 0.0
+            for l, v in enumerate(values):
+                s = s + v if bits >> l & 1 else s - v
+            nearest.append(s)
+    return nearest
 
 
 def _min_abs_offset_sum(values: list[float], offset: float) -> float:
     """min over signs s of |offset + sum_l s_l * values_l| (exact)."""
-    k = len(values)
-    if k == 0:
-        return abs(offset)
-    if k <= 4:
-        best = math.inf
-        for bits in range(1 << k):
-            s = offset
-            for l in range(k):
-                s = s + values[l] if bits >> l & 1 else s - values[l]
-            best = min(best, abs(s))
-        return best
-    if k <= 13:
-        return float(np.min(np.abs(offset + _signed_sums(values))))
-    left = _signed_sums(values[: k // 2])
-    right = np.sort(offset + _signed_sums(values[k // 2 :]))
-    pos = np.searchsorted(right, -left)
-    best = math.inf
-    for shift in (0, -1):
-        take = np.clip(pos + shift, 0, right.size - 1)
-        best = min(best, float(np.min(np.abs(left + right[take]))))
-    return best
+    return min(abs(offset + s) for s in _nearest_sums(values, (-offset,)))
 
 
 def _row_inputs(model: IsingModel, i: int, cap: int) -> tuple[float, tuple[float, ...]]:
@@ -180,6 +219,20 @@ def influence_matrix(c: np.ndarray) -> tuple[np.ndarray, bool]:
     return d, valid
 
 
+def _perturbation_entry(
+    h_tilde: float, h: float, alpha_js: tuple[float, ...], t: float
+) -> float:
+    """max over alpha-side sums s of |sigma(2h~ + s) - sigma(2h + s +- t)|,
+    read at the sums nearest each term's peak -(2h~ + 2h +- t)/2, where
+    sigma(x + d) - sigma(x) is extreme (x = -d/2)."""
+    a, c = 2.0 * h_tilde, 2.0 * h
+    best = 0.0
+    for s in _nearest_sums(alpha_js, (-(a + c + t) / 2.0, -(a + c - t) / 2.0)):
+        p_mu = _sigmoid(a + s)
+        best = max(best, abs(p_mu - _sigmoid(c + s + t)), abs(p_mu - _sigmoid(c + s - t)))
+    return best
+
+
 def perturbation_vector(
     model: IsingModel,
     localized: LocalizedModel,
@@ -217,29 +270,13 @@ def perturbation_vector(
             2.0 * sub.coupling(li, index[k]) for k in model.adjacency[j] if k in index
         )
         t = 2.0 * sum(abs(model.coupling(j, k)) for k in model.adjacency[j] if k not in index)
-        key = ("b", float(sub.h[li]), float(model.h[j]), alpha_js, t)
+        h_tilde, h = float(sub.h[li]), float(model.h[j])
+        key = ("b", h_tilde, h, alpha_js, t)
         entry = memo.get(key)
         if entry is None:
-            sums = _signed_sums(alpha_js)
-            base_mu = 2.0 * sub.h[li] + sums
-            base_nu = 2.0 * model.h[j] + sums
-            p_mu = _expit(base_mu)
-            gap = np.maximum(
-                np.abs(p_mu - _expit(base_nu + t)),
-                np.abs(p_mu - _expit(base_nu - t)),
-            )
-            entry = memo[key] = float(np.max(gap))
+            entry = memo[key] = _perturbation_entry(h_tilde, h, alpha_js, t)
         b[li] = entry
     return b
-
-
-def _expit(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +350,12 @@ def _decay_rate(c: float, t: float) -> float:
 
 
 def _radius_objective(c: float, eps: float, t: float) -> float:
-    return math.log(t / (2.0 * eps * (t - 1.0) * (1.0 - c))) / _decay_rate(c, t)
+    denom = 2.0 * eps * (t - 1.0) * (1.0 - c)
+    if 1e-300 < denom < math.inf:  # t <= _T_HIGH, so t / denom stays finite
+        return math.log(t / denom) / _decay_rate(c, t)
+    # the product under- or overflowed: add its logs instead
+    log_denom = math.log(2.0) + math.log(eps) + math.log(t - 1.0) + math.log(1.0 - c)
+    return (math.log(t) - log_denom) / _decay_rate(c, t)
 
 
 def _bound_objective(c: float, d: float, t: float) -> float:

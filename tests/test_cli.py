@@ -10,6 +10,7 @@ import pytest
 import localmrf
 from localmrf import (
     build_model,
+    decay_radius,
     eliminate_marginal,
     gen_citation_graph,
     load_model,
@@ -173,6 +174,11 @@ class TestRadius:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    def test_subnormal_eps_gives_finite_radius(self, capsys):
+        assert run(["radius", "--c", "0.5", "--eps", "1e-320", "--json"]) == 0
+        payload = _json_out(capsys)
+        assert payload["radius"] == decay_radius(0.5, 1e-320)
+
 
 class TestQuery:
     def test_exact_small_chain(self, chain_file, capsys):
@@ -268,6 +274,21 @@ class TestExperimentCommands:
         assert run(["i1-sweep", "--i1", "1", "--trials", "0", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == "error: trials must be >= 1\n"
         assert not (out / "i1_sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["cora", "--edges", "e", "--labels", "l", "--positive-label", "1", "--i1", ""], "''"),
+            (["i1-sweep", "--i1", ","], "','"),
+            (["heatmap", "--i1", ",", "--i2", "0.3"], "','"),
+        ],
+        ids=["cora", "i1-sweep", "heatmap"],
+    )
+    def test_empty_float_list_is_usage_error(self, argv, text, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argv + ["--out-dir", str(out)]) == 2
+        assert f"argument --i1: empty float list: {text}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cora(self, tmp_path, capsys):
         from localmrf import gen_citation_graph, write_edge_file, write_label_file

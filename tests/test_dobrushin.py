@@ -1,9 +1,12 @@
 """Interaction matrix, influence series, perturbation vector, decay bounds."""
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
+from scipy.special import expit
 
 from localmrf import (
     BoundaryMethod,
@@ -11,6 +14,7 @@ from localmrf import (
     EnumerationCapError,
     LocalizedModel,
     MeanFieldDivergence,
+    brute_force_marginal,
     build_model,
     conditional_gap,
     decay_bound,
@@ -25,7 +29,13 @@ from localmrf import (
     perturbation_vector,
     spectral_radius,
 )
-from localmrf.dobrushin import _min_abs_offset_sum, _radius_objective
+from localmrf import dobrushin
+from localmrf.dobrushin import (
+    _min_abs_offset_sum,
+    _nearest_sums,
+    _perturbation_entry,
+    _radius_objective,
+)
 from conftest import chain_model, random_connected_model, sigmoid
 
 
@@ -132,6 +142,186 @@ class TestMinAbsOffsetSum:
             for bits in range(1 << k)
         )
         assert _min_abs_offset_sum(vals, offset) == pytest.approx(best, abs=1e-9)
+
+
+def _enumerated_sums(values):
+    """Every signed sum, added left to right: the full 2^k enumeration that C
+    and b searched before the nearest-sum kernel, kept as the reference."""
+    sums = np.zeros(1)
+    for v in values:
+        sums = np.concatenate([sums - v, sums + v])
+    return sums
+
+
+def _enumerated_b(h_tilde, h, alpha_js, t):
+    sums = _enumerated_sums(alpha_js)
+    p_mu = expit(2.0 * h_tilde + sums)
+    base = 2.0 * h + sums
+    gap = np.maximum(np.abs(p_mu - expit(base + t)), np.abs(p_mu - expit(base - t)))
+    return float(np.max(gap))
+
+
+def _rounding(vals, offset=0.0):
+    """Bound on how far two left-to-right roundings of one exact signed sum
+    (plus offset) can differ: the kernel and the enumeration may round a sum
+    that two sign patterns reach exactly along different patterns."""
+    return 2 * (len(vals) + 1) * 2.0**-53 * (abs(offset) + sum(abs(v) for v in vals))
+
+
+class TestNearestSums:
+    @given(
+        st.lists(st.floats(-2, 2), max_size=16),
+        st.floats(-6, 6),
+        st.floats(-1, 1),
+    )
+    def test_c_entry_matches_full_enumeration(self, vals, offset, j):
+        want = float(np.min(np.abs(offset + _enumerated_sums(vals))))
+        got = _min_abs_offset_sum(vals, offset)
+        assert conditional_gap(got, j) == pytest.approx(conditional_gap(want, j), abs=1e-15)
+        assert got == pytest.approx(want, abs=_rounding(vals, offset))
+
+    @given(
+        st.lists(st.floats(-2, 2), max_size=16),
+        st.floats(-3, 3),
+        st.floats(-3, 3),
+        st.floats(0, 6),
+    )
+    def test_b_entry_matches_full_enumeration(self, vals, h_tilde, h, t):
+        want = _enumerated_b(h_tilde, h, vals, t)
+        assert _perturbation_entry(h_tilde, h, tuple(vals), t) == pytest.approx(want, abs=1e-15)
+
+    @given(st.lists(st.floats(-2, 2), max_size=12), st.floats(-30, 30))
+    def test_nearest_from_each_side(self, vals, target):
+        sums = _enumerated_sums(vals)
+        below, above = sums[sums < target], sums[sums >= target]
+        want = ([below.max()] if below.size else []) + ([above.min()] if above.size else [])
+        got = sorted(_nearest_sums(vals, (target,)))
+        assert got == pytest.approx(want, abs=_rounding(vals))
+
+    def test_switch_point_changes_no_bit(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(11))
+        cases = [
+            ([float(v) for v in rng.uniform(-1, 1, size=k)], float(rng.uniform(-3, 3)))
+            for k in range(13)
+            for _ in range(20)
+        ]
+
+        def run():
+            return [
+                (_min_abs_offset_sum(v, o), _perturbation_entry(0.3 * o, -0.2, tuple(v), abs(o)))
+                for v, o in cases
+            ]
+
+        monkeypatch.setattr(dobrushin, "SCALAR_MAX_K", 0)
+        halves = run()
+        monkeypatch.setattr(dobrushin, "SCALAR_MAX_K", 16)
+        assert run() == halves
+
+
+class TestAtTheCap:
+    """The enumeration cap counts a C row's other neighbours (len(adj) - 1 in
+    the submodel) and a boundary node's degree in the full model. A search
+    exactly at the cap builds a sound certificate; one more neighbour raises.
+    """
+
+    @staticmethod
+    def hub_model(rng, leaves, outside_of_hub, outside_of_leaves, j_scale):
+        """Hub 0 with `leaves` neighbours 1..leaves, the last `outside_of_hub`
+        of them outside alpha; the first `outside_of_leaves` leaves in alpha
+        get one outside neighbour each. Returns (model, alpha)."""
+        n_in = leaves - outside_of_hub
+        edges = [(0, k) for k in range(1, leaves + 1)]
+        edges += [(k, leaves + k) for k in range(1, outside_of_leaves + 1)]
+        n = leaves + outside_of_leaves + 1
+        js = rng.uniform(-j_scale, j_scale, size=len(edges))
+        model = build_model(
+            [(u, v, float(j)) for (u, v), j in zip(edges, js)], rng.uniform(-1, 1, size=n)
+        )
+        return model, list(range(n_in + 1))
+
+    @staticmethod
+    def assert_sound(model, alpha, cap):
+        region = make_region(model, alpha, 0)
+        p_true = brute_force_marginal(model, 0)
+        for method in (BoundaryMethod.DROP_OUT, BoundaryMethod.MEAN_FIELD):
+            try:
+                loc = localize(model, region, method)
+            except MeanFieldDivergence:
+                continue
+            cert = local_certificate(model, region, loc, cap=cap)
+            assert cert.valid or cert.bound == math.inf
+            if cert.valid:
+                err = abs(eliminate_marginal(loc.submodel, loc.index_of(0)) - p_true)
+                assert err <= cert.bound + 1e-12
+
+    @given(
+        st.integers(0, 12),
+        st.integers(1, 3),
+        st.integers(0, 10**6),
+        st.sampled_from([0.2, 0.5, 1.0]),
+    )
+    @example(inside=12, outside=1, seed=0, j_scale=0.5)
+    def test_boundary_degree_at_cap(self, inside, outside, seed, j_scale):
+        # b path: hub 0 is a boundary node of degree cap, so b_0 searches
+        # the sums of its `inside` alpha-side couplings
+        cap = inside + outside
+        rng = np.random.Generator(np.random.Philox(seed))
+        model, alpha = self.hub_model(rng, cap, outside, 0, j_scale)
+        assert model.degree(0) == cap
+        self.assert_sound(model, alpha, cap)
+        model, alpha = self.hub_model(rng, cap + 1, outside, 0, j_scale)
+        region = make_region(model, alpha, 0)
+        with pytest.raises(EnumerationCapError, match=f"node 0 has degree {cap + 1}"):
+            local_certificate(model, region, localize(model, region), cap=cap)
+
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 4),
+        st.integers(0, 10**6),
+        st.sampled_from([0.2, 0.5, 1.0]),
+    )
+    @example(cap=12, marked=4, seed=0, j_scale=0.5)
+    def test_row_at_cap(self, cap, marked, seed, j_scale):
+        # C path: hub 0 is interior with cap + 1 alpha neighbours, so each
+        # entry of its row searches the sums of cap other couplings; `marked`
+        # leaves get an outside neighbour, so b is not zero
+        rng = np.random.Generator(np.random.Philox(seed))
+        model, alpha = self.hub_model(rng, cap + 1, 0, marked, j_scale)
+        assert model.n <= 22
+        self.assert_sound(model, alpha, cap)
+        model, alpha = self.hub_model(rng, cap + 2, 0, marked, j_scale)
+        region = make_region(model, alpha, 0)
+        with pytest.raises(EnumerationCapError, match=f"node 0 has {cap + 2} neighbours"):
+            local_certificate(model, region, localize(model, region), cap=cap)
+
+    def test_degree_25_is_bounded_in_time_and_memory(self):
+        # hub 0: 24 alpha leaves and one outside node, so b_0 searches 24
+        # couplings; leaf 1 has 24 more alpha neighbours, so each entry of
+        # its C row searches 24 others
+        rng = np.random.Generator(np.random.Philox(25))
+        edges = [(0, k) for k in range(1, 26)] + [(1, k) for k in range(26, 50)]
+        js = rng.uniform(-0.3, 0.3, size=len(edges))
+        model = build_model(
+            [(u, v, float(j)) for (u, v), j in zip(edges, js)], rng.uniform(-0.5, 0.5, size=50)
+        )
+        region = make_region(model, [0] + list(range(1, 25)) + list(range(26, 50)), 0)
+        loc = localize(model, region)
+        assert model.degree(0) == 25 == dobrushin.ENUMERATION_CAP
+        assert loc.submodel.degree(loc.index_of(1)) == 25
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            cert = local_certificate(model, region, loc)
+            seconds.append(time.perf_counter() - start)
+        assert cert.valid and 0.0 < cert.bound < 1.0
+        tracemalloc.start()
+        try:
+            local_certificate(model, region, loc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert min(seconds) < 0.05
 
 
 class TestInfluenceMatrix:
@@ -449,6 +639,20 @@ class TestDecayRadius:
             decay_radius(0.0, 0.01)
         with pytest.raises(ValueError, match="eps"):
             decay_radius(0.5, 0.0)
+
+    @pytest.mark.parametrize("c", [0.5, 0.9999999999])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-320, 5e-324])
+    def test_tiny_eps_gives_finite_radius(self, c, eps):
+        # 2 eps (t - 1)(1 - c) leaves the normal range here, so the objective
+        # is summed in logs; it must agree with the direct form on the shift
+        for t in (1.000001, 2.0, 9999.0):
+            shift = math.log(1e-20 / eps) / math.log((1.0 + (t - 1.0) * c) / (t * c))
+            assert _radius_objective(c, eps, t) == pytest.approx(
+                _radius_objective(c, 1e-20, t) + shift, rel=1e-12
+            )
+        r = decay_radius(c, eps)
+        closed = math.ceil(-(math.log(eps) + math.log(1 - c)) / math.log((1 + c) / (2 * c)))
+        assert decay_radius(c, 1e-20) < r <= closed
 
     def test_non_finite_input_named(self):
         with pytest.raises(DobrushinConditionError, match="c=nan"):

@@ -12,8 +12,8 @@ import pytest
 from localmrf import BoundaryMethod, GridSpec, gen_grid, greedy_expand
 
 PINNED = {
-    BoundaryMethod.DROP_OUT: "458df5222a5b1a91fc2c1e1b1b79634b4227b123bf5786c21d8116314fa07f32",
-    BoundaryMethod.MEAN_FIELD: "ce3ce552867b87dd7fea77abeaec81d22bbc42799f096216326b8134aaabdb18",
+    BoundaryMethod.DROP_OUT: "fc74cad80c71eba2eed0f08e36a7b1c002ce33d6f9a909506fe6706dfca64d94",
+    BoundaryMethod.MEAN_FIELD: "751f92c802b26c630ea19102fa543668ef797c97b079efe19101a3183f1612a8",
 }
 
 
