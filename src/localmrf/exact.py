@@ -4,6 +4,11 @@ Everything runs in log space. `brute_force_marginal` enumerates the component
 of the query (hard cap on component size); `eliminate_marginal` runs bucket
 elimination along a min-fill order and only caps the largest intermediate
 clique, so it handles long chains and narrow strips of any length.
+
+Every variable is binary, so summing one out is a two-term log-add-exp
+(`marginalize`), bit-identical to `scipy.special.logsumexp` on two values.
+`min_fill_order` rescores after each elimination only the nodes whose
+neighbourhood changed, and gives the order a full rescan would.
 """
 from __future__ import annotations
 
@@ -63,9 +68,19 @@ def multiply(factors: list[Factor], max_clique: int = MAX_CLIQUE) -> Factor:
 
 
 def marginalize(factor: Factor, var: int) -> Factor:
+    """Sum `var` out of the factor in log space.
+
+    Every axis has length 2, so this is a binary log-add-exp,
+    hi + log1p(exp(lo - hi)): the arithmetic `scipy.special.logsumexp` does
+    for two values, bit for bit (a tie gives log1p(1) == log(2)), without its
+    per-call dispatch.
+    """
     axis = factor.scope.index(var)
     scope = factor.scope[:axis] + factor.scope[axis + 1 :]
-    return Factor(scope, logsumexp(factor.table, axis=axis))
+    a = np.take(factor.table, 0, axis=axis)
+    b = np.take(factor.table, 1, axis=axis)
+    hi = np.maximum(a, b)
+    return Factor(scope, hi + np.log1p(np.exp(np.minimum(a, b) - hi)))
 
 
 def _model_factors(model: IsingModel, nodes: tuple[int, ...]) -> list[Factor]:
@@ -79,33 +94,39 @@ def _model_factors(model: IsingModel, nodes: tuple[int, ...]) -> list[Factor]:
 
 
 def min_fill_order(model: IsingModel, nodes: tuple[int, ...], keep: tuple[int, ...] = ()) -> list[int]:
-    """Min-fill elimination order over `nodes` minus `keep`, ties to lowest id."""
+    """Min-fill elimination order over `nodes` minus `keep`, ties to lowest id.
+
+    The fill of v is the number of non-adjacent pairs among its neighbours,
+    C(d, 2) minus the edges among them. Eliminating v changes the
+    neighbourhoods of its neighbours and of their neighbours only, so only
+    those are rescored.
+    """
+    node_set = set(nodes)
     keep_set = set(keep)
     adj: dict[int, set[int]] = {
-        i: {v for v in model.adjacency[i] if v in set(nodes)} for i in nodes
+        i: {v for v in model.adjacency[i] if v in node_set} for i in nodes
     }
-    remaining = sorted(set(nodes) - keep_set)
+
+    def fill(v: int) -> int:
+        nbrs = adj[v]
+        d = len(nbrs)
+        return d * (d - 1) // 2 - sum(len(adj[u] & nbrs) for u in nbrs) // 2
+
+    fills = {v: fill(v) for v in node_set - keep_set}
     order: list[int] = []
-    while remaining:
-        best = None
-        best_fill = None
-        for v in remaining:
-            nbrs = [u for u in adj[v] if u != v]
-            fill = 0
-            for a_idx in range(len(nbrs)):
-                for b_idx in range(a_idx + 1, len(nbrs)):
-                    if nbrs[b_idx] not in adj[nbrs[a_idx]]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        nbrs = [u for u in adj[best] if u != best]
+    while fills:
+        best = min(fills, key=lambda v: (fills[v], v))
+        del fills[best]
+        nbrs = adj.pop(best)
         for a in nbrs:
             adj[a].discard(best)
-            for b in nbrs:
-                if a != b:
-                    adj[a].add(b)
-        del adj[best]
-        remaining.remove(best)
+            adj[a] |= nbrs - {a}
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
+        for v in touched:
+            if v in fills:
+                fills[v] = fill(v)
         order.append(best)
     return order
 

@@ -4,18 +4,24 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import logsumexp
 
 from localmrf import (
     CliqueTooLargeError,
     GraphTooLargeError,
     LocalMRFError,
+    GridSpec,
     brute_force_marginal,
     build_model,
     eliminate_marginal,
+    gen_citation_graph,
+    gen_grid,
     grid_edges,
     log_partition,
     min_fill_order,
 )
+from localmrf import exact
+from localmrf.exact import Factor, marginalize
 from conftest import chain_model, random_connected_model, sigmoid
 
 CHAIN3_P = (0.5456434105075804, 0.5000000000000001, 0.4543565894924198)
@@ -152,3 +158,109 @@ class TestMinFill:
         # all fills are zero on a chain: ascending id order wins ties
         assert min_fill_order(m, (0, 1, 2)) == [0, 1, 2]
         assert min_fill_order(m, (0, 1, 2), keep=(1,)) == [0, 2]
+
+    @given(
+        st.sampled_from(["random", "grid", "citation"]),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 10**6),
+        st.sampled_from([0, 1, 3]),
+        st.booleans(),
+    )
+    def test_matches_rescan_reference(self, kind, a, b, seed, n_keep, subset):
+        if kind == "random":
+            m = random_connected_model(a * b // 2 + 1, seed)
+        elif kind == "grid":
+            m = gen_grid(GridSpec(a, b, seed=seed))
+        else:
+            n = a * b // 2 + 6
+            edges, _ = gen_citation_graph(n, attach=1 + seed % 3, seed=seed)
+            m = build_model([(u, v, 0.1) for u, v in edges], [0.0] * n)
+        rng = np.random.Generator(np.random.Philox(seed))
+        nodes = tuple(range(m.n))
+        if subset and m.n > 1:
+            size = int(rng.integers(1, m.n + 1))
+            nodes = tuple(sorted(int(v) for v in rng.choice(m.n, size, replace=False)))
+        keep = tuple(int(v) for v in rng.choice(nodes, min(n_keep, len(nodes)), replace=False))
+        assert min_fill_order(m, nodes, keep) == rescan_min_fill_order(m, nodes, keep)
+
+
+def rescan_min_fill_order(model, nodes, keep=()):
+    """The full-rescan min-fill order: every step scores every remaining node."""
+    keep_set = set(keep)
+    adj = {i: {v for v in model.adjacency[i] if v in set(nodes)} for i in nodes}
+    remaining = sorted(set(nodes) - keep_set)
+    order = []
+    while remaining:
+        best = None
+        best_fill = None
+        for v in remaining:
+            nbrs = [u for u in adj[v] if u != v]
+            fill = 0
+            for a_idx in range(len(nbrs)):
+                for b_idx in range(a_idx + 1, len(nbrs)):
+                    if nbrs[b_idx] not in adj[nbrs[a_idx]]:
+                        fill += 1
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        nbrs = [u for u in adj[best] if u != best]
+        for a in nbrs:
+            adj[a].discard(best)
+            for b in nbrs:
+                if a != b:
+                    adj[a].add(b)
+        del adj[best]
+        remaining.remove(best)
+        order.append(best)
+    return order
+
+
+def scipy_marginalize(factor, var):
+    axis = factor.scope.index(var)
+    scope = factor.scope[:axis] + factor.scope[axis + 1 :]
+    return Factor(scope, logsumexp(factor.table, axis=axis))
+
+
+class TestMarginalize:
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 10**6),
+        st.sampled_from([1.0, 30.0, 1e3]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_matches_scipy_logsumexp_bitwise(self, k, seed, scale, tie_share):
+        rng = np.random.Generator(np.random.Philox(seed))
+        table = rng.uniform(-scale, scale, size=(2,) * k)
+        # a share of entries copied from their partner along a random axis:
+        # exact ties on that axis
+        tie_axis = int(rng.integers(k))
+        flat = np.moveaxis(table, tie_axis, 0)
+        ties = rng.random(flat.shape[1:]) < tie_share
+        np.copyto(flat[1, ...], flat[0, ...], where=ties)
+        scope = tuple(range(10, 10 + k))
+        for axis in range(k):
+            got = marginalize(Factor(scope, table), scope[axis])
+            want = logsumexp(table, axis=axis)
+            assert got.scope == scope[:axis] + scope[axis + 1 :]
+            assert np.shape(got.table) == np.shape(want)
+            assert np.asarray(got.table).tobytes() == np.asarray(want).tobytes()
+
+    def test_tie_is_log_two(self):
+        t = np.array([0.25, 0.25])
+        assert float(marginalize(Factor((0,), t), 0).table) == float(logsumexp(t))
+
+    def test_elimination_matches_scipy_path_bitwise(self, monkeypatch):
+        corpus = [random_connected_model(2 + s % 13, s) for s in range(40)]
+        corpus += [random_connected_model(9, s, j_scale=3.0, h_scale=1e3) for s in range(5)]
+        corpus += [gen_grid(GridSpec(r, c, seed=r * c)) for r, c in ((1, 7), (3, 4), (6, 6))]
+
+        def readouts():
+            return [
+                [eliminate_marginal(m, v).hex() for v in range(m.n)] + [log_partition(m).hex()]
+                for m in corpus
+            ]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(exact, "marginalize", scipy_marginalize)
+            want = readouts()
+        assert readouts() == want
