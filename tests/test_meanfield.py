@@ -6,13 +6,39 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localmrf import (
+    BoundaryMethod,
+    GridSpec,
     boundary_mean_field,
+    brute_force_marginal,
     build_model,
+    eliminate_marginal,
+    gen_grid,
+    greedy_expand,
     make_region,
     mean_field,
     variational_objective,
 )
 from conftest import chain_model, random_connected_model
+
+
+def boundary_subproblem(model, region):
+    """The two boundary layers as their own model, built the way the
+    docstring of boundary_mean_field describes. Returns (model, index)."""
+    nodes = sorted(set(region.boundary_alpha) | set(region.boundary_beta))
+    index = {g: i for i, g in enumerate(nodes)}
+    edges = [(index[j], index[k], jv) for j, k, jv in region.cross_edges]
+    for side in (region.boundary_alpha, region.boundary_beta):
+        for u in side:
+            for v in model.adjacency[u]:
+                if v in side and u < v:
+                    edges.append((index[u], index[v], model.coupling(u, v)))
+    return build_model(edges, [float(model.h[g]) for g in nodes]), index
+
+
+def max_row_sum(model):
+    return max(
+        math.fsum(abs(model.coupling(i, k)) for k in model.adjacency[i]) for i in range(model.n)
+    )
 
 
 class TestMeanField:
@@ -143,3 +169,53 @@ class TestBoundaryMeanField:
         # with the (2,3) edge and h_2 > 0 both means are pulled positive
         assert means[3] > cross_only.m[3] + 0.05
         assert means[2] > 0.3
+
+    def test_contraction_runs_one_start(self):
+        # every |J| row sum of the subproblem is below 1, so its fixed point is
+        # unique and the tanh(h) start alone is returned; on this grid the
+        # best-of-3 answer differs from it in the ninth decimal
+        m = gen_grid(GridSpec(6, 6, seed=3))
+        region = make_region(m, [14, 15, 20, 21], 14)
+        sub, index = boundary_subproblem(m, region)
+        assert max_row_sum(sub) < 1.0
+        want = mean_field(sub, restarts=1)
+        assert not np.array_equal(want.m, mean_field(sub).m)
+        means, state = boundary_mean_field(m, region)
+        assert np.array_equal(state.m, want.m)
+        assert means == {k: float(want.m[index[k]]) for k in region.boundary_beta}
+
+    @pytest.mark.parametrize("row_sum", ["exactly_one", "above_one"])
+    def test_unproven_uniqueness_keeps_restarts(self, row_sum):
+        if row_sum == "exactly_one":
+            # couplings of +-0.25 on a grid: each alpha-side node of the
+            # subproblem has four of them, a row sum of exactly 1.0
+            g = gen_grid(GridSpec(6, 6, seed=0))
+            m = build_model([(u, v, math.copysign(0.25, j)) for u, v, j in g.edges()], g.h)
+            region = make_region(m, [14, 15, 20, 21], 14)
+        else:
+            # the symmetric saddle: one start stays at 0, restarts break it
+            m = build_model([(0, 1, 0.3), (1, 2, 2.0), (1, 3, 0.5)], [0.1, 0.0, 0.0, 0.0])
+            region = make_region(m, [0, 1], 0)
+        sub, _ = boundary_subproblem(m, region)
+        assert max_row_sum(sub) == 1.0 if row_sum == "exactly_one" else max_row_sum(sub) > 1.0
+        want = mean_field(sub)
+        assert not np.array_equal(want.m, mean_field(sub, restarts=1).m)
+        _, state = boundary_mean_field(m, region)
+        assert np.array_equal(state.m, want.m)
+
+    @given(st.integers(2, 12), st.integers(0, 10**6), st.sampled_from([0.1, 0.3, 1.0, 3.0]))
+    def test_certificates_sound_against_enumeration(self, n, seed, j_scale):
+        # j_scale 0.1 keeps every boundary subproblem a contraction (one
+        # start); at 1.0 and 3.0 most have a row sum of 1 or more (best of three)
+        m = random_connected_model(n, seed, j_scale=j_scale)
+        p_true = brute_force_marginal(m, 0)
+        trace = greedy_expand(m, 0, K=n, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD)
+        for step in trace.steps:
+            cert = step.certificate
+            if cert is None:  # the boundary solve stalled: a degraded step
+                continue
+            assert cert.valid or cert.bound == math.inf
+            if cert.valid:
+                loc = cert.localized
+                err = abs(eliminate_marginal(loc.submodel, loc.index_of(0)) - p_true)
+                assert err <= cert.bound + 1e-12

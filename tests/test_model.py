@@ -209,7 +209,7 @@ class TestLocalize:
         real = meanfield.mean_field
         monkeypatch.setattr(
             meanfield, "mean_field",
-            lambda sub: real(sub, tol=1e-30, max_iter=1, restarts=1),
+            lambda sub, **settings: real(sub, tol=1e-30, max_iter=1, restarts=1),
         )
         r = make_region(chain3_mf, [0, 1], 0)
         with pytest.raises(MeanFieldDivergence) as exc:

@@ -13,7 +13,7 @@ from localmrf import BoundaryMethod, GridSpec, gen_grid, greedy_expand
 
 PINNED = {
     BoundaryMethod.DROP_OUT: "fc74cad80c71eba2eed0f08e36a7b1c002ce33d6f9a909506fe6706dfca64d94",
-    BoundaryMethod.MEAN_FIELD: "751f92c802b26c630ea19102fa543668ef797c97b079efe19101a3183f1612a8",
+    BoundaryMethod.MEAN_FIELD: "88291a7fb8ecefb4a52a475d8703fd0b2559d8b5572efc9c3935fce9b3698298",
 }
 
 
