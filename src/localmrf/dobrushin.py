@@ -388,7 +388,8 @@ def _candidate_ts(fun) -> list[float]:
     lo, hi = math.log(_T_LOW), math.log(_T_HIGH - 1.0)
     u_star = _golden_min(lambda u: fun(1.0 + math.exp(u)), lo, hi)
     grid = np.exp(np.linspace(lo, hi, 65))
-    return [1.0 + math.exp(u_star), 2.0] + [1.0 + g for g in grid]
+    # Python floats, so an overflow in _decay_rate gives inf without numpy's warning
+    return [1.0 + math.exp(u_star), 2.0] + [1.0 + float(g) for g in grid]
 
 
 def _check_c(c: float) -> None:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -178,6 +179,12 @@ class TestRadius:
         assert run(["radius", "--c", "0.5", "--eps", "1e-320", "--json"]) == 0
         payload = _json_out(capsys)
         assert payload["radius"] == decay_radius(0.5, 1e-320)
+
+    def test_subnormal_c_prints_no_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["radius", "--c", "1e-320", "--eps", "0.01"]) == 0
+        assert "r = 0" in capsys.readouterr().out
 
 
 class TestQuery:

@@ -2,6 +2,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -653,6 +654,13 @@ class TestDecayRadius:
         r = decay_radius(c, eps)
         closed = math.ceil(-(math.log(eps) + math.log(1 - c)) / math.log((1 + c) / (2 * c)))
         assert decay_radius(c, 1e-20) < r <= closed
+
+    def test_subnormal_c_overflows_without_warning(self):
+        # (1 + (t-1) c) / (t c) overflows to inf: the per-hop decay is
+        # infinite, so radius 0, and no numpy overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decay_radius(1e-320, 0.01) == 0
 
     def test_non_finite_input_named(self):
         with pytest.raises(DobrushinConditionError, match="c=nan"):
