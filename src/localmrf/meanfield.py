@@ -144,11 +144,11 @@ def boundary_mean_field(
                 if v in side_set and u < v:
                     edges.append((index[u], index[v], model.coupling(u, v)))
     sub = build_model(edges, [float(model.h[g]) for g in nodes])
-    row_sums: list[list[float]] = [[] for _ in nodes]
+    abs_j: list[list[float]] = [[] for _ in nodes]
     for j, k, jv in edges:
-        row_sums[j].append(abs(jv))
-        row_sums[k].append(abs(jv))
-    if all(math.fsum(row) < 1.0 for row in row_sums):
+        abs_j[j].append(abs(jv))
+        abs_j[k].append(abs(jv))
+    if all(math.fsum(row) < 1.0 for row in abs_j):
         state = mean_field(sub, restarts=1)
     else:
         state = mean_field(sub)

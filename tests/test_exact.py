@@ -9,8 +9,8 @@ from scipy.special import logsumexp
 from localmrf import (
     CliqueTooLargeError,
     GraphTooLargeError,
-    LocalMRFError,
     GridSpec,
+    LocalMRFError,
     brute_force_marginal,
     build_model,
     eliminate_marginal,
