@@ -34,6 +34,13 @@ couplings the kernel lists all 2^k sums in pure Python and bisects them.
 Beyond, it meets in the middle over two halves (Horowitz & Sahni 1974), in
 O(k 2^(k/2)) time and O(2^(k/2)) memory, so a search at ENUMERATION_CAP
 (k <= 25) holds two arrays of at most 8,192 sums instead of 2^25.
+
+Row i of C reads only node i's localized field and its couplings inside
+alpha, and b_j only j's fields, couplings and cross sum. So the certificate
+of alpha + (k,) extends the certificate of alpha (local_certificate's base):
+with k last in local order, only the rows and entries of k, of k's alpha
+neighbours and of nodes whose compensated field moved are recomputed, and
+every other one is copied.
 """
 from __future__ import annotations
 
@@ -129,19 +136,9 @@ def _min_abs_offset_sum(values: list[float], offset: float) -> float:
     return min(abs(offset + s) for s in _nearest_sums(values, (-offset,)))
 
 
-def _row_inputs(model: IsingModel, i: int, cap: int) -> tuple[float, tuple[float, ...]]:
-    """(h_i, i's couplings in adjacency order): all that row i of C reads.
-
-    Raises EnumerationCapError when some nonzero entry of the row would
-    enumerate more than cap other neighbours.
-    """
-    adj = model.adjacency[i]
-    js = tuple(model.coupling(i, j) for j in adj)
-    if len(adj) - 1 > cap and any(js):
-        raise EnumerationCapError(
-            f"node {i} has {len(adj)} neighbours, enumeration cap is {cap}"
-        )
-    return float(model.h[i]), js
+def _row_inputs(model: IsingModel, i: int) -> tuple[float, tuple[float, ...]]:
+    """(h_i, i's couplings in adjacency order): all that row i of C reads."""
+    return float(model.h[i]), tuple(model.coupling(i, j) for j in model.adjacency[i])
 
 
 def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
@@ -153,6 +150,23 @@ def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
             continue
         others = [2.0 * x for l, x in enumerate(js) if l != p]
         row.append(conditional_gap(_min_abs_offset_sum(others, 2.0 * h), j))
+    return row
+
+
+def _memo_row(h: float, js: tuple[float, ...], cap: int, memo: dict, node: int) -> list[float]:
+    """_interaction_row(h, js), looked up in memo under exactly those floats.
+
+    Raises EnumerationCapError, whatever memo holds, when some nonzero entry
+    of the row would enumerate more than cap other neighbours of `node`.
+    """
+    if len(js) - 1 > cap and any(js):
+        raise EnumerationCapError(
+            f"node {node} has {len(js)} neighbours, enumeration cap is {cap}"
+        )
+    key = ("C", h, js)
+    row = memo.get(key)
+    if row is None:
+        row = memo[key] = _interaction_row(h, js)
     return row
 
 
@@ -170,11 +184,7 @@ def interaction_matrix(
     n = model.n
     c = np.zeros((n, n))
     for i in range(n):
-        h, js = _row_inputs(model, i, cap)
-        key = ("C", h, js)
-        row = memo.get(key)
-        if row is None:
-            row = memo[key] = _interaction_row(h, js)
+        row = _memo_row(*_row_inputs(model, i), cap, memo, i)
         for j, entry in zip(model.adjacency[i], row):
             c[i, j] = entry
     return c
@@ -184,9 +194,10 @@ def dobrushin_coefficient(model: IsingModel, cap: int = ENUMERATION_CAP) -> tupl
     """(c, argmax node) where c = max_i sum_j C_ij, ties to the lowest id."""
     best = 0.0
     best_node = 0
+    memo: dict = {}
     for i in range(model.n):
         row = 0.0
-        for entry in _interaction_row(*_row_inputs(model, i, cap)):
+        for entry in _memo_row(*_row_inputs(model, i), cap, memo, i):
             row += entry
         if row > best:
             best, best_node = row, i
@@ -199,7 +210,9 @@ def spectral_radius(c: np.ndarray) -> float:
 
 
 def influence_matrix(c: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(D, valid) with D = (I - C)^-1 from one direct solve.
+    """(D, valid) with D = (I - C)^-1 from one direct solve: np.linalg.inv
+    runs the LAPACK gesv against I that np.linalg.solve(I - C, I) runs, with
+    less overhead and the same bits.
 
     For entrywise nonnegative C, rho(C) < 1 holds exactly when I - C is
     nonsingular and its inverse is nonnegative (the M-matrix
@@ -211,11 +224,11 @@ def influence_matrix(c: np.ndarray) -> tuple[np.ndarray, bool]:
     """
     n = c.shape[0]
     try:
-        d = np.linalg.solve(np.eye(n) - c, np.eye(n))
+        d = np.linalg.inv(np.eye(n) - c)
     except np.linalg.LinAlgError:
         return np.full((n, n), np.nan), False
     v = d.sum(axis=1)
-    valid = float(d.min()) >= -NEG_TOL and bool(np.all(c @ v < v))
+    valid = float(d.min()) >= -NEG_TOL and bool((c @ v < v).all())
     return d, valid
 
 
@@ -231,6 +244,28 @@ def _perturbation_entry(
         p_mu = _sigmoid(a + s)
         best = max(best, abs(p_mu - _sigmoid(c + s + t)), abs(p_mu - _sigmoid(c + s - t)))
     return best
+
+
+def _memo_entry(
+    model: IsingModel, index: dict[int, int], h_tilde: float, j: int, cap: int, memo: dict
+) -> float:
+    """b_j for boundary node j of the alpha indexed by `index`, whose
+    localized field is h_tilde, looked up in memo under every float it reads.
+
+    Raises EnumerationCapError, before the lookup, when j's degree is over cap.
+    """
+    if model.degree(j) > cap:
+        raise EnumerationCapError(
+            f"node {j} has degree {model.degree(j)}, enumeration cap is {cap}"
+        )
+    alpha_js = tuple(2.0 * model.coupling(j, k) for k in model.adjacency[j] if k in index)
+    t = 2.0 * sum(abs(model.coupling(j, k)) for k in model.adjacency[j] if k not in index)
+    h = float(model.h[j])
+    key = ("b", h_tilde, h, alpha_js, t)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = _perturbation_entry(h_tilde, h, alpha_js, t)
+    return entry
 
 
 def perturbation_vector(
@@ -256,26 +291,11 @@ def perturbation_vector(
     miss. The cap check runs before the lookup.
     """
     memo = {} if memo is None else memo
-    alpha = region.alpha
-    index = {g: i for i, g in enumerate(alpha)}
-    b = np.zeros(len(alpha))
-    sub = localized.submodel
+    index = {g: i for i, g in enumerate(region.alpha)}
+    b = np.zeros(len(region.alpha))
     for j in region.boundary_alpha:
         li = index[j]
-        if model.degree(j) > cap:
-            raise EnumerationCapError(
-                f"node {j} has degree {model.degree(j)}, enumeration cap is {cap}"
-            )
-        alpha_js = tuple(
-            2.0 * sub.coupling(li, index[k]) for k in model.adjacency[j] if k in index
-        )
-        t = 2.0 * sum(abs(model.coupling(j, k)) for k in model.adjacency[j] if k not in index)
-        h_tilde, h = float(sub.h[li]), float(model.h[j])
-        key = ("b", h_tilde, h, alpha_js, t)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _perturbation_entry(h_tilde, h, alpha_js, t)
-        b[li] = entry
+        b[li] = _memo_entry(model, index, float(localized.h[li]), j, cap, memo)
     return b
 
 
@@ -315,23 +335,65 @@ def local_certificate(
     cap: int = ENUMERATION_CAP,
     *,
     memo: dict | None = None,
+    base: DobrushinCertificate | None = None,
 ) -> DobrushinCertificate:
     """Certificate for the query marginal of a localized model.
 
-    C is computed on the localized submodel (compensated fields, alpha-internal
-    edges only); b compares the two conditionals at the alpha boundary; the
-    bound is row `query` of D against b. A solve that fails influence_matrix's
-    validity test yields valid=False and bound=+inf. memo holds the rows of C
-    and the entries of b computed so far, such as for one expansion's earlier
-    candidates, each keyed on every input it reads; it saves work and never
-    changes a bit of the result.
+    C is the interaction matrix of the localized model (compensated fields,
+    alpha-internal edges only), row i in local adjacency order; b compares
+    the two conditionals at the alpha boundary, as perturbation_vector does;
+    the bound is row `query` of D against b. A solve that fails
+    influence_matrix's validity test yields valid=False and bound=+inf. Both
+    are read off the global model and localized.h, so the submodel is not
+    built.
+
+    base, the certificate of region.alpha[:-1] of the same model under the
+    same cap, extends instead of rebuilding: with k = alpha[-1] appended last in local order,
+    only the rows of C and the entries of b of k, of k's alpha neighbours and
+    of nodes whose localized field differs from base's (mean field moves
+    them) can change. Those are recomputed and every other row and entry is
+    copied from base. base=None computes every row and entry. memo holds the
+    rows of C and the entries of b computed so far, such as for one
+    expansion's earlier candidates, each keyed on every input it reads.
+    Neither base nor memo changes a bit of the result.
+
+    Raises:
+        EnumerationCapError: a row or entry computed here is over cap.
+        ValueError: base does not certify alpha[:-1] of model under cap.
     """
-    sub = localized.submodel
-    c = interaction_matrix(sub, cap=cap, memo=memo)
+    memo = {} if memo is None else memo
+    alpha, h_tilde = region.alpha, localized.h
+    n = len(alpha)
+    index = {g: i for i, g in enumerate(alpha)}
+    c = np.zeros((n, n))
+    b = np.zeros(n)
+    if base is None:
+        redo = range(n)
+    else:
+        if (base.localized.model, base.localized.alpha, base.cap) != (model, alpha[:-1], cap):
+            raise ValueError("base must certify alpha[:-1] of the same model under the same cap")
+        c[:-1, :-1] = base.C
+        b[:-1] = base.b
+        k_nbrs = (index[g] for g in model.adjacency[alpha[-1]] if g in index)
+        old_h = base.localized.h.tolist()
+        moved = (i for i, x in enumerate(h_tilde.tolist()[:-1]) if x != old_h[i])
+        redo = sorted({n - 1, *k_nbrs, *moved})
+    # an old node's alpha neighbours only gain k, so its new row overwrites
+    # every entry its copied row had
+    for i in redo:
+        g = alpha[i]
+        nbrs = sorted(index[x] for x in model.adjacency[g] if x in index)
+        js = tuple(model.coupling(g, alpha[l]) for l in nbrs)
+        for l, entry in zip(nbrs, _memo_row(float(h_tilde[i]), js, cap, memo, i)):
+            c[i, l] = entry
+    # a node that left the boundary had k as its last outside neighbour
+    boundary = set(region.boundary_alpha)
+    for i in redo:
+        g = alpha[i]
+        b[i] = _memo_entry(model, index, float(h_tilde[i]), g, cap, memo) if g in boundary else 0.0
     d, valid = influence_matrix(c)
-    b = perturbation_vector(model, localized, region, cap=cap, memo=memo)
-    c_local = float(np.max(c.sum(axis=1))) if c.size else 0.0
-    qi = region.alpha.index(region.query)
+    c_local = float(c.sum(axis=1).max()) if c.size else 0.0
+    qi = index[region.query]
     bound = float(d[qi] @ b) if valid else math.inf
     return DobrushinCertificate(
         C=c,
@@ -360,7 +422,9 @@ def _radius_objective(c: float, eps: float, t: float) -> float:
 
 def _bound_objective(c: float, d: float, t: float) -> float:
     # worst-entry factor 1/2 times the geometric tail e^(-d rate) * t/((t-1)(1-c))
-    log_val = math.log(0.5 * t / ((t - 1.0) * (1.0 - c))) - d * _decay_rate(c, t)
+    log_val = math.log(0.5 * t / ((t - 1.0) * (1.0 - c)))
+    if d:  # at d = 0 there is no decay, and 0 * an overflowed rate would be nan
+        log_val -= d * _decay_rate(c, t)
     return math.exp(log_val)
 
 

@@ -141,6 +141,16 @@ def _eliminate(factors: list[Factor], order: list[int], max_clique: int) -> list
     return factors
 
 
+def _p_plus(log_minus: float, log_plus: float) -> float:
+    """p(+1) = 1 / (1 + exp(l- - l+)) from the two unnormalised log masses.
+
+    Past about 709 the exponential overflows to inf and the result is its
+    limit 0.0; the overflow is expected, so numpy does not warn about it.
+    """
+    with np.errstate(over="ignore"):
+        return float(1.0 / (1.0 + np.exp(log_minus - log_plus)))
+
+
 def eliminate_marginal(
     model: IsingModel,
     node: int,
@@ -168,8 +178,7 @@ def eliminate_marginal(
             log_p = log_p + f.table  # additive constant, cancels below
         else:  # pragma: no cover - elimination above makes this unreachable
             raise LocalMRFError(f"unexpected residual scope {f.scope}")
-    # normalized pair: p(+1) = 1 / (1 + exp(l0 - l1))
-    return float(1.0 / (1.0 + np.exp(log_p[0] - log_p[1])))
+    return _p_plus(log_p[0], log_p[1])
 
 
 def log_partition(model: IsingModel, max_clique: int = MAX_CLIQUE) -> float:
@@ -204,4 +213,4 @@ def brute_force_marginal(model: IsingModel, node: int, max_nodes: int = MAX_BRUT
     mask = ((idx >> pos[node]) & 1) == 1
     log_plus = logsumexp(energy[mask])
     log_minus = logsumexp(energy[~mask])
-    return float(1.0 / (1.0 + np.exp(log_minus - log_plus)))
+    return _p_plus(log_minus, log_plus)

@@ -6,6 +6,13 @@ it improves the current bound by more than delta. Random and coupling-norm
 baselines run the same loop but score only the node their rule picks, and
 always detach alpha by dropping the cross edges, so all three strategies share
 one trace format and one final-certificate rule.
+
+A candidate k shares all of alpha with the certificate its step accepted, so
+it is scored by extending that certificate: the region grows by k
+(`Region.grow`), the localization keeps only alpha and its fields (the
+alpha-only model is built when first read, so an unchosen candidate never
+builds one), and `local_certificate(..., base=...)` recomputes only the rows
+and entries that k can change. The result is bit-identical to a rebuild.
 """
 from __future__ import annotations
 
@@ -103,9 +110,10 @@ def _certificate(
     method: BoundaryMethod,
     cap: int,
     memo: dict,
+    base: DobrushinCertificate | None = None,
 ) -> DobrushinCertificate:
     loc = localize(model, region, method=method)
-    return local_certificate(model, region, loc, cap=cap, memo=memo)
+    return local_certificate(model, region, loc, cap=cap, memo=memo, base=base)
 
 
 def _maxnorm_choice(model: IsingModel, alpha: list[int], candidates: tuple[int, ...]) -> int:
@@ -184,9 +192,12 @@ def _expand(model, query, K, delta, method, cap, to_score) -> ExpansionTrace:
     final certificate is the one scored for the node appended last; it is only
     built afresh when alpha is still {query} or that node's build raised.
 
-    One memo of C rows and b entries lives for the call: a step's candidates
-    share alpha and each step keeps the previous alpha, so most rows and
-    entries repeat from one certificate to the next.
+    Each candidate's region is the current one grown by it, and its
+    certificate extends final_cert, the certificate of the current alpha;
+    with no such certificate (the first step, or after a raised build) every
+    row and entry is computed. One memo of C rows and b entries lives for the
+    call, so a recomputed row or entry that an earlier candidate already
+    needed is looked up, not computed again.
     """
     if not (0 <= query < model.n):
         raise ValueError(f"query {query} out of range")
@@ -209,9 +220,9 @@ def _expand(model, query, K, delta, method, cap, to_score) -> ExpansionTrace:
         regions: dict[int, Region] = {}
         certs: dict[int, DobrushinCertificate] = {}
         for k in to_score(alpha, candidates):
-            regions[k] = make_region(model, alpha + [k], query)
+            regions[k] = region.grow(model, k)
             try:
-                certs[k] = _certificate(model, regions[k], method, cap, memo)
+                certs[k] = _certificate(model, regions[k], method, cap, memo, final_cert)
                 bounds[k] = certs[k].bound
             except (MeanFieldDivergence, EnumerationCapError):
                 bounds[k] = math.inf

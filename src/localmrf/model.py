@@ -5,10 +5,12 @@ A model is a pairwise binary MRF over spins x_i in {-1, +1}:
     p(x) proportional to exp( sum_{(i,j) in E} J_ij x_i x_j + sum_i h_i x_i )
 
 `Region` splits the nodes into a small set alpha around a query node and the
-rest (beta). `localize` replaces the global model with a model on alpha only,
-either by deleting the alpha-beta edges outright (DROP_OUT) or by additionally
-folding a mean-field estimate of the boundary spins into the fields of alpha's
-boundary nodes (MEAN_FIELD).
+rest (beta); `Region.grow` adds one node, and `make_region` is that growth from
+the empty region. `localize` replaces the global model with a model on alpha
+only, either by deleting the alpha-beta edges outright (DROP_OUT) or by
+additionally folding a mean-field estimate of the boundary spins into the
+fields of alpha's boundary nodes (MEAN_FIELD). It computes the fields; the
+alpha-only `IsingModel` is built when it is first read.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
 
@@ -273,8 +276,29 @@ class Region:
     boundary_beta: tuple[int, ...]
     cross_edges: tuple[tuple[int, int, float], ...]
 
+    def grow(self, model: IsingModel, k: int) -> "Region":
+        """The region of alpha + (k,), k not in alpha.
+
+        The cross edges that end at k go inside, k's edges to nodes outside the
+        new alpha are appended in ascending neighbour id, and both boundaries
+        are the sorted endpoint sets of the cross edges, so the result equals a
+        region built from alpha + (k,) at once. k is not validated.
+        """
+        alpha = self.alpha + (k,)
+        inside = set(alpha)
+        cross = [e for e in self.cross_edges if e[1] != k]
+        cross += [(k, v, model.coupling(k, v)) for v in model.adjacency[k] if v not in inside]
+        return Region(
+            query=self.query,
+            alpha=alpha,
+            boundary_alpha=tuple(sorted({j for j, _, _ in cross})),
+            boundary_beta=tuple(sorted({v for _, v, _ in cross})),
+            cross_edges=tuple(cross),
+        )
+
 
 def make_region(model: IsingModel, alpha: Sequence[int], query: int) -> Region:
+    """Validate alpha and the query, then grow the empty region node by node."""
     alpha_t = tuple(int(a) for a in alpha)
     alpha_set = set(alpha_t)
     if len(alpha_set) != len(alpha_t):
@@ -284,35 +308,40 @@ def make_region(model: IsingModel, alpha: Sequence[int], query: int) -> Region:
     for a in alpha_t:
         if not (0 <= a < model.n):
             raise RegionError(f"alpha node {a} out of range")
-    b_alpha: list[int] = []
-    b_beta: set[int] = set()
-    cross: list[tuple[int, int, float]] = []
-    for j in alpha_t:
-        outside = [k for k in model.adjacency[j] if k not in alpha_set]
-        if outside:
-            b_alpha.append(j)
-            for k in outside:
-                b_beta.add(k)
-                cross.append((j, k, model.coupling(j, k)))
-    return Region(
-        query=int(query),
-        alpha=alpha_t,
-        boundary_alpha=tuple(sorted(b_alpha)),
-        boundary_beta=tuple(sorted(b_beta)),
-        cross_edges=tuple(cross),
+    region = Region(
+        query=int(query), alpha=(), boundary_alpha=(), boundary_beta=(), cross_edges=()
     )
+    for a in alpha_t:
+        region = region.grow(model, a)
+    return region
 
 
 @dataclass(frozen=True, eq=False)
 class LocalizedModel:
     """A model on alpha only, indices following the alpha order.
 
-    submodel node i corresponds to global node alpha[i]. Cross edges are gone;
-    submodel.h holds the (possibly compensated) fields.
+    Node i is global node alpha[i] and h[i] its (possibly compensated) field;
+    cross edges are gone. The alpha-only IsingModel, submodel, is built from
+    the global `model` the first time something reads it, so a localization
+    that is only certified, never solved, builds none. Do not mutate h.
     """
 
     alpha: tuple[int, ...]
-    submodel: IsingModel
+    h: np.ndarray
+    model: IsingModel
+
+    @cached_property
+    def submodel(self) -> IsingModel:
+        """alpha-internal edges in alpha order, then ascending neighbour id."""
+        index = {g: i for i, g in enumerate(self.alpha)}
+        adjacency, coupling = self.model.adjacency, self.model.coupling
+        edges = [
+            (index[gi], index[gj], coupling(gi, gj))
+            for gi in self.alpha
+            for gj in adjacency[gi]
+            if gj in index and gi < gj
+        ]
+        return build_model(edges, self.h)
 
     def index_of(self, node: int) -> int:
         return self.alpha.index(node)
@@ -323,7 +352,7 @@ def localize(
     region: Region,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
 ) -> LocalizedModel:
-    """Build the alpha-only model for a region.
+    """Localize a region: alpha and its fields (the submodel is built lazily).
 
     DROP_OUT deletes cross edges and keeps fields. MEAN_FIELD additionally adds
     sum_k J_jk m_k to each boundary node j, with m the boundary mean-field
@@ -331,14 +360,9 @@ def localize(
 
     Raises:
         MeanFieldDivergence: the boundary solve missed its tolerance.
+        ModelError: a compensated field is not finite.
     """
-    index = {g: i for i, g in enumerate(region.alpha)}
-    edges: list[tuple[int, int, float]] = []
-    for gi in region.alpha:
-        for gj in model.adjacency[gi]:
-            if gj in index and gi < gj:
-                edges.append((index[gi], index[gj], model.coupling(gi, gj)))
-    h_tilde = np.array([model.h[g] for g in region.alpha], dtype=np.float64)
+    h_tilde = model.h[list(region.alpha)]
     if method is BoundaryMethod.MEAN_FIELD:
         from .meanfield import boundary_mean_field
 
@@ -348,7 +372,10 @@ def localize(
                 f"boundary mean field stalled at residual {state.residual:.3e}",
                 residual=state.residual,
             )
+        index = {g: i for i, g in enumerate(region.alpha)}
         for j, k, jv in region.cross_edges:
             h_tilde[index[j]] += jv * means[k]
-    sub = build_model(edges, h_tilde)
-    return LocalizedModel(alpha=region.alpha, submodel=sub)
+        if not np.all(np.isfinite(h_tilde)):
+            bad = int(np.flatnonzero(~np.isfinite(h_tilde))[0])
+            raise ModelError(f"non-finite field h[{bad}]={h_tilde[bad]}")
+    return LocalizedModel(alpha=region.alpha, h=h_tilde, model=model)

@@ -366,6 +366,20 @@ class TestInfluenceMatrix:
         assume(abs(actual - 1.0) >= 1e-9)
         assert influence_matrix(c)[1] == (actual < 1.0)
 
+    @given(st.integers(1, 16), st.integers(0, 10**6), st.floats(0.5, 3.0))
+    def test_inverse_bits_equal_solve_against_identity(self, n, seed, scale):
+        # the solve influence_matrix ran before np.linalg.inv, kept as the
+        # reference: both are one LAPACK gesv against I
+        rng = np.random.Generator(np.random.Philox(seed))
+        c = rng.uniform(0, scale / n, size=(n, n)) * (rng.random((n, n)) < 0.5)
+        np.fill_diagonal(c, 0.0)
+        try:
+            want = np.linalg.solve(np.eye(n) - c, np.eye(n))
+        except np.linalg.LinAlgError:
+            assert not influence_matrix(c)[1]
+            return
+        assert influence_matrix(c)[0].tobytes() == want.tobytes()
+
     def test_matches_truncated_series(self):
         rng = np.random.Generator(np.random.Philox(3))
         c = rng.uniform(0, 0.2, size=(5, 5))
@@ -532,6 +546,18 @@ class TestCertificate:
         assert cert.bound == math.inf
         assert json.loads(cert.to_json())["bound"] is None
 
+    def test_base_must_certify_alpha_without_its_last_node(self, chain3):
+        def cert(alpha, cap=dobrushin.ENUMERATION_CAP, base=None, model=chain3):
+            region = make_region(model, alpha, 0)
+            return local_certificate(model, region, localize(model, region), cap, base=base)
+
+        base = cert([0, 1])
+        assert cert([0, 1, 2], base=base).C.tobytes() == cert([0, 1, 2]).C.tobytes()
+        other = chain_model([0.3, 0.3], [0.0] * 3)
+        for wrong in ({"alpha": [0, 2, 1]}, {"cap": 3}, {"model": other}):
+            with pytest.raises(ValueError, match="base must certify"):
+                cert(**{"alpha": [0, 1, 2], "base": base, **wrong})
+
     @given(st.integers(3, 9), st.integers(0, 10**6))
     def test_soundness_on_random_models(self, n, seed):
         model = random_connected_model(n, seed, j_scale=0.8)
@@ -566,9 +592,9 @@ class TestCertificateMemo:
         region = make_region(model, alpha, 0)
         loc = localize(model, region)
         if h_tilde0 is not None:  # a compensated hub field, as mean field gives
-            h = loc.submodel.h.copy()
+            h = loc.h.copy()
             h[loc.index_of(0)] = h_tilde0
-            loc = LocalizedModel(loc.alpha, build_model(list(loc.submodel.edges()), h))
+            loc = LocalizedModel(loc.alpha, h, model)
         return model, region, loc
 
     @pytest.mark.parametrize(
@@ -678,6 +704,14 @@ class TestDecayBound:
     def test_distance_zero_near_one(self):
         v = decay_bound(0.5, 0)
         assert 1.0 < v <= 1.0002
+
+    def test_subnormal_c_at_distance_zero(self):
+        # the per-hop decay overflows to inf, which at d = 0 must not turn
+        # the bound into nan (and so inf): no decay, the same as c = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decay_bound(1e-320, 0) == decay_bound(1e-300, 0) == pytest.approx(0.50005)
+            assert decay_bound(1e-320, 1) == 0.0
 
     def test_strictly_decreasing_in_distance(self):
         vals = [decay_bound(0.4, d) for d in range(0, 20, 2)]

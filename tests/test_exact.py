@@ -1,5 +1,6 @@
 """Exact inference: bucket elimination vs enumeration, log partition."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,22 @@ class TestMarginals:
         for node, want in enumerate(CHAIN3_P):
             assert brute_force_marginal(chain3, node) == pytest.approx(want, abs=1e-12)
             assert eliminate_marginal(chain3, node) == pytest.approx(want, abs=1e-12)
+
+    def test_extreme_fields_give_the_limit_without_warning(self):
+        # log masses 2e3 apart: exp overflows for h = -1e3 and underflows for
+        # h = +1e3, and each readout is its limit with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h, want in ((1e3, 1.0), (-1e3, 0.0)):
+                m = build_model([(0, 1, 0.5)], [h, 0.0])
+                assert eliminate_marginal(m, 0) == want
+                assert brute_force_marginal(m, 0) == want
+
+    def test_readout_keeps_its_bits_below_overflow(self):
+        # the readout as it was before the overflow became silent
+        for diff in np.linspace(-750.0, 709.0, 997):
+            want = float(1.0 / (1.0 + np.exp(diff)))
+            assert exact._p_plus(float(diff), 0.0).hex() == want.hex()
 
     def test_two_node_with_fields(self):
         m = build_model([(0, 1, 0.4)], [0.3, -0.2])

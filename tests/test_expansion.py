@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from localmrf import (
     BoundaryMethod,
+    EnumerationCapError,
     GridSpec,
     InferenceMethod,
     MeanFieldDivergence,
@@ -15,6 +16,7 @@ from localmrf import (
     brute_force_marginal,
     build_model,
     eliminate_marginal,
+    gen_citation_graph,
     gen_grid,
     graph_distance,
     greedy_expand,
@@ -26,6 +28,7 @@ from localmrf import (
     query_marginal,
     random_expand,
 )
+from localmrf.dobrushin import ENUMERATION_CAP
 from conftest import chain_model, random_connected_model, sigmoid
 
 
@@ -263,6 +266,120 @@ class TestBoundaryDivergence:
         assert first.chosen == maxnorm_expand(star, 0, K=2).final_alpha[1] == 2
         assert math.isfinite(second.bounds[second.chosen])
         assert trace.degraded and not trace.valid
+
+
+class TestCertificateExtension:
+    """Each candidate is certified by extending the certificate accepted at
+    its step; that must be bit for bit the certificate built from scratch."""
+
+    @staticmethod
+    def heavy_tailed(seed):
+        """A 60-node preferential-attachment graph plus node 60, a hub joined
+        to ENUMERATION_CAP of its nodes, with seeded couplings and fields."""
+        edges, _ = gen_citation_graph(n=60, attach=2, seed=seed)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        hub = 60
+        spokes = sorted(int(v) for v in rng.choice(hub, size=ENUMERATION_CAP, replace=False))
+        edges = list(edges) + [(v, hub) for v in spokes]
+        js = rng.uniform(-0.6, 0.6, size=len(edges))
+        h = rng.uniform(-0.5, 0.5, size=hub + 1)
+        model = build_model([(u, v, float(j)) for (u, v), j in zip(edges, js)], h)
+        return model, hub, spokes
+
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap the expansion's local_certificate: every call also builds the
+        certificate from scratch, and both outcomes are kept for the test."""
+        import localmrf.expansion as expansion
+
+        real = expansion.local_certificate
+        calls = []
+
+        def outcome(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except EnumerationCapError as exc:
+                return exc
+
+        def checked(model, region, localized, cap=ENUMERATION_CAP, *, memo=None, base=None):
+            got = outcome(model, region, localized, cap, memo=memo, base=base)
+            calls.append((base, region, got, outcome(model, region, localized, cap)))
+            if isinstance(got, Exception):
+                raise got
+            return got
+
+        monkeypatch.setattr(expansion, "local_certificate", checked)
+        return calls
+
+    @staticmethod
+    def assert_same(calls):
+        for base, region, got, want in calls:
+            assert type(got) is type(want), region.alpha
+            if isinstance(got, Exception):
+                continue
+            assert got.C.tobytes() == want.C.tobytes(), region.alpha
+            assert got.b.tobytes() == want.b.tobytes(), region.alpha
+            assert (got.bound, got.valid, got.c_local) == (want.bound, want.valid, want.c_local)
+
+    @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_candidate_equals_a_rebuild(self, monkeypatch, seed, method):
+        model, hub, spokes = self.heavy_tailed(seed)
+        calls = self.record(monkeypatch)
+        for query in (hub, spokes[-1], 0):
+            try:
+                greedy_expand(model, query, K=8, delta=-math.inf, method=method)
+            except MeanFieldDivergence:
+                pass
+        self.assert_same(calls)
+        extended = [c for c in calls if c[0] is not None]
+        assert len(extended) > len(calls) // 2
+        # the hub, at the cap, sits on the boundary of extended certificates
+        assert any(hub in region.boundary_alpha for _, region, _, _ in extended)
+
+    @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
+    def test_step_after_raised_choice_has_no_base(self, monkeypatch, method):
+        import localmrf.expansion as expansion
+
+        model, hub, spokes = self.heavy_tailed(0)
+        real = expansion.localize
+
+        def stall_third(model, region, method):
+            if len(region.alpha) == 3:  # every candidate of the second step
+                raise MeanFieldDivergence("stalled", residual=1.0)
+            return real(model, region, method)
+
+        monkeypatch.setattr(expansion, "localize", stall_third)
+        calls = self.record(monkeypatch)
+        trace = greedy_expand(model, hub, K=6, delta=-math.inf, method=method)
+        assert trace.degraded and trace.steps[1].certificate is None
+        self.assert_same(calls)
+        sizes = [(len(region.alpha), base is not None) for base, region, _, _ in calls]
+        assert (4, False) in sizes and (4, True) not in sizes  # rebuilt after the raise
+        assert (5, True) in sizes  # and extended again from there
+
+    @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
+    def test_scored_candidates_build_no_model(self, monkeypatch, method):
+        """The localized IsingModel is built when it is read, not when a
+        candidate is scored: at most one per accepted step plus one."""
+        import localmrf.model as model_module
+
+        spec = GridSpec(20, 20, I1=1.0, I2=0.25, seed=2)
+        model = gen_grid(spec)
+        built = []
+        real = model_module.build_model
+        monkeypatch.setattr(
+            model_module, "build_model", lambda *a, **kw: built.append(a) or real(*a, **kw)
+        )
+        trace = greedy_expand(model, spec.query, K=12, delta=-math.inf, method=method)
+        accepted = sum(s.chosen is not None for s in trace.steps)
+        scored = sum(len(s.bounds) for s in trace.steps)
+        assert scored > 2 * (accepted + 1)  # one build per candidate would show
+        assert len(built) <= accepted + 1
+        before = len(built)
+        sub = trace.final_certificate.localized.submodel
+        assert trace.final_certificate.localized.submodel is sub
+        assert len(built) == before + 1 and sub.n == len(trace.final_alpha)
 
 
 class TestBaselines:

@@ -182,6 +182,24 @@ class TestRegion:
         with pytest.raises(RegionError, match="out of range"):
             make_region(chain3, [0, 7], 0)
 
+    @given(st.integers(2, 14), st.integers(0, 10**6), st.integers(1, 14))
+    def test_growth_matches_direct_split(self, n, seed, size):
+        """make_region grows node by node; the reference splits alpha in one
+        pass: cross edges in alpha order, then ascending neighbour id."""
+        m = random_connected_model(n, seed)
+        rng = np.random.Generator(np.random.Philox(seed))
+        alpha = tuple(int(a) for a in rng.permutation(n)[: min(size, n)])
+        inside = set(alpha)
+        cross = tuple(
+            (j, k, m.coupling(j, k)) for j in alpha for k in m.adjacency[j] if k not in inside
+        )
+        r = make_region(m, alpha, alpha[0])
+        assert (r.query, r.alpha, r.cross_edges) == (alpha[0], alpha, cross)
+        assert r.boundary_alpha == tuple(sorted({j for j, _, _ in cross}))
+        assert r.boundary_beta == tuple(sorted({k for _, k, _ in cross}))
+        if len(alpha) > 1:
+            assert make_region(m, alpha[:-1], alpha[0]).grow(m, alpha[-1]) == r
+
 
 class TestLocalize:
     def test_dropout_keeps_fields(self, chain3):
@@ -216,6 +234,14 @@ class TestLocalize:
             localize(chain3_mf, r, BoundaryMethod.MEAN_FIELD)
         assert exc.value.residual > 1e-30
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_meanfield_non_finite_field_named(self):
+        # a near-max field plus a near-max cross coupling: the compensated
+        # field of node 0 overflows, and localize says so
+        m = build_model([(0, 1, 1e308)], [1.7e308, 1.0])
+        with pytest.raises(ModelError, match=r"non-finite field h\[0\]=inf"):
+            localize(m, make_region(m, [0], 0), BoundaryMethod.MEAN_FIELD)
+
     def test_dropout_equals_edge_deleted_global(self):
         m = random_connected_model(9, 11, j_scale=0.6)
         r = make_region(m, [0, 1, 2, 3], 2)
@@ -249,6 +275,32 @@ class TestLocalize:
         assert loc.alpha == loc2.alpha
         assert loc.submodel.h.tolist() == loc2.submodel.h.tolist()
         assert list(loc.submodel.edges()) == list(loc2.submodel.edges())
+
+    @pytest.mark.parametrize("method", [BoundaryMethod.DROP_OUT, BoundaryMethod.MEAN_FIELD])
+    def test_submodel_built_on_first_read(self, method, monkeypatch):
+        from localmrf import model as model_module
+
+        m = random_connected_model(10, 3, j_scale=0.4)
+        r = make_region(m, [4, 0, 7, 2], 4)
+        built = []
+        real = model_module.build_model
+        monkeypatch.setattr(
+            model_module, "build_model", lambda *a, **kw: built.append(a) or real(*a, **kw)
+        )
+        loc = localize(m, r, method)
+        assert built == []
+        sub = loc.submodel
+        assert loc.submodel is sub and len(built) == 1
+        index = {g: i for i, g in enumerate(r.alpha)}
+        # alpha-internal edges in alpha order, then ascending neighbour id
+        want = [
+            (index[u], index[v], m.coupling(u, v))
+            for u in r.alpha
+            for v in m.adjacency[u]
+            if v in index and u < v
+        ]
+        assert built[0][0] == want
+        assert sub.h.tobytes() == loc.h.tobytes() and sub.h is not loc.h
 
     def test_single_node_region_marginal_is_logistic(self):
         m = chain_model([0.4], [0.5, -0.3])

@@ -1,4 +1,4 @@
-"""Pinned answers: greedy traces and final certificates on a seeded grid set.
+"""Pinned answers: greedy traces and final certificates on seeded model sets.
 
 A change that must leave answers alone keeps these digests. A change that
 declares new answers updates the pins and records the old and new values in
@@ -7,32 +7,75 @@ CHANGES.md.
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from localmrf import BoundaryMethod, GridSpec, gen_grid, greedy_expand
+from localmrf import (
+    BoundaryMethod,
+    GridSpec,
+    build_model,
+    gen_citation_graph,
+    gen_grid,
+    greedy_expand,
+)
 
 PINNED = {
     BoundaryMethod.DROP_OUT: "fc74cad80c71eba2eed0f08e36a7b1c002ce33d6f9a909506fe6706dfca64d94",
     BoundaryMethod.MEAN_FIELD: "88291a7fb8ecefb4a52a475d8703fd0b2559d8b5572efc9c3935fce9b3698298",
 }
+PINNED_CITATION = {
+    BoundaryMethod.DROP_OUT: "17cc96ccf93ec7f34874da14a2e86feecf487f179ee09d085b9f7d7c6c444ffd",
+    BoundaryMethod.MEAN_FIELD: "4db1841ea4820bfd44e801178281b442ca62d764b6273136209e1282ddffc15b",
+}
+# Hub 13 (degree 24, one under ENUMERATION_CAP) as the query; hubs 2 and 1
+# (degrees 23 and 16) join the regions of 62 and 299; 150 stays among leaves.
+CITATION_QUERIES = (13, 62, 150, 299)
+
+
+def _digest(cases, method: BoundaryMethod) -> str:
+    """sha256 over to_jsonl() + final_certificate.to_json() of greedy traces
+    to K=12 for each (model, query) case, with the default delta and with
+    delta=-inf."""
+    digest = hashlib.sha256()
+    for model, query in cases:
+        for delta in (0.005, -math.inf):
+            trace = greedy_expand(model, query, K=12, delta=delta, method=method)
+            digest.update(trace.to_jsonl().encode())
+            digest.update(trace.final_certificate.to_json().encode())
+    return digest.hexdigest()
 
 
 def answers_digest(method: BoundaryMethod) -> str:
-    """sha256 over to_jsonl() + final_certificate.to_json() of greedy traces
-    on four 8x8 grids, at the centre and at a corner, with the default delta
-    and with delta=-inf."""
-    digest = hashlib.sha256()
+    """Four 8x8 grids, at the centre and at a corner."""
+    cases = []
     for seed in range(4):
         spec = GridSpec(8, 8, I1=1.0, I2=0.25, seed=seed)
         model = gen_grid(spec)
-        for query in (spec.query, 0):
-            for delta in (0.005, -math.inf):
-                trace = greedy_expand(model, query, K=12, delta=delta, method=method)
-                digest.update(trace.to_jsonl().encode())
-                digest.update(trace.final_certificate.to_json().encode())
-    return digest.hexdigest()
+        cases += [(model, spec.query), (model, 0)]
+    return _digest(cases, method)
+
+
+def citation_model():
+    """gen_citation_graph(n=300, attach=2, seed=0) with seeded couplings
+    uniform in [-0.5, 0.5] and fields 0.3 * label + N(0, 0.5^2)."""
+    edges, labels = gen_citation_graph(n=300, attach=2, seed=0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+    js = rng.uniform(-0.5, 0.5, size=len(edges))
+    h = 0.3 * labels + rng.normal(0.0, 0.5, size=labels.size)
+    return build_model([(u, v, float(j)) for (u, v), j in zip(edges, js)], h)
+
+
+def citation_digest(method: BoundaryMethod) -> str:
+    """The heavy-tailed citation model at CITATION_QUERIES."""
+    model = citation_model()
+    return _digest([(model, q) for q in CITATION_QUERIES], method)
 
 
 @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
 def test_greedy_answers_match_pin(method):
     assert answers_digest(method) == PINNED[method]
+
+
+@pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
+def test_citation_answers_match_pin(method):
+    assert citation_digest(method) == PINNED_CITATION[method]
