@@ -15,9 +15,7 @@ from .dobrushin import (
     decay_radius,
     dobrushin_coefficient,
     influence_matrix,
-    interaction_matrix,
     local_certificate,
-    perturbation_vector,
     spectral_radius,
 )
 from .exact import (

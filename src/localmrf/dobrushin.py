@@ -35,12 +35,15 @@ Beyond, it meets in the middle over two halves (Horowitz & Sahni 1974), in
 O(k 2^(k/2)) time and O(2^(k/2)) memory, so a search at ENUMERATION_CAP
 (k <= 25) holds two arrays of at most 8,192 sums instead of 2^25.
 
-Row i of C reads only node i's localized field and its couplings inside
-alpha, and b_j only j's fields, couplings and cross sum. So the certificate
-of alpha + (k,) extends the certificate of alpha (local_certificate's base):
-with k last in local order, only the rows and entries of k, of k's alpha
-neighbours and of nodes whose compensated field moved are recomputed, and
-every other one is copied.
+local_certificate is the one place C and b are assembled, in local order;
+dobrushin_coefficient reads the rows of C for a whole model, in global order.
+Both look rows up through _memo_row, so they read the same bits. Row i of C
+reads only node i's localized field and its couplings inside alpha, and b_j
+only j's fields, couplings and cross sum. So the certificate of alpha + (k,)
+extends the certificate of alpha (local_certificate's base): with k last in
+local order, only the rows and entries of k, of k's alpha neighbours and of
+nodes whose compensated field moved are recomputed, and every other one is
+copied.
 """
 from __future__ import annotations
 
@@ -136,11 +139,6 @@ def _min_abs_offset_sum(values: list[float], offset: float) -> float:
     return min(abs(offset + s) for s in _nearest_sums(values, (-offset,)))
 
 
-def _row_inputs(model: IsingModel, i: int) -> tuple[float, tuple[float, ...]]:
-    """(h_i, i's couplings in adjacency order): all that row i of C reads."""
-    return float(model.h[i]), tuple(model.coupling(i, j) for j in model.adjacency[i])
-
-
 def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
     """Row of C, in adjacency order, for a node with field h and couplings js."""
     row = []
@@ -170,34 +168,19 @@ def _memo_row(h: float, js: tuple[float, ...], cap: int, memo: dict, node: int) 
     return row
 
 
-def interaction_matrix(
-    model: IsingModel, cap: int = ENUMERATION_CAP, *, memo: dict | None = None
-) -> np.ndarray:
-    """Dense C for a (small) model; rows are conditioned nodes.
-
-    Row i is a pure function of h_i and of i's couplings in adjacency order,
-    so it is looked up in memo under exactly those floats and computed only
-    on a miss; a cached row is bit-identical to a fresh one. The cap check
-    runs before the lookup, so a row over the cap raises whatever memo holds.
-    """
-    memo = {} if memo is None else memo
-    n = model.n
-    c = np.zeros((n, n))
-    for i in range(n):
-        row = _memo_row(*_row_inputs(model, i), cap, memo, i)
-        for j, entry in zip(model.adjacency[i], row):
-            c[i, j] = entry
-    return c
-
-
 def dobrushin_coefficient(model: IsingModel, cap: int = ENUMERATION_CAP) -> tuple[float, int]:
-    """(c, argmax node) where c = max_i sum_j C_ij, ties to the lowest id."""
+    """(c, argmax node) where c = max_i sum_j C_ij, ties to the lowest id.
+
+    Row i of C reads h_i and i's couplings in adjacency order, so nodes with
+    equal inputs share one row through the memo.
+    """
     best = 0.0
     best_node = 0
     memo: dict = {}
-    for i in range(model.n):
+    for i, nbrs in enumerate(model.adjacency):
+        js = tuple(model.coupling(i, j) for j in nbrs)
         row = 0.0
-        for entry in _memo_row(*_row_inputs(model, i), cap, memo, i):
+        for entry in _memo_row(float(model.h[i]), js, cap, memo, i):
             row += entry
         if row > best:
             best, best_node = row, i
@@ -205,7 +188,13 @@ def dobrushin_coefficient(model: IsingModel, cap: int = ENUMERATION_CAP) -> tupl
 
 
 def spectral_radius(c: np.ndarray) -> float:
-    """rho(C) from the eigenvalues; 0.0 for an empty C. Not used for validity."""
+    """rho(C) from the eigenvalues; 0.0 for an empty C.
+
+    Not used for validity: influence_matrix decides rho(C) < 1 from its own
+    solve. It is kept as the eigenvalue oracle that the influence_matrix
+    tests check validity against, and as a layer name the benchmark's tracer
+    test deletes to show that a missing layer is listed absent.
+    """
     return float(np.max(np.abs(np.linalg.eigvals(c)))) if c.size else 0.0
 
 
@@ -252,6 +241,16 @@ def _memo_entry(
     """b_j for boundary node j of the alpha indexed by `index`, whose
     localized field is h_tilde, looked up in memo under every float it reads.
 
+    The localized conditional at j uses h_tilde and j's alpha neighbours only;
+    the full model's also sums j's outside neighbours. An interior node has no
+    outside neighbour, so both conditionals agree and its b entry is exactly
+    zero. At a boundary node the full conditional is monotone in the outside
+    cross sum, so the gap's sup over outside assignments is attained at the
+    extreme cross sums +-t (every outside spin aligned with, or against, its
+    coupling), and only the alpha-side sums are searched. So b_j is a pure
+    function of h_tilde, h_j, the in-alpha couplings in global adjacency
+    order and t.
+
     Raises EnumerationCapError, before the lookup, when j's degree is over cap.
     """
     if model.degree(j) > cap:
@@ -266,37 +265,6 @@ def _memo_entry(
     if entry is None:
         entry = memo[key] = _perturbation_entry(h_tilde, h, alpha_js, t)
     return entry
-
-
-def perturbation_vector(
-    model: IsingModel,
-    localized: LocalizedModel,
-    region: Region,
-    cap: int = ENUMERATION_CAP,
-    *,
-    memo: dict | None = None,
-) -> np.ndarray:
-    """Worst-case conditional gaps b, aligned with the alpha order.
-
-    Interior alpha nodes see identical conditionals in both models, so their
-    entries are exactly zero. For a boundary node j the localized conditional
-    uses the compensated field and alpha neighbours only, while the full
-    model's also sums the outside neighbours; the sup over outside assignments
-    is attained at the extreme cross sums, so only alpha-side assignments are
-    enumerated.
-
-    b_j is a pure function of the compensated field, the global field, the
-    in-alpha couplings in global adjacency order and the cross sum t, so it
-    is looked up in memo under exactly those floats and computed only on a
-    miss. The cap check runs before the lookup.
-    """
-    memo = {} if memo is None else memo
-    index = {g: i for i, g in enumerate(region.alpha)}
-    b = np.zeros(len(region.alpha))
-    for j in region.boundary_alpha:
-        li = index[j]
-        b[li] = _memo_entry(model, index, float(localized.h[li]), j, cap, memo)
-    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,22 +307,25 @@ def local_certificate(
 ) -> DobrushinCertificate:
     """Certificate for the query marginal of a localized model.
 
-    C is the interaction matrix of the localized model (compensated fields,
-    alpha-internal edges only), row i in local adjacency order; b compares
-    the two conditionals at the alpha boundary, as perturbation_vector does;
-    the bound is row `query` of D against b. A solve that fails
-    influence_matrix's validity test yields valid=False and bound=+inf. Both
-    are read off the global model and localized.h, so the submodel is not
-    built.
+    This is the one place C and b are assembled. C is the interaction matrix
+    of the localized model (compensated fields, alpha-internal edges only),
+    row i in local adjacency order; b compares the two conditionals at the
+    alpha boundary (see _memo_entry), zero inside; the bound is row `query`
+    of D against b. A solve that fails influence_matrix's validity test
+    yields valid=False and bound=+inf. Both are read off the global model and
+    localized.h, so the submodel is not built. For a region over range(n)
+    with DROP_OUT, local order is global order and there is no boundary, so C
+    is the whole model's interaction matrix.
 
     base, the certificate of region.alpha[:-1] of the same model under the
-    same cap, extends instead of rebuilding: with k = alpha[-1] appended last in local order,
-    only the rows of C and the entries of b of k, of k's alpha neighbours and
-    of nodes whose localized field differs from base's (mean field moves
-    them) can change. Those are recomputed and every other row and entry is
-    copied from base. base=None computes every row and entry. memo holds the
-    rows of C and the entries of b computed so far, such as for one
-    expansion's earlier candidates, each keyed on every input it reads.
+    same cap, extends instead of rebuilding: with k = alpha[-1] appended last
+    in local order, only the rows of C and the entries of b of k, of k's
+    alpha neighbours and of nodes whose localized field differs from base's
+    (mean field moves them) can change. Those are recomputed and every other
+    row and entry is copied from base. base=None computes every row and
+    entry. memo holds the rows of C and the entries of b computed so far,
+    such as for one expansion's earlier candidates, each keyed on every input
+    it reads.
     Neither base nor memo changes a bit of the result.
 
     Raises:
@@ -384,7 +355,7 @@ def local_certificate(
         g = alpha[i]
         nbrs = sorted(index[x] for x in model.adjacency[g] if x in index)
         js = tuple(model.coupling(g, alpha[l]) for l in nbrs)
-        for l, entry in zip(nbrs, _memo_row(float(h_tilde[i]), js, cap, memo, i)):
+        for l, entry in zip(nbrs, _memo_row(float(h_tilde[i]), js, cap, memo, g)):
             c[i, l] = entry
     # a node that left the boundary had k as its last outside neighbour
     boundary = set(region.boundary_alpha)

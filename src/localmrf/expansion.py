@@ -117,13 +117,19 @@ def _certificate(
 
 
 def _maxnorm_choice(model: IsingModel, alpha: list[int], candidates: tuple[int, ...]) -> int:
-    """argmax over candidates of sum over alpha neighbours of J^2, ties low id."""
+    """argmax over candidates of sum over alpha neighbours of J^2, ties low id.
+
+    A square that overflows (|J| above about 1.3e154) scores the candidate
+    +inf. `**` raises there where `x * x` would give inf, but the two round
+    differently for some x, so `**` is kept for every other score.
+    """
     inside = set(alpha)
     best, best_score = candidates[0], -1.0
     for k in candidates:
-        score = sum(
-            model.coupling(k, j) ** 2 for j in model.adjacency[k] if j in inside
-        )
+        try:
+            score = sum(model.coupling(k, j) ** 2 for j in model.adjacency[k] if j in inside)
+        except OverflowError:
+            score = math.inf
         if score > best_score:
             best, best_score = k, score
     return best

@@ -131,8 +131,9 @@ def build_model(edges: Iterable[tuple[int, int, float]], fields: Sequence[float]
         fields: per-node field h, its length fixes n.
 
     Raises:
-        ModelError: self loop, duplicate edge, out-of-range id or non-finite value,
-            naming the offending entry.
+        ModelError: self loop, duplicate edge, out-of-range id, non-finite
+            value, or a node whose sum of |J| is not finite, naming the
+            offending entry or the lowest such node.
     """
     h = np.asarray(list(fields), dtype=np.float64)
     n = h.shape[0]
@@ -141,6 +142,7 @@ def build_model(edges: Iterable[tuple[int, int, float]], fields: Sequence[float]
         raise ModelError(f"non-finite field h[{bad}]={h[bad]}")
     coupling: dict[tuple[int, int], float] = {}
     nbrs: list[list[int]] = [[] for _ in range(n)]
+    mass = [0.0] * n  # per node: sum of |J|
     for entry in edges:
         u, v, j = entry
         if not (0 <= u < n and 0 <= v < n):
@@ -152,9 +154,13 @@ def build_model(edges: Iterable[tuple[int, int, float]], fields: Sequence[float]
         key = _canonical_edge(u, v)
         if key in coupling:
             raise ModelError(f"duplicate edge ({u}, {v})")
-        coupling[key] = float(j)
+        coupling[key] = j = float(j)
         nbrs[u].append(v)
         nbrs[v].append(u)
+        mass[u] += abs(j)
+        mass[v] += abs(j)
+    if math.inf in mass:
+        raise ModelError(f"sum of |J| at node {mass.index(math.inf)} is not finite")
     adjacency = tuple(tuple(sorted(lst)) for lst in nbrs)
     return IsingModel(n=n, adjacency=adjacency, J=coupling, h=h)
 

@@ -1,4 +1,5 @@
-"""Interaction matrix, influence series, perturbation vector, decay bounds."""
+"""Interaction matrix C and perturbation vector b (both read through
+local_certificate), the influence series, certificates and decay bounds."""
 import math
 import time
 import tracemalloc
@@ -23,11 +24,9 @@ from localmrf import (
     dobrushin_coefficient,
     eliminate_marginal,
     influence_matrix,
-    interaction_matrix,
     local_certificate,
     localize,
     make_region,
-    perturbation_vector,
     spectral_radius,
 )
 from localmrf import dobrushin
@@ -62,13 +61,25 @@ class TestConditionalGap:
         assert conditional_gap(m + dm, j) <= conditional_gap(m, j) + 1e-15
 
 
+def whole_model_c(model, cap=dobrushin.ENUMERATION_CAP):
+    """The whole model's C: a region over range(n) with DROP_OUT has no
+    boundary, and its local order is the global order."""
+    region = make_region(model, range(model.n), 0)
+    return local_certificate(model, region, localize(model, region), cap).C
+
+
+def certificate_b(model, localized, region, cap=dobrushin.ENUMERATION_CAP):
+    """b of the certificate of `localized`, aligned with region.alpha."""
+    return local_certificate(model, region, localized, cap).b
+
+
 class TestInteractionMatrix:
     def test_non_adjacent_zero(self, chain3):
-        assert interaction_matrix(chain3)[0, 2] == 0.0
+        assert whole_model_c(chain3)[0, 2] == 0.0
 
     def test_single_edge_rows(self):
         m = build_model([(0, 1, 0.25)], [0.0, 0.0])
-        c = interaction_matrix(m)
+        c = whole_model_c(m)
         want = math.tanh(0.25)
         np.testing.assert_allclose(c, [[0.0, want], [want, 0.0]], atol=1e-15)
         coeff, node = dobrushin_coefficient(m)
@@ -78,12 +89,12 @@ class TestInteractionMatrix:
     def test_field_offset_reduces_entry(self):
         m = build_model([(0, 1, 0.25)], [0.5, 0.0])
         # M* = 2 h_0 = 1.0
-        assert interaction_matrix(m)[0, 1] == pytest.approx(0.19511514499178906, abs=1e-15)
+        assert whole_model_c(m)[0, 1] == pytest.approx(0.19511514499178906, abs=1e-15)
 
     def test_signed_neighbor_sum_offset(self):
         # entry(0,1): other neighbour contributes 2*0.4, field 2*0.1 -> M* = 0.6
         m = build_model([(0, 1, 0.25), (0, 2, 0.4)], [0.1, 0.0, 0.0])
-        assert interaction_matrix(m)[0, 1] == pytest.approx(0.2252809181161778, abs=1e-15)
+        assert whole_model_c(m)[0, 1] == pytest.approx(0.2252809181161778, abs=1e-15)
 
     def test_edgeless_coefficient(self):
         m = build_model([], [0.3, -0.2])
@@ -92,16 +103,34 @@ class TestInteractionMatrix:
     def test_enumeration_cap(self):
         star = build_model([(0, k, 0.2) for k in range(1, 6)], [0.0] * 6)
         with pytest.raises(EnumerationCapError, match="cap is 3"):
-            interaction_matrix(star, cap=3)
+            whole_model_c(star, cap=3)
 
     @given(st.integers(2, 9), st.integers(0, 10**6))
     def test_entries_bounded_by_tanh(self, n, seed):
         m = random_connected_model(n, seed, j_scale=1.5)
-        c = interaction_matrix(m)
+        c = whole_model_c(m)
         assert np.all(c >= 0.0)
         for u, v, j in m.edges():
             cap = math.tanh(abs(j)) + 1e-12
             assert c[u, v] <= cap and c[v, u] <= cap
+
+    @given(st.integers(0, 10**6), st.integers(dobrushin.SCALAR_MAX_K + 2, 14))
+    def test_coefficient_reads_the_certificate_rows(self, seed, hub_degree):
+        # hub 14 has more than SCALAR_MAX_K other couplings per entry, so its
+        # row is searched in halves; every other row, of degree at most 5, is
+        # listed in full
+        tree = random_connected_model(14, seed, max_degree=4, j_scale=0.6)
+        rng = np.random.Generator(np.random.Philox(seed))
+        leaves = rng.choice(14, size=hub_degree, replace=False)
+        js = rng.uniform(-0.6, 0.6, size=hub_degree)
+        spokes = [(14, int(k), float(j)) for k, j in zip(leaves, js)]
+        m = build_model(list(tree.edges()) + spokes, np.append(tree.h, rng.uniform(-1, 1)))
+        coeff, node = dobrushin_coefficient(m)
+        c = whole_model_c(m)
+        assert coeff == pytest.approx(c.sum(axis=1).max(), abs=1e-12)
+        # added left to right, as dobrushin_coefficient adds a row
+        row_sums = np.cumsum(c, axis=1)[:, -1]
+        assert node == int(np.argmax(row_sums))  # the lowest id at the max
 
     def test_grid_coefficient_below_one(self):
         from localmrf import GridSpec, gen_grid
@@ -425,14 +454,14 @@ class TestPerturbationVector:
         m = chain_model([0.3, 0.3, 0.3], [0.0] * 4)
         region = make_region(m, [0, 1, 2], 0)
         loc = localize(m, region, BoundaryMethod.DROP_OUT)
-        b = perturbation_vector(m, loc, region)
+        b = certificate_b(m, loc, region)
         assert b[0] == 0.0 and b[1] == 0.0
         assert b[2] > 0.0
 
     def test_full_alpha_all_zero(self, chain3):
         region = make_region(chain3, [0, 1, 2], 0)
         loc = localize(chain3, region, BoundaryMethod.DROP_OUT)
-        assert np.array_equal(perturbation_vector(chain3, loc, region), np.zeros(3))
+        assert np.array_equal(certificate_b(chain3, loc, region), np.zeros(3))
 
     @pytest.mark.parametrize(
         "j,want",
@@ -442,22 +471,22 @@ class TestPerturbationVector:
         m = build_model([(0, 1, j)], [0.0, 0.0])
         region = make_region(m, [0], 0)
         loc = localize(m, region, BoundaryMethod.DROP_OUT)
-        b = perturbation_vector(m, loc, region)
+        b = certificate_b(m, loc, region)
         assert b[0] == pytest.approx(want, abs=1e-15)
 
     def test_alignment_follows_alpha_order(self):
         m = chain_model([0.3, 0.5], [0.0, 0.0, 0.0])
         region = make_region(m, [1, 0], 1)  # node 1 first in alpha
         loc = localize(m, region, BoundaryMethod.DROP_OUT)
-        b = perturbation_vector(m, loc, region)
+        b = certificate_b(m, loc, region)
         assert b[0] > 0.0 and b[1] == 0.0
 
     def test_meanfield_shift_on_chain(self, chain3_mf):
         region = make_region(chain3_mf, [0, 1], 0)
-        b_drop = perturbation_vector(
+        b_drop = certificate_b(
             chain3_mf, localize(chain3_mf, region, BoundaryMethod.DROP_OUT), region
         )
-        b_mf = perturbation_vector(
+        b_mf = certificate_b(
             chain3_mf, localize(chain3_mf, region, BoundaryMethod.MEAN_FIELD), region
         )
         m2 = 0.8327154235150449
@@ -486,7 +515,7 @@ class TestPerturbationVector:
         alpha = [0] + [v for v in range(1, n) if v % 2 == 0]
         region = make_region(m, alpha, 0)
         loc = localize(m, region, BoundaryMethod.DROP_OUT)
-        b = perturbation_vector(m, loc, region)
+        b = certificate_b(m, loc, region)
         assert np.all(b >= 0.0) and np.all(b <= 1.0)
 
     def test_cap_enforced(self):
@@ -494,7 +523,7 @@ class TestPerturbationVector:
         region = make_region(star, [0], 0)
         loc = localize(star, region, BoundaryMethod.DROP_OUT)
         with pytest.raises(EnumerationCapError, match="cap is 4"):
-            perturbation_vector(star, loc, region, cap=4)
+            certificate_b(star, loc, region, cap=4)
 
 
 class TestCertificate:
@@ -545,6 +574,13 @@ class TestCertificate:
         assert not cert.valid
         assert cert.bound == math.inf
         assert json.loads(cert.to_json())["bound"] is None
+
+    def test_cap_error_names_the_global_node(self):
+        # hub 0 is last in alpha, so its local index is 3
+        star = build_model([(0, 1, 0.4), (0, 2, 0.2), (0, 3, 0.3)], [0.1, -0.2, 0.3, 0.0])
+        region = make_region(star, [1, 2, 3, 0], 1)
+        with pytest.raises(EnumerationCapError, match="node 0 has 3 neighbours"):
+            local_certificate(star, region, localize(star, region), cap=1)
 
     def test_base_must_certify_alpha_without_its_last_node(self, chain3):
         def cert(alpha, cap=dobrushin.ENUMERATION_CAP, base=None, model=chain3):

@@ -12,6 +12,7 @@ from localmrf import (
     GridSpec,
     InferenceMethod,
     MeanFieldDivergence,
+    ModelError,
     StopReason,
     brute_force_marginal,
     build_model,
@@ -422,6 +423,29 @@ class TestBaselines:
         assert last.bounds == {3: math.inf}
         assert math.isfinite(before.best_bound)
         assert last.best_bound == before.best_bound
+
+    def test_huge_couplings_give_a_trace_or_a_model_error(self):
+        def edges(j):
+            return [(0, 1, j), (1, 2, j), (0, 2, 0.1), (2, 3, j)]
+
+        # at 1e308 node 1's sum of |J| overflows, so the build refuses the model
+        with pytest.raises(ModelError, match="node 1 is not finite"):
+            build_model(edges(1e308), [0.0] * 4)
+        # at 1e200 every sum is finite, but a certificate holding a strong edge
+        # is invalid, and a maxnorm pick squares 1e200 past the float range
+        model = build_model(edges(1e200), [0.0] * 4)
+        expansions = [
+            lambda: greedy_expand(model, 0, K=3),
+            lambda: greedy_expand(model, 0, K=3, method=BoundaryMethod.MEAN_FIELD),
+            lambda: maxnorm_expand(model, 0, K=3),
+            lambda: random_expand(model, 0, K=3),
+        ]
+        for expand in expansions:
+            try:
+                trace = expand()
+            except ModelError:
+                continue
+            assert trace.valid or trace.final_certificate.bound == math.inf
 
     def test_baseline_validation(self, chain3):
         with pytest.raises(ValueError):
