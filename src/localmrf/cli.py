@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .dobrushin import ENUMERATION_CAP, decay_radius, dobrushin_coefficient
+from .dobrushin import decay_radius, dobrushin_coefficient
 from .expansion import InferenceMethod, greedy_expand, query_marginal
 from .experiments import (
     COMPARISON_METHODS,
@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-dobrushin", help="coefficient c and its argmax node")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     common(sp)
 
     sp = sub.add_parser("radius", help="contraction radius for a target accuracy")
@@ -112,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.005)
     sp.add_argument("--method", choices=sorted(_METHODS), default="dropout")
     sp.add_argument("--inference", choices=sorted(_INFERENCE), default="exact")
-    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     common(sp)
 
     sp = sub.add_parser("expand", help="greedy expansion trace only")
@@ -121,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.005)
     sp.add_argument("--method", choices=sorted(_METHODS), default="dropout")
-    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--out", help="write the JSONL trace here instead of stdout")
     common(sp)
 
@@ -147,7 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(COMPARISON_METHODS),
         help=f"comma list from {COMPARISON_METHODS}",
     )
-    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
     common(sp)
@@ -160,7 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.005)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
     common(sp)
@@ -182,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-queries", type=int, default=500)
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.005)
-    sp.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
     common(sp)
@@ -268,7 +262,7 @@ def _cmd_gen_citation(ns) -> int:
 
 def _cmd_check_dobrushin(ns) -> int:
     model = load_model(ns.model)
-    c, node = dobrushin_coefficient(model, cap=ns.cap)
+    c, node = dobrushin_coefficient(model)
     _emit(
         ns,
         f"c = {c:.12g} (max row at node {node}); "
@@ -297,7 +291,6 @@ def _cmd_query(ns) -> int:
         delta=ns.delta,
         method=_METHODS[ns.method],
         inference=_INFERENCE[ns.inference],
-        cap=ns.cap,
     )
     bound_txt = f"{res.bound:.12g}" if math.isfinite(res.bound) else "unavailable"
     _emit(
@@ -320,9 +313,7 @@ def _cmd_query(ns) -> int:
 
 def _cmd_expand(ns) -> int:
     model = load_model(ns.model)
-    trace = greedy_expand(
-        model, ns.node, K=ns.k, delta=ns.delta, method=_METHODS[ns.method], cap=ns.cap
-    )
+    trace = greedy_expand(model, ns.node, K=ns.k, delta=ns.delta, method=_METHODS[ns.method])
     text = trace.to_jsonl()
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="\n") as f:
@@ -370,7 +361,6 @@ def _cmd_compare(ns) -> int:
         K=ns.k,
         trials=ns.trials,
         methods=methods,
-        cap=ns.cap,
         out_dir=ns.out_dir,
         threads=ns.threads,
     )
@@ -391,7 +381,6 @@ def _cmd_i1_sweep(ns) -> int:
         K=ns.k,
         delta=ns.delta,
         trials=ns.trials,
-        cap=ns.cap,
         seed=ns.seed,
         out_dir=ns.out_dir,
         threads=ns.threads,
@@ -420,7 +409,7 @@ def _cmd_cora(ns) -> int:
         delta=ns.delta,
         spread_is_sd=not ns.spread_is_var,
     )
-    cora_pipeline(spec, i1_values=ns.i1, cap=ns.cap, out_dir=ns.out_dir, threads=ns.threads)
+    cora_pipeline(spec, i1_values=ns.i1, out_dir=ns.out_dir, threads=ns.threads)
     _emit(
         ns,
         f"wrote {os.path.join(ns.out_dir, 'cora_metrics.csv')}",

@@ -151,15 +151,16 @@ def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
     return row
 
 
-def _memo_row(h: float, js: tuple[float, ...], cap: int, memo: dict, node: int) -> list[float]:
+def _memo_row(h: float, js: tuple[float, ...], memo: dict, node: int) -> list[float]:
     """_interaction_row(h, js), looked up in memo under exactly those floats.
 
     Raises EnumerationCapError, whatever memo holds, when some nonzero entry
-    of the row would enumerate more than cap other neighbours of `node`.
+    of the row would enumerate more than ENUMERATION_CAP other neighbours of
+    `node`.
     """
-    if len(js) - 1 > cap and any(js):
+    if len(js) - 1 > ENUMERATION_CAP and any(js):
         raise EnumerationCapError(
-            f"node {node} has {len(js)} neighbours, enumeration cap is {cap}"
+            f"node {node} has {len(js)} neighbours, enumeration cap is {ENUMERATION_CAP}"
         )
     key = ("C", h, js)
     row = memo.get(key)
@@ -168,7 +169,7 @@ def _memo_row(h: float, js: tuple[float, ...], cap: int, memo: dict, node: int) 
     return row
 
 
-def dobrushin_coefficient(model: IsingModel, cap: int = ENUMERATION_CAP) -> tuple[float, int]:
+def dobrushin_coefficient(model: IsingModel) -> tuple[float, int]:
     """(c, argmax node) where c = max_i sum_j C_ij, ties to the lowest id.
 
     Row i of C reads h_i and i's couplings in adjacency order, so nodes with
@@ -180,7 +181,7 @@ def dobrushin_coefficient(model: IsingModel, cap: int = ENUMERATION_CAP) -> tupl
     for i, nbrs in enumerate(model.adjacency):
         js = tuple(model.coupling(i, j) for j in nbrs)
         row = 0.0
-        for entry in _memo_row(float(model.h[i]), js, cap, memo, i):
+        for entry in _memo_row(float(model.h[i]), js, memo, i):
             row += entry
         if row > best:
             best, best_node = row, i
@@ -236,7 +237,7 @@ def _perturbation_entry(
 
 
 def _memo_entry(
-    model: IsingModel, index: dict[int, int], h_tilde: float, j: int, cap: int, memo: dict
+    model: IsingModel, index: dict[int, int], h_tilde: float, j: int, memo: dict
 ) -> float:
     """b_j for boundary node j of the alpha indexed by `index`, whose
     localized field is h_tilde, looked up in memo under every float it reads.
@@ -251,11 +252,12 @@ def _memo_entry(
     function of h_tilde, h_j, the in-alpha couplings in global adjacency
     order and t.
 
-    Raises EnumerationCapError, before the lookup, when j's degree is over cap.
+    Raises EnumerationCapError, before the lookup, when j's degree is over
+    ENUMERATION_CAP.
     """
-    if model.degree(j) > cap:
+    if model.degree(j) > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"node {j} has degree {model.degree(j)}, enumeration cap is {cap}"
+            f"node {j} has degree {model.degree(j)}, enumeration cap is {ENUMERATION_CAP}"
         )
     alpha_js = tuple(2.0 * model.coupling(j, k) for k in model.adjacency[j] if k in index)
     t = 2.0 * sum(abs(model.coupling(j, k)) for k in model.adjacency[j] if k not in index)
@@ -283,7 +285,6 @@ class DobrushinCertificate:
     valid: bool
     c_local: float
     localized: LocalizedModel
-    cap: int
 
     def to_json(self) -> str:
         payload = {
@@ -300,7 +301,6 @@ def local_certificate(
     model: IsingModel,
     region: Region,
     localized: LocalizedModel,
-    cap: int = ENUMERATION_CAP,
     *,
     memo: dict | None = None,
     base: DobrushinCertificate | None = None,
@@ -317,11 +317,11 @@ def local_certificate(
     with DROP_OUT, local order is global order and there is no boundary, so C
     is the whole model's interaction matrix.
 
-    base, the certificate of region.alpha[:-1] of the same model under the
-    same cap, extends instead of rebuilding: with k = alpha[-1] appended last
-    in local order, only the rows of C and the entries of b of k, of k's
-    alpha neighbours and of nodes whose localized field differs from base's
-    (mean field moves them) can change. Those are recomputed and every other
+    base, the certificate of region.alpha[:-1] of the same model, extends
+    instead of rebuilding: with k = alpha[-1] appended last in local order,
+    only the rows of C and the entries of b of k, of k's alpha neighbours and
+    of nodes whose localized field differs from base's (mean field moves
+    them) can change. Those are recomputed and every other
     row and entry is copied from base. base=None computes every row and
     entry. memo holds the rows of C and the entries of b computed so far,
     such as for one expansion's earlier candidates, each keyed on every input
@@ -329,8 +329,9 @@ def local_certificate(
     Neither base nor memo changes a bit of the result.
 
     Raises:
-        EnumerationCapError: a row or entry computed here is over cap.
-        ValueError: base does not certify alpha[:-1] of model under cap.
+        EnumerationCapError: a row or entry computed here is over
+            ENUMERATION_CAP.
+        ValueError: base does not certify alpha[:-1] of model.
     """
     memo = {} if memo is None else memo
     alpha, h_tilde = region.alpha, localized.h
@@ -341,8 +342,8 @@ def local_certificate(
     if base is None:
         redo = range(n)
     else:
-        if (base.localized.model, base.localized.alpha, base.cap) != (model, alpha[:-1], cap):
-            raise ValueError("base must certify alpha[:-1] of the same model under the same cap")
+        if (base.localized.model, base.localized.alpha) != (model, alpha[:-1]):
+            raise ValueError("base must certify alpha[:-1] of the same model")
         c[:-1, :-1] = base.C
         b[:-1] = base.b
         k_nbrs = (index[g] for g in model.adjacency[alpha[-1]] if g in index)
@@ -355,13 +356,13 @@ def local_certificate(
         g = alpha[i]
         nbrs = sorted(index[x] for x in model.adjacency[g] if x in index)
         js = tuple(model.coupling(g, alpha[l]) for l in nbrs)
-        for l, entry in zip(nbrs, _memo_row(float(h_tilde[i]), js, cap, memo, g)):
+        for l, entry in zip(nbrs, _memo_row(float(h_tilde[i]), js, memo, g)):
             c[i, l] = entry
     # a node that left the boundary had k as its last outside neighbour
     boundary = set(region.boundary_alpha)
     for i in redo:
         g = alpha[i]
-        b[i] = _memo_entry(model, index, float(h_tilde[i]), g, cap, memo) if g in boundary else 0.0
+        b[i] = _memo_entry(model, index, float(h_tilde[i]), g, memo) if g in boundary else 0.0
     d, valid = influence_matrix(c)
     c_local = float(c.sum(axis=1).max()) if c.size else 0.0
     qi = index[region.query]
@@ -373,7 +374,6 @@ def local_certificate(
         valid=valid,
         c_local=c_local,
         localized=localized,
-        cap=cap,
     )
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dobrushin import ENUMERATION_CAP, DobrushinCertificate, EnumerationCapError, local_certificate
+from .dobrushin import DobrushinCertificate, EnumerationCapError, local_certificate
 from .exact import eliminate_marginal
 from .meanfield import mean_field
 from .model import (
@@ -108,12 +108,11 @@ def _certificate(
     model: IsingModel,
     region: Region,
     method: BoundaryMethod,
-    cap: int,
     memo: dict,
     base: DobrushinCertificate | None = None,
 ) -> DobrushinCertificate:
     loc = localize(model, region, method=method)
-    return local_certificate(model, region, loc, cap=cap, memo=memo, base=base)
+    return local_certificate(model, region, loc, memo=memo, base=base)
 
 
 def _maxnorm_choice(model: IsingModel, alpha: list[int], candidates: tuple[int, ...]) -> int:
@@ -141,7 +140,6 @@ def greedy_expand(
     K: int = 16,
     delta: float = 0.005,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
-    cap: int = ENUMERATION_CAP,
 ) -> ExpansionTrace:
     """Bound-driven expansion.
 
@@ -153,7 +151,7 @@ def greedy_expand(
     every candidate is invalid the maxnorm rule picks the node instead and the
     trace is marked degraded.
     """
-    return _expand(model, query, K, delta, method, cap, lambda alpha, cands: cands)
+    return _expand(model, query, K, delta, method, lambda alpha, cands: cands)
 
 
 def random_expand(
@@ -161,7 +159,6 @@ def random_expand(
     query: int,
     K: int = 16,
     seed: int | np.random.Generator = 0,
-    cap: int = ENUMERATION_CAP,
 ) -> ExpansionTrace:
     """Uniform random boundary growth; bounds still computed for reporting."""
     rng = (
@@ -170,25 +167,20 @@ def random_expand(
         else np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     )
     return _expand(
-        model, query, K, -math.inf, BoundaryMethod.DROP_OUT, cap,
+        model, query, K, -math.inf, BoundaryMethod.DROP_OUT,
         lambda alpha, cands: [cands[int(rng.integers(len(cands)))]],
     )
 
 
-def maxnorm_expand(
-    model: IsingModel,
-    query: int,
-    K: int = 16,
-    cap: int = ENUMERATION_CAP,
-) -> ExpansionTrace:
+def maxnorm_expand(model: IsingModel, query: int, K: int = 16) -> ExpansionTrace:
     """Strongest-coupling growth: argmax sum of squared couplings into alpha."""
     return _expand(
-        model, query, K, -math.inf, BoundaryMethod.DROP_OUT, cap,
+        model, query, K, -math.inf, BoundaryMethod.DROP_OUT,
         lambda alpha, cands: [_maxnorm_choice(model, alpha, cands)],
     )
 
 
-def _expand(model, query, K, delta, method, cap, to_score) -> ExpansionTrace:
+def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     """The growth loop every strategy shares.
 
     to_score(alpha, candidates) names the candidates scored at a step: all of
@@ -228,7 +220,7 @@ def _expand(model, query, K, delta, method, cap, to_score) -> ExpansionTrace:
         for k in to_score(alpha, candidates):
             regions[k] = region.grow(model, k)
             try:
-                certs[k] = _certificate(model, regions[k], method, cap, memo, final_cert)
+                certs[k] = _certificate(model, regions[k], method, memo, final_cert)
                 bounds[k] = certs[k].bound
             except (MeanFieldDivergence, EnumerationCapError):
                 bounds[k] = math.inf
@@ -247,7 +239,7 @@ def _expand(model, query, K, delta, method, cap, to_score) -> ExpansionTrace:
         final_cert = certs.get(chosen)
         steps.append(ExpansionStep(candidates, bounds, chosen, best_bound, final_cert))
     if final_cert is None:
-        final_cert = _certificate(model, region, method, cap, memo)
+        final_cert = _certificate(model, region, method, memo)
     return ExpansionTrace(
         query=query,
         method=method,
@@ -275,7 +267,6 @@ def query_marginal(
     delta: float = 0.005,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
     inference: InferenceMethod = InferenceMethod.EXACT,
-    cap: int = ENUMERATION_CAP,
 ) -> QueryResult:
     """Greedy-expand around the query and infer on alpha only.
 
@@ -284,7 +275,7 @@ def query_marginal(
     nodes beyond the expanded region, so its cost is independent of the
     global graph size.
     """
-    trace = greedy_expand(model, query, K=K, delta=delta, method=method, cap=cap)
+    trace = greedy_expand(model, query, K=K, delta=delta, method=method)
     loc = trace.final_certificate.localized
     qi = loc.index_of(query)
     if inference is InferenceMethod.EXACT:

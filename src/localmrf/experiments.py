@@ -287,12 +287,11 @@ def evaluate_prefixes(
     The size-s prefix (s >= 2) is read off the step that accepted its last
     node: its bound is step.bounds[step.chosen] and its error is eliminated
     on step.certificate.localized. Only the size-1 prefix is localized and
-    certified here, with the trace's boundary method and enumeration cap; so
-    is the localization of a step whose certificate build raised. Sizes
-    beyond the final region repeat its value, so curves over a fixed size
-    axis stay well defined when expansion stopped early.
+    certified here, with the trace's boundary method; so is the localization
+    of a step whose certificate build raised. Sizes beyond the final region
+    repeat its value, so curves over a fixed size axis stay well defined when
+    expansion stopped early.
     """
-    final = trace.final_certificate
     accepted = [s for s in trace.steps if s.chosen is not None]
     errors = np.empty(K)
     bounds = np.empty(K)
@@ -308,35 +307,33 @@ def evaluate_prefixes(
         p_loc = eliminate_marginal(loc.submodel, loc.index_of(query))
         errors[s - 1] = abs(p_loc - p_true)
         if step is None:
-            bounds[0] = local_certificate(model, region, loc, cap=final.cap).bound
+            bounds[0] = local_certificate(model, region, loc).bound
         else:
             bounds[s - 1] = step.bounds[step.chosen]
     errors[sizes:] = errors[sizes - 1]
-    bounds[sizes:] = final.bound
+    bounds[sizes:] = trace.final_certificate.bound
     return errors, bounds
 
 
-# How each comparison strategy grows its trace: (model, query, K, cap, stream)
+# How each comparison strategy grows its trace: (model, query, K, stream)
 # -> trace, where stream is the trial's named substream for random choices.
 _COMPARISON_EXPANDERS = {
-    "greedy_drop": lambda model, query, K, cap, stream: greedy_expand(
-        model, query, K=K, delta=-math.inf, method=BoundaryMethod.DROP_OUT, cap=cap
+    "greedy_drop": lambda model, query, K, stream: greedy_expand(
+        model, query, K=K, delta=-math.inf, method=BoundaryMethod.DROP_OUT
     ),
-    "greedy_mf": lambda model, query, K, cap, stream: greedy_expand(
-        model, query, K=K, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD, cap=cap
+    "greedy_mf": lambda model, query, K, stream: greedy_expand(
+        model, query, K=K, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD
     ),
-    "random": lambda model, query, K, cap, stream: random_expand(
-        model, query, K=K, seed=_rng(stream), cap=cap
+    "random": lambda model, query, K, stream: random_expand(
+        model, query, K=K, seed=_rng(stream)
     ),
-    "maxnorm": lambda model, query, K, cap, stream: maxnorm_expand(
-        model, query, K=K, cap=cap
-    ),
+    "maxnorm": lambda model, query, K, stream: maxnorm_expand(model, query, K=K),
 }
 COMPARISON_METHODS = tuple(_COMPARISON_EXPANDERS)
 
 
 def _comparison_trial(args) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols, i1, i2, K, cap, methods, seed, trial = args
+    rows, cols, i1, i2, K, methods, seed, trial = args
     model = gen_grid(GridSpec(rows, cols, i1, i2, seed=substream(seed, trial, 0)))
     query = GridSpec(rows, cols, i1, i2).query
     p_true = eliminate_marginal(model, query)
@@ -344,7 +341,7 @@ def _comparison_trial(args) -> tuple[np.ndarray, np.ndarray]:
     bounds = np.empty((len(methods), K))
     for m, name in enumerate(methods):
         expand = _COMPARISON_EXPANDERS[name]
-        trace = expand(model, query, K, cap, substream(seed, trial, 1))
+        trace = expand(model, query, K, substream(seed, trial, 1))
         errors[m], bounds[m] = evaluate_prefixes(model, trace, p_true, K)
     return errors, bounds
 
@@ -354,7 +351,6 @@ def expansion_comparison(
     K: int = 16,
     trials: int = 100,
     methods=COMPARISON_METHODS,
-    cap: int = ENUMERATION_CAP,
     out_dir=None,
     threads: int = 1,
 ):
@@ -372,7 +368,7 @@ def expansion_comparison(
     if trials < 1 or K < 1:
         raise ValueError("trials and K must be >= 1")
     args = [
-        (spec.rows, spec.cols, spec.I1, spec.I2, K, cap, methods, spec.seed, t)
+        (spec.rows, spec.cols, spec.I1, spec.I2, K, methods, spec.seed, t)
         for t in range(trials)
     ]
     err_acc = np.zeros((len(methods), K))
@@ -404,7 +400,7 @@ def expansion_comparison(
                 "K": K,
                 "trials": trials,
                 "methods": list(methods),
-                "cap": cap,
+                "cap": ENUMERATION_CAP,
                 "seed": spec.seed,
             },
         )
@@ -416,12 +412,10 @@ def expansion_comparison(
 
 
 def _sweep_trial(args) -> tuple[float, float]:
-    rows, cols, i1, i2, K, delta, cap, seed, trial = args
+    rows, cols, i1, i2, K, delta, seed, trial = args
     model = gen_grid(GridSpec(rows, cols, i1, i2, seed=substream(seed, trial)))
     query = GridSpec(rows, cols, i1, i2).query
-    res = query_marginal(
-        model, query, K=K, delta=delta, method=BoundaryMethod.DROP_OUT, cap=cap
-    )
+    res = query_marginal(model, query, K=K, delta=delta, method=BoundaryMethod.DROP_OUT)
     return abs(res.marginal - eliminate_marginal(model, query)), res.bound
 
 
@@ -433,7 +427,6 @@ def i1_sweep(
     K: int = 16,
     delta: float = 0.005,
     trials: int = 100,
-    cap: int = ENUMERATION_CAP,
     seed: int = 0,
     out_dir=None,
     threads: int = 1,
@@ -448,9 +441,7 @@ def i1_sweep(
         raise ValueError("trials must be >= 1")
     table = []
     for i1 in i1_values:
-        args = [
-            (rows, cols, i1, I2, K, delta, cap, seed, t) for t in range(trials)
-        ]
+        args = [(rows, cols, i1, I2, K, delta, seed, t) for t in range(trials)]
         res = _parallel_map(_sweep_trial, args, threads)
         errs = [e for e, _ in res]
         bnds = [b for _, b in res]
@@ -470,7 +461,7 @@ def i1_sweep(
                 "delta": delta,
                 "trials": trials,
                 "i1_values": i1_values,
-                "cap": cap,
+                "cap": ENUMERATION_CAP,
                 "seed": seed,
             },
         )
@@ -608,17 +599,14 @@ def _citation_model(graph: CitationGraph, spec: CoraSpec, i1: float) -> IsingMod
 
 
 def _cora_query(args) -> int:
-    model, q, K, delta, cap = args
-    res = query_marginal(
-        model, q, K=K, delta=delta, method=BoundaryMethod.DROP_OUT, cap=cap
-    )
+    model, q, K, delta = args
+    res = query_marginal(model, q, K=K, delta=delta, method=BoundaryMethod.DROP_OUT)
     return 1 if res.marginal >= 0.5 else -1
 
 
 def cora_pipeline(
     spec: CoraSpec,
     i1_values=None,
-    cap: int = ENUMERATION_CAP,
     out_dir=None,
     threads: int = 1,
 ):
@@ -645,7 +633,7 @@ def cora_pipeline(
         state = mean_field(model, seed=int(substream(spec.seed, 4).generate_state(1)[0]))
         global_all = np.where(state.m >= 0.0, 1, -1)
         global_lab = global_all[queries]
-        args = [(model, q, spec.K, spec.delta, cap) for q in queries]
+        args = [(model, q, spec.K, spec.delta) for q in queries]
         local_lab = np.array(_parallel_map(_cora_query, args, threads))
         acc_gt = float(np.mean(global_lab == truth))
         acc_lt = float(np.mean(local_lab == truth))
@@ -685,7 +673,7 @@ def cora_pipeline(
                 "edge_file": os.path.basename(spec.edge_file),
                 "label_file": os.path.basename(spec.label_file),
                 "i1_values": values,
-                "cap": cap,
+                "cap": ENUMERATION_CAP,
                 "lcc_nodes": graph.n,
                 "lcc_edges": len(graph.edges),
                 "raw_nodes": graph.n_raw_nodes,

@@ -346,6 +346,15 @@ class TestConfig:
     def test_config_without_path_is_usage_error(self, capsys):
         assert run(["gen-grid", "--config"]) == 2
 
+    def test_cap_is_not_a_setting(self, chain_file, tmp_path, capsys):
+        # ENUMERATION_CAP is a constant: neither a flag nor a config key sets it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cap": 3}))
+        query = ["query", "--model", chain_file, "--node", "0"]
+        assert run(query) == 0
+        assert run(query + ["--cap", "3"]) == 2
+        assert run([*query, "--config", str(cfg)]) == 2
+
 
 class TestThreads:
     def test_env_var_fallback(self, tmp_path, capsys, monkeypatch):

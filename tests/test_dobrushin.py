@@ -61,16 +61,21 @@ class TestConditionalGap:
         assert conditional_gap(m + dm, j) <= conditional_gap(m, j) + 1e-15
 
 
-def whole_model_c(model, cap=dobrushin.ENUMERATION_CAP):
+def whole_model_c(model):
     """The whole model's C: a region over range(n) with DROP_OUT has no
     boundary, and its local order is the global order."""
     region = make_region(model, range(model.n), 0)
-    return local_certificate(model, region, localize(model, region), cap).C
+    return local_certificate(model, region, localize(model, region)).C
 
 
-def certificate_b(model, localized, region, cap=dobrushin.ENUMERATION_CAP):
+def certificate_b(model, localized, region):
     """b of the certificate of `localized`, aligned with region.alpha."""
-    return local_certificate(model, region, localized, cap).b
+    return local_certificate(model, region, localized).b
+
+
+def star(leaves, j=0.2):
+    """Hub 0 joined to leaves 1..leaves by couplings j, all fields zero."""
+    return build_model([(0, k, j) for k in range(1, leaves + 1)], [0.0] * (leaves + 1))
 
 
 class TestInteractionMatrix:
@@ -101,9 +106,9 @@ class TestInteractionMatrix:
         assert dobrushin_coefficient(m) == (0.0, 0)
 
     def test_enumeration_cap(self):
-        star = build_model([(0, k, 0.2) for k in range(1, 6)], [0.0] * 6)
-        with pytest.raises(EnumerationCapError, match="cap is 3"):
-            whole_model_c(star, cap=3)
+        # each entry of the hub's row searches its 26 other couplings
+        with pytest.raises(EnumerationCapError, match="cap is 25"):
+            whole_model_c(star(dobrushin.ENUMERATION_CAP + 2))
 
     @given(st.integers(2, 9), st.integers(0, 10**6))
     def test_entries_bounded_by_tanh(self, n, seed):
@@ -251,7 +256,9 @@ class TestNearestSums:
 class TestAtTheCap:
     """The enumeration cap counts a C row's other neighbours (len(adj) - 1 in
     the submodel) and a boundary node's degree in the full model. A search
-    exactly at the cap builds a sound certificate; one more neighbour raises.
+    exactly at ENUMERATION_CAP builds a sound certificate; one more neighbour
+    raises. The hub models are trees, too large for brute force, so
+    eliminate_marginal is the oracle.
     """
 
     @staticmethod
@@ -270,59 +277,49 @@ class TestAtTheCap:
         return model, list(range(n_in + 1))
 
     @staticmethod
-    def assert_sound(model, alpha, cap):
+    def assert_sound(model, alpha):
         region = make_region(model, alpha, 0)
-        p_true = brute_force_marginal(model, 0)
+        p_true = eliminate_marginal(model, 0)
         for method in (BoundaryMethod.DROP_OUT, BoundaryMethod.MEAN_FIELD):
             try:
                 loc = localize(model, region, method)
             except MeanFieldDivergence:
                 continue
-            cert = local_certificate(model, region, loc, cap=cap)
+            cert = local_certificate(model, region, loc)
             assert cert.valid or cert.bound == math.inf
             if cert.valid:
                 err = abs(eliminate_marginal(loc.submodel, loc.index_of(0)) - p_true)
                 assert err <= cert.bound + 1e-12
 
-    @given(
-        st.integers(0, 12),
-        st.integers(1, 3),
-        st.integers(0, 10**6),
-        st.sampled_from([0.2, 0.5, 1.0]),
-    )
-    @example(inside=12, outside=1, seed=0, j_scale=0.5)
-    def test_boundary_degree_at_cap(self, inside, outside, seed, j_scale):
-        # b path: hub 0 is a boundary node of degree cap, so b_0 searches
-        # the sums of its `inside` alpha-side couplings
-        cap = inside + outside
+    @given(st.integers(1, 3), st.integers(0, 10**6), st.sampled_from([0.1, 0.2, 0.3]))
+    @example(outside=1, seed=0, j_scale=0.2)
+    def test_boundary_degree_at_cap(self, outside, seed, j_scale):
+        # b path: hub 0 is a boundary node of degree ENUMERATION_CAP, so b_0
+        # searches the sums of its alpha-side couplings
+        cap = dobrushin.ENUMERATION_CAP
         rng = np.random.Generator(np.random.Philox(seed))
         model, alpha = self.hub_model(rng, cap, outside, 0, j_scale)
         assert model.degree(0) == cap
-        self.assert_sound(model, alpha, cap)
+        self.assert_sound(model, alpha)
         model, alpha = self.hub_model(rng, cap + 1, outside, 0, j_scale)
         region = make_region(model, alpha, 0)
         with pytest.raises(EnumerationCapError, match=f"node 0 has degree {cap + 1}"):
-            local_certificate(model, region, localize(model, region), cap=cap)
+            local_certificate(model, region, localize(model, region))
 
-    @given(
-        st.integers(2, 12),
-        st.integers(1, 4),
-        st.integers(0, 10**6),
-        st.sampled_from([0.2, 0.5, 1.0]),
-    )
-    @example(cap=12, marked=4, seed=0, j_scale=0.5)
-    def test_row_at_cap(self, cap, marked, seed, j_scale):
-        # C path: hub 0 is interior with cap + 1 alpha neighbours, so each
-        # entry of its row searches the sums of cap other couplings; `marked`
-        # leaves get an outside neighbour, so b is not zero
+    @given(st.integers(1, 4), st.integers(0, 10**6), st.sampled_from([0.1, 0.2, 0.3]))
+    @example(marked=4, seed=0, j_scale=0.2)
+    def test_row_at_cap(self, marked, seed, j_scale):
+        # C path: hub 0 is interior with ENUMERATION_CAP + 1 alpha neighbours,
+        # so each entry of its row searches the sums of ENUMERATION_CAP other
+        # couplings; `marked` leaves get an outside neighbour, so b is not zero
+        cap = dobrushin.ENUMERATION_CAP
         rng = np.random.Generator(np.random.Philox(seed))
         model, alpha = self.hub_model(rng, cap + 1, 0, marked, j_scale)
-        assert model.n <= 22
-        self.assert_sound(model, alpha, cap)
+        self.assert_sound(model, alpha)
         model, alpha = self.hub_model(rng, cap + 2, 0, marked, j_scale)
         region = make_region(model, alpha, 0)
         with pytest.raises(EnumerationCapError, match=f"node 0 has {cap + 2} neighbours"):
-            local_certificate(model, region, localize(model, region), cap=cap)
+            local_certificate(model, region, localize(model, region))
 
     def test_degree_25_is_bounded_in_time_and_memory(self):
         # hub 0: 24 alpha leaves and one outside node, so b_0 searches 24
@@ -519,11 +516,12 @@ class TestPerturbationVector:
         assert np.all(b >= 0.0) and np.all(b <= 1.0)
 
     def test_cap_enforced(self):
-        star = build_model([(0, k, 0.2) for k in range(1, 7)], [0.0] * 7)
-        region = make_region(star, [0], 0)
-        loc = localize(star, region, BoundaryMethod.DROP_OUT)
-        with pytest.raises(EnumerationCapError, match="cap is 4"):
-            certificate_b(star, loc, region, cap=4)
+        # the hub is a boundary node with 26 leaves inside alpha and one out
+        model = star(dobrushin.ENUMERATION_CAP + 2)
+        region = make_region(model, range(dobrushin.ENUMERATION_CAP + 2), 0)
+        loc = localize(model, region, BoundaryMethod.DROP_OUT)
+        with pytest.raises(EnumerationCapError, match="node 0 has degree 27"):
+            certificate_b(model, loc, region)
 
 
 class TestCertificate:
@@ -576,21 +574,21 @@ class TestCertificate:
         assert json.loads(cert.to_json())["bound"] is None
 
     def test_cap_error_names_the_global_node(self):
-        # hub 0 is last in alpha, so its local index is 3
-        star = build_model([(0, 1, 0.4), (0, 2, 0.2), (0, 3, 0.3)], [0.1, -0.2, 0.3, 0.0])
-        region = make_region(star, [1, 2, 3, 0], 1)
-        with pytest.raises(EnumerationCapError, match="node 0 has 3 neighbours"):
-            local_certificate(star, region, localize(star, region), cap=1)
+        # hub 0 is last in alpha, so its local index is 27
+        model = star(dobrushin.ENUMERATION_CAP + 2)
+        region = make_region(model, [*range(1, model.n), 0], 1)
+        with pytest.raises(EnumerationCapError, match="node 0 has 27 neighbours"):
+            local_certificate(model, region, localize(model, region))
 
     def test_base_must_certify_alpha_without_its_last_node(self, chain3):
-        def cert(alpha, cap=dobrushin.ENUMERATION_CAP, base=None, model=chain3):
+        def cert(alpha, base=None, model=chain3):
             region = make_region(model, alpha, 0)
-            return local_certificate(model, region, localize(model, region), cap, base=base)
+            return local_certificate(model, region, localize(model, region), base=base)
 
         base = cert([0, 1])
         assert cert([0, 1, 2], base=base).C.tobytes() == cert([0, 1, 2]).C.tobytes()
         other = chain_model([0.3, 0.3], [0.0] * 3)
-        for wrong in ({"alpha": [0, 2, 1]}, {"cap": 3}, {"model": other}):
+        for wrong in ({"alpha": [0, 2, 1]}, {"model": other}):
             with pytest.raises(ValueError, match="base must certify"):
                 cert(**{"alpha": [0, 1, 2], "base": base, **wrong})
 
@@ -662,12 +660,17 @@ class TestCertificateMemo:
         assert again.C.tobytes() == first.C.tobytes() and again.bound == first.bound
 
     def test_cap_raises_whatever_the_memo_holds(self):
-        # all of the star in alpha: no boundary, so only the hub's C row,
-        # with two other neighbours per entry, can exceed cap=1
-        memo: dict = {}
-        local_certificate(*self.star(alpha=(0, 1, 2, 3)), memo=memo)
-        with pytest.raises(EnumerationCapError, match="node 0 has 3 neighbours"):
-            local_certificate(*self.star(alpha=(0, 1, 2, 3)), cap=1, memo=memo)
+        # a memo that answers every lookup: with all 27 leaves in alpha the
+        # hub's C row is over the cap, with 26 of them its b entry is
+        class Planted(dict):
+            def get(self, key, default=None):
+                return [0.0] * len(key[2]) if key[0] == "C" else 0.0
+
+        model = star(dobrushin.ENUMERATION_CAP + 2)
+        for in_alpha in (27, 26):
+            region = make_region(model, range(in_alpha + 1), 0)
+            with pytest.raises(EnumerationCapError, match="node 0 has"):
+                local_certificate(model, region, localize(model, region), memo=Planted())
 
 
 class TestDecayRadius:

@@ -302,9 +302,9 @@ class TestCertificateExtension:
             except EnumerationCapError as exc:
                 return exc
 
-        def checked(model, region, localized, cap=ENUMERATION_CAP, *, memo=None, base=None):
-            got = outcome(model, region, localized, cap, memo=memo, base=base)
-            calls.append((base, region, got, outcome(model, region, localized, cap)))
+        def checked(model, region, localized, *, memo=None, base=None):
+            got = outcome(model, region, localized, memo=memo, base=base)
+            calls.append((base, region, got, outcome(model, region, localized)))
             if isinstance(got, Exception):
                 raise got
             return got

@@ -243,12 +243,27 @@ class TestEvaluatePrefixes:
             assert [e.hex() for e in errors] == [e.hex() for e in fresh]
 
     def test_raised_step_is_localized_afresh(self, monkeypatch):
-        # hub 0 has degree 4 > cap 3, so every region that leaves it on the
-        # boundary raises while building b; once all leaves are in, it is not
+        # the boundary solve does not converge while hub 0 is on the boundary,
+        # so every region that leaves it there raises while localizing; once
+        # all leaves are in, it does not
+        import localmrf.meanfield as meanfield
+
         star = build_model(
             [(0, k, 0.1 * k) for k in range(1, 5)], [0.2, -0.1, 0.4, 0.0, -0.3]
         )
-        trace = greedy_expand(star, 1, K=5, delta=-math.inf, cap=3)
+        real = meanfield.boundary_mean_field
+
+        def stalled(model, region):
+            means, state = real(model, region)
+            if 0 in region.boundary_alpha:
+                state.converged = False
+            return means, state
+
+        with monkeypatch.context() as patch:
+            patch.setattr(meanfield, "boundary_mean_field", stalled)
+            trace = greedy_expand(
+                star, 1, K=5, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD
+            )
         assert trace.degraded and trace.final_certificate.valid
         assert [s.certificate is None for s in trace.steps] == [True, True, True, False]
         p_true = eliminate_marginal(star, 1)
