@@ -35,6 +35,13 @@ Beyond, it meets in the middle over two halves (Horowitz & Sahni 1974), in
 O(k 2^(k/2)) time and O(2^(k/2)) memory, so a search at ENUMERATION_CAP
 (k <= 25) holds two arrays of at most 8,192 sums instead of 2^25.
 
+ENUMERATION_CAP is a constant, not a setting. It bounds the couplings one
+search enumerates: a C entry of node i searches i's other couplings inside
+alpha, and b_j searches j's couplings inside alpha (the outside ones enter
+only through t). _check_enumeration is the one check, made before any memo
+lookup. Since every search runs over couplings inside alpha, a region of at
+most ENUMERATION_CAP + 1 nodes never reaches the cap, whatever the degrees.
+
 local_certificate is the one place C and b are assembled, in local order;
 dobrushin_coefficient reads the rows of C for a whole model, in global order.
 Both look rows up through _memo_row, so they read the same bits. Row i of C
@@ -151,17 +158,25 @@ def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
     return row
 
 
+def _check_enumeration(node: int, couplings: int) -> None:
+    """Raise EnumerationCapError when a search at global node `node` would
+    enumerate the signed sums of more than ENUMERATION_CAP couplings."""
+    if couplings > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"node {node} would enumerate {couplings} couplings, "
+            f"enumeration cap is {ENUMERATION_CAP}"
+        )
+
+
 def _memo_row(h: float, js: tuple[float, ...], memo: dict, node: int) -> list[float]:
     """_interaction_row(h, js), looked up in memo under exactly those floats.
 
-    Raises EnumerationCapError, whatever memo holds, when some nonzero entry
-    of the row would enumerate more than ENUMERATION_CAP other neighbours of
-    `node`.
+    Raises EnumerationCapError, whatever memo holds, when a nonzero entry of
+    the row would search the other len(js) - 1 couplings of `node` and they
+    are over the cap. A row without a nonzero coupling searches nothing.
     """
-    if len(js) - 1 > ENUMERATION_CAP and any(js):
-        raise EnumerationCapError(
-            f"node {node} has {len(js)} neighbours, enumeration cap is {ENUMERATION_CAP}"
-        )
+    if any(js):
+        _check_enumeration(node, len(js) - 1)
     key = ("C", h, js)
     row = memo.get(key)
     if row is None:
@@ -252,14 +267,11 @@ def _memo_entry(
     function of h_tilde, h_j, the in-alpha couplings in global adjacency
     order and t.
 
-    Raises EnumerationCapError, before the lookup, when j's degree is over
-    ENUMERATION_CAP.
+    Raises EnumerationCapError, before the lookup, when j has more couplings
+    inside alpha, the ones searched, than ENUMERATION_CAP.
     """
-    if model.degree(j) > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"node {j} has degree {model.degree(j)}, enumeration cap is {ENUMERATION_CAP}"
-        )
     alpha_js = tuple(2.0 * model.coupling(j, k) for k in model.adjacency[j] if k in index)
+    _check_enumeration(j, len(alpha_js))
     t = 2.0 * sum(abs(model.coupling(j, k)) for k in model.adjacency[j] if k not in index)
     h = float(model.h[j])
     key = ("b", h_tilde, h, alpha_js, t)

@@ -21,6 +21,7 @@ from localmrf import (
 )
 from localmrf.cli import _HANDLERS, run
 from conftest import chain_model
+from test_same_answers import citation_model
 
 
 @pytest.fixture
@@ -221,6 +222,15 @@ class TestQuery:
         assert code == 0
         payload = _json_out(capsys)
         assert payload["bound"] is None and payload["valid"] is False
+
+
+    def test_query_over_degree_cap(self, tmp_path, capsys):
+        # node 4 has degree 40, over ENUMERATION_CAP; only couplings in alpha are searched
+        path = tmp_path / "citation.json"
+        save_model(citation_model(), path)
+        assert run(["query", "--model", str(path), "--node", "4", "--json"]) == 0
+        payload = _json_out(capsys)
+        assert payload["valid"] is True and 0.0 < payload["bound"] < 1.0
 
 
 class TestExpand:

@@ -254,11 +254,11 @@ class TestNearestSums:
 
 
 class TestAtTheCap:
-    """The enumeration cap counts a C row's other neighbours (len(adj) - 1 in
-    the submodel) and a boundary node's degree in the full model. A search
-    exactly at ENUMERATION_CAP builds a sound certificate; one more neighbour
-    raises. The hub models are trees, too large for brute force, so
-    eliminate_marginal is the oracle.
+    """The enumeration cap counts the couplings a search enumerates: a C
+    row's other alpha neighbours, a boundary node's alpha neighbours. A search
+    exactly at ENUMERATION_CAP builds a sound certificate; one more coupling
+    raises, and couplings outside alpha do not count. The hub models are
+    trees, too large for brute force, so eliminate_marginal is the oracle.
     """
 
     @staticmethod
@@ -294,16 +294,16 @@ class TestAtTheCap:
     @given(st.integers(1, 3), st.integers(0, 10**6), st.sampled_from([0.1, 0.2, 0.3]))
     @example(outside=1, seed=0, j_scale=0.2)
     def test_boundary_degree_at_cap(self, outside, seed, j_scale):
-        # b path: hub 0 is a boundary node of degree ENUMERATION_CAP, so b_0
-        # searches the sums of its alpha-side couplings
+        # b path: hub 0 is a boundary node with ENUMERATION_CAP alpha-side
+        # couplings and `outside` more, so b_0 searches ENUMERATION_CAP sums
         cap = dobrushin.ENUMERATION_CAP
         rng = np.random.Generator(np.random.Philox(seed))
-        model, alpha = self.hub_model(rng, cap, outside, 0, j_scale)
-        assert model.degree(0) == cap
+        model, alpha = self.hub_model(rng, cap + outside, outside, 0, j_scale)
+        assert model.degree(0) == cap + outside
         self.assert_sound(model, alpha)
-        model, alpha = self.hub_model(rng, cap + 1, outside, 0, j_scale)
+        model, alpha = self.hub_model(rng, cap + 1 + outside, outside, 0, j_scale)
         region = make_region(model, alpha, 0)
-        with pytest.raises(EnumerationCapError, match=f"node 0 has degree {cap + 1}"):
+        with pytest.raises(EnumerationCapError, match=f"node 0 would enumerate {cap + 1} "):
             local_certificate(model, region, localize(model, region))
 
     @given(st.integers(1, 4), st.integers(0, 10**6), st.sampled_from([0.1, 0.2, 0.3]))
@@ -318,8 +318,23 @@ class TestAtTheCap:
         self.assert_sound(model, alpha)
         model, alpha = self.hub_model(rng, cap + 2, 0, marked, j_scale)
         region = make_region(model, alpha, 0)
-        with pytest.raises(EnumerationCapError, match=f"node 0 has {cap + 2} neighbours"):
+        with pytest.raises(EnumerationCapError, match=f"node 0 would enumerate {cap + 1} "):
             local_certificate(model, region, localize(model, region))
+
+    @given(
+        st.integers(dobrushin.ENUMERATION_CAP + 1, 40),
+        st.integers(0, 5),
+        st.integers(0, 10**6),
+        st.sampled_from([0.2, 0.5, 1.0]),
+    )
+    @example(degree=40, inside=5, seed=0, j_scale=1.0)
+    def test_boundary_hub_over_degree_cap_is_sound(self, degree, inside, seed, j_scale):
+        # hub 0 has more neighbours than ENUMERATION_CAP, but only `inside` of
+        # them in alpha, so b_0 searches `inside` couplings and certifies
+        rng = np.random.Generator(np.random.Philox(seed))
+        model, alpha = self.hub_model(rng, degree, degree - inside, 0, j_scale)
+        assert model.degree(0) > dobrushin.ENUMERATION_CAP and len(alpha) == inside + 1
+        self.assert_sound(model, alpha)
 
     def test_degree_25_is_bounded_in_time_and_memory(self):
         # hub 0: 24 alpha leaves and one outside node, so b_0 searches 24
@@ -520,7 +535,7 @@ class TestPerturbationVector:
         model = star(dobrushin.ENUMERATION_CAP + 2)
         region = make_region(model, range(dobrushin.ENUMERATION_CAP + 2), 0)
         loc = localize(model, region, BoundaryMethod.DROP_OUT)
-        with pytest.raises(EnumerationCapError, match="node 0 has degree 27"):
+        with pytest.raises(EnumerationCapError, match="node 0 would enumerate 26 couplings"):
             certificate_b(model, loc, region)
 
 
@@ -577,7 +592,7 @@ class TestCertificate:
         # hub 0 is last in alpha, so its local index is 27
         model = star(dobrushin.ENUMERATION_CAP + 2)
         region = make_region(model, [*range(1, model.n), 0], 1)
-        with pytest.raises(EnumerationCapError, match="node 0 has 27 neighbours"):
+        with pytest.raises(EnumerationCapError, match="node 0 would enumerate 26 couplings"):
             local_certificate(model, region, localize(model, region))
 
     def test_base_must_certify_alpha_without_its_last_node(self, chain3):
@@ -669,7 +684,7 @@ class TestCertificateMemo:
         model = star(dobrushin.ENUMERATION_CAP + 2)
         for in_alpha in (27, 26):
             region = make_region(model, range(in_alpha + 1), 0)
-            with pytest.raises(EnumerationCapError, match="node 0 has"):
+            with pytest.raises(EnumerationCapError, match="node 0 would enumerate 26 couplings"):
                 local_certificate(model, region, localize(model, region), memo=Planted())
 
 

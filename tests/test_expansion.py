@@ -31,6 +31,7 @@ from localmrf import (
 )
 from localmrf.dobrushin import ENUMERATION_CAP
 from conftest import chain_model, random_connected_model, sigmoid
+from test_same_answers import citation_model
 
 
 @pytest.fixture
@@ -216,6 +217,19 @@ class TestGreedyExpand:
 
     def test_jsonl_empty_when_no_steps(self, chain3):
         assert greedy_expand(chain3, 0, K=1).to_jsonl() == ""
+
+
+class TestHubQuery:
+    """A query whose degree is over ENUMERATION_CAP: every search runs over
+    couplings inside alpha, so its certificates stay within the cap."""
+
+    @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
+    def test_query_over_degree_cap_certifies(self, method):
+        model = citation_model()
+        assert model.degree(4) == 40 > ENUMERATION_CAP
+        trace = greedy_expand(model, 4, K=12, method=method)
+        assert trace.valid and not trace.degraded
+        assert 0.0 < trace.final_certificate.bound < 1.0
 
 
 class TestBoundaryDivergence:

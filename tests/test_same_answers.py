@@ -24,11 +24,13 @@ PINNED = {
     BoundaryMethod.MEAN_FIELD: "88291a7fb8ecefb4a52a475d8703fd0b2559d8b5572efc9c3935fce9b3698298",
 }
 PINNED_CITATION = {
-    BoundaryMethod.DROP_OUT: "17cc96ccf93ec7f34874da14a2e86feecf487f179ee09d085b9f7d7c6c444ffd",
-    BoundaryMethod.MEAN_FIELD: "4db1841ea4820bfd44e801178281b442ca62d764b6273136209e1282ddffc15b",
+    BoundaryMethod.DROP_OUT: "35e97e10c3208ee8ba56baa6f1bbaa4284203aec303915202d4a70fd78b63b71",
+    BoundaryMethod.MEAN_FIELD: "81d5da0f240fbb00c3c3c047a22f5c28ee39c1aa8332688396f7f92d9d9d6cf6",
 }
-# Hub 13 (degree 24, one under ENUMERATION_CAP) as the query; hubs 2 and 1
-# (degrees 23 and 16) join the regions of 62 and 299; 150 stays among leaves.
+# Hub 13 (degree 24) as the query; hubs 2 and 1 (degrees 23 and 16) join the
+# regions of 62 and 299. Hubs 4, 0, 6 and 3 (degrees 40, 31, 30 and 30, over
+# ENUMERATION_CAP) are scored as candidates, and hub 4 joins the mean-field
+# region of 150 at delta = -inf.
 CITATION_QUERIES = (13, 62, 150, 299)
 
 
