@@ -333,11 +333,10 @@ def local_certificate(
     instead of rebuilding: with k = alpha[-1] appended last in local order,
     only the rows of C and the entries of b of k, of k's alpha neighbours and
     of nodes whose localized field differs from base's (mean field moves
-    them) can change. Those are recomputed and every other
-    row and entry is copied from base. base=None computes every row and
-    entry. memo holds the rows of C and the entries of b computed so far,
-    such as for one expansion's earlier candidates, each keyed on every input
-    it reads.
+    them) can change. Those are recomputed and every other row and entry is
+    copied from base. base=None computes every row and entry. memo holds the
+    rows of C and the entries of b computed so far, such as for one
+    expansion's earlier candidates, each keyed on every input it reads.
     Neither base nor memo changes a bit of the result.
 
     Raises:

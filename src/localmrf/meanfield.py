@@ -38,12 +38,16 @@ def variational_objective(model: IsingModel, m: np.ndarray) -> float:
 def _sweeps(
     nbr_ids: list[list[int]],
     nbr_js: list[list[float]],
-    h: np.ndarray,
+    h: list[float],
     m: list[float],
     tol: float,
     max_iter: int,
 ) -> tuple[int, float, bool]:
-    """Gauss-Seidel sweeps in place; returns (sweeps, last residual, converged)."""
+    """Gauss-Seidel sweeps in place; returns (sweeps, last residual, converged).
+
+    h holds Python floats, so a field that overflows gives inf without
+    numpy's overflow warning.
+    """
     n = len(m)
     tanh = math.tanh
     residual = math.inf
@@ -96,11 +100,12 @@ def mean_field(
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         for _ in range(restarts - 1):
             inits.append(rng.uniform(-1.0, 1.0, size=model.n))
+    fields = h.tolist()
     best: MeanFieldState | None = None
     best_obj = -math.inf
     for start in inits:
         m = [float(x) for x in start]
-        iters, residual, converged = _sweeps(nbr_ids, nbr_js, h, m, tol, max_iter)
+        iters, residual, converged = _sweeps(nbr_ids, nbr_js, fields, m, tol, max_iter)
         state = MeanFieldState(
             m=np.array(m), iterations=iters, residual=residual, converged=converged
         )

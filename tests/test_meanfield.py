@@ -1,5 +1,6 @@
 """Naive mean field and the boundary compensation subproblem."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,14 @@ class TestMeanField:
         assert not state.converged
         assert state.iterations == 2
         assert state.residual > 1e-30
+
+    def test_overflowing_field_sum_is_silent(self):
+        # h_j + J m_k overflows to inf in the sweep: tanh(inf) = 1, no warning
+        m = build_model([(0, 1, 1e308)], [1.5e308, 1.5e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = mean_field(m, restarts=1)
+        assert state.m.tolist() == [1.0, 1.0]
 
 
 class TestBoundaryMeanField:
