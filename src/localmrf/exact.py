@@ -1,9 +1,11 @@
 """Exact marginals and partition functions for small graphs.
 
 Everything runs in log space. `brute_force_marginal` enumerates the component
-of the query (hard cap on component size); `eliminate_marginal` runs bucket
-elimination along a min-fill order and only caps the largest intermediate
-clique, so it handles long chains and narrow strips of any length.
+of the query, up to `MAX_BRUTE_NODES` nodes; `eliminate_marginal` and
+`log_partition` run bucket elimination, always along `min_fill_order`, and
+only cap the largest intermediate clique at `MAX_CLIQUE` variables, so they
+handle long chains and narrow strips of any length. Both caps are constants
+that no caller sets.
 
 Every variable is binary, so summing one out is a two-term log-add-exp
 (`marginalize`), bit-identical to `scipy.special.logsumexp` on two values.
@@ -55,11 +57,11 @@ def _embed(factor: Factor, scope: tuple[int, ...]) -> np.ndarray:
     return table.reshape(shape)
 
 
-def multiply(factors: list[Factor], max_clique: int = MAX_CLIQUE) -> Factor:
+def multiply(factors: list[Factor]) -> Factor:
     scope = tuple(sorted(set().union(*(f.scope for f in factors))))
-    if len(scope) > max_clique:
+    if len(scope) > MAX_CLIQUE:
         raise CliqueTooLargeError(
-            f"elimination clique has {len(scope)} variables (cap {max_clique})"
+            f"elimination clique has {len(scope)} variables (cap {MAX_CLIQUE})"
         )
     table = np.zeros((2,) * len(scope))
     for f in factors:
@@ -131,11 +133,11 @@ def min_fill_order(model: IsingModel, nodes: tuple[int, ...], keep: tuple[int, .
     return order
 
 
-def _eliminate(factors: list[Factor], order: list[int], max_clique: int) -> list[Factor]:
+def _eliminate(factors: list[Factor], order: list[int]) -> list[Factor]:
     for var in order:
         touching = [f for f in factors if var in f.scope]
         rest = [f for f in factors if var not in f.scope]
-        product = multiply(touching, max_clique=max_clique)
+        product = multiply(touching)
         rest.append(marginalize(product, var))
         factors = rest
     return factors
@@ -151,25 +153,12 @@ def _p_plus(log_minus: float, log_plus: float) -> float:
         return float(1.0 / (1.0 + np.exp(log_minus - log_plus)))
 
 
-def eliminate_marginal(
-    model: IsingModel,
-    node: int,
-    order: list[int] | None = None,
-    max_clique: int = MAX_CLIQUE,
-) -> float:
-    """p(x_node = +1) by bucket elimination on the node's component.
-
-    Args:
-        order: optional elimination order; must cover the component minus the
-            node exactly. Defaults to min-fill with ascending-id tie breaks.
-    """
+def eliminate_marginal(model: IsingModel, node: int) -> float:
+    """p(x_node = +1) by bucket elimination on the node's component, along
+    the min-fill order with ascending-id tie breaks."""
     comp = connected_component(model, node)
-    if order is None:
-        order = min_fill_order(model, comp, keep=(node,))
-    else:
-        if sorted(order) != sorted(set(comp) - {node}):
-            raise LocalMRFError("elimination order must cover the component minus the query")
-    factors = _eliminate(_model_factors(model, comp), list(order), max_clique)
+    order = min_fill_order(model, comp, keep=(node,))
+    factors = _eliminate(_model_factors(model, comp), order)
     log_p = np.zeros(2)
     for f in factors:
         if f.scope == (node,):
@@ -181,22 +170,22 @@ def eliminate_marginal(
     return _p_plus(log_p[0], log_p[1])
 
 
-def log_partition(model: IsingModel, max_clique: int = MAX_CLIQUE) -> float:
+def log_partition(model: IsingModel) -> float:
     """log Z of the whole model (sums over components)."""
     total = 0.0
     for comp in connected_components(model):
         order = min_fill_order(model, comp)
-        factors = _eliminate(_model_factors(model, comp), order, max_clique)
+        factors = _eliminate(_model_factors(model, comp), order)
         total += float(sum(f.table for f in factors))
     return total
 
 
-def brute_force_marginal(model: IsingModel, node: int, max_nodes: int = MAX_BRUTE_NODES) -> float:
+def brute_force_marginal(model: IsingModel, node: int) -> float:
     """p(x_node = +1) by enumerating the node's component."""
     comp = connected_component(model, node)
     m = len(comp)
-    if m > max_nodes:
-        raise GraphTooLargeError(f"component has {m} nodes (cap {max_nodes})")
+    if m > MAX_BRUTE_NODES:
+        raise GraphTooLargeError(f"component has {m} nodes (cap {MAX_BRUTE_NODES})")
     pos = {g: i for i, g in enumerate(comp)}
     idx = np.arange(1 << m, dtype=np.int64)
 

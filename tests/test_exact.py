@@ -1,4 +1,5 @@
 """Exact inference: bucket elimination vs enumeration, log partition."""
+import inspect
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from localmrf import (
     CliqueTooLargeError,
     GraphTooLargeError,
     GridSpec,
-    LocalMRFError,
     brute_force_marginal,
     build_model,
     eliminate_marginal,
@@ -73,17 +73,16 @@ class TestMarginals:
 
     @given(st.integers(3, 9), st.integers(0, 10**6))
     def test_order_invariance(self, n, seed):
+        # the public functions always follow min-fill; the private kernel
+        # gives the same log Z along any order
         m = random_connected_model(n, seed)
-        p_ref = eliminate_marginal(m, 0)
+        z_ref = log_partition(m)
         rng = np.random.Generator(np.random.Philox(seed + 1))
-        rest = list(range(1, n))
         for _ in range(3):
-            order = [int(v) for v in rng.permutation(rest)]
-            assert eliminate_marginal(m, 0, order=order) == pytest.approx(p_ref, abs=1e-10)
-
-    def test_order_must_cover_component(self, chain3):
-        with pytest.raises(LocalMRFError, match="cover the component"):
-            eliminate_marginal(chain3, 0, order=[1])
+            order = [int(v) for v in rng.permutation(n)]
+            factors = exact._eliminate(exact._model_factors(m, tuple(range(n))), order)
+            assert all(f.scope == () for f in factors)
+            assert float(sum(f.table for f in factors)) == pytest.approx(z_ref, abs=1e-10)
 
     def test_field_monotonicity(self):
         base = random_connected_model(6, 2, j_scale=0.5)
@@ -159,9 +158,28 @@ class TestCaps:
         assert eliminate_marginal(m, 0) == pytest.approx(0.5, abs=1e-12)
 
     def test_clique_cap(self):
-        m = build_model([(u, v, 0.1) for u, v in grid_edges(3, 3)], [0.0] * 9)
-        with pytest.raises(CliqueTooLargeError, match="cap 2"):
-            eliminate_marginal(m, 4, max_clique=2)
+        # the first elimination on a complete graph of 23 nodes multiplies
+        # factors over all 23 variables, one over MAX_CLIQUE
+        n = 23
+        m = build_model([(u, v, 0.01) for u in range(n) for v in range(u + 1, n)], [0.0] * n)
+        with pytest.raises(CliqueTooLargeError, match="23 variables \\(cap 22\\)"):
+            eliminate_marginal(m, 0)
+        with pytest.raises(CliqueTooLargeError, match="cap 22"):
+            log_partition(m)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("eliminate_marginal", ["model", "node"]),
+            ("log_partition", ["model"]),
+            ("brute_force_marginal", ["model", "node"]),
+            ("multiply", ["factors"]),
+        ],
+    )
+    def test_limits_are_not_settings(self, name, params):
+        # MAX_CLIQUE and MAX_BRUTE_NODES are constants and the order is
+        # always min-fill: no parameter sets them
+        assert list(inspect.signature(getattr(exact, name)).parameters) == params
 
     def test_long_strip_feasible(self):
         edges = [(u, v, 0.05) for u, v in grid_edges(4, 20)]
