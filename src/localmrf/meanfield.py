@@ -6,6 +6,10 @@ of the variational objective
     sum_(i,j) J_ij m_i m_j + sum_i h_i m_i + sum_i H((1+m_i)/2)
 
 so every sweep is monotone. Sweeps visit nodes in ascending id order.
+
+The solver's limits are constants that no caller sets: a run stops when no
+mean moves by more than `TOL` in a sweep, or after `MAX_SWEEPS` sweeps, and a
+model that is not a max-norm contraction gets the best of `RESTARTS` starts.
 """
 from __future__ import annotations
 
@@ -17,6 +21,10 @@ from scipy.special import entr
 
 from .model import IsingModel, Region, build_model
 
+TOL = 1e-8
+MAX_SWEEPS = 1000
+RESTARTS = 3
+
 
 @dataclass
 class MeanFieldState:
@@ -27,12 +35,17 @@ class MeanFieldState:
 
 
 def variational_objective(model: IsingModel, m: np.ndarray) -> float:
-    """Product-ansatz objective (higher is better, equals logZ - KL at optimum)."""
+    """Product-ansatz objective (higher is better, equals logZ - KL at optimum).
+
+    Couplings and fields near the float limit overflow the sums to inf; that
+    is the objective's value there, so numpy does not warn about it.
+    """
     m = np.asarray(m, dtype=np.float64)
-    pair = sum(j * m[u] * m[v] for (u, v), j in model.J.items())
     p = (1.0 + m) / 2.0
     entropy = float(np.sum(entr(p) + entr(1.0 - p)))
-    return float(pair + np.dot(model.h, m) + entropy)
+    with np.errstate(over="ignore"):
+        pair = sum(j * m[u] * m[v] for (u, v), j in model.J.items())
+        return float(pair + np.dot(model.h, m) + entropy)
 
 
 def _sweeps(
@@ -75,37 +88,33 @@ def _neighbor_arrays(model: IsingModel) -> tuple[list[list[int]], list[list[floa
     return ids, js
 
 
-def mean_field(
-    model: IsingModel,
-    init: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    restarts: int = 3,
-    seed: int = 0,
-) -> MeanFieldState:
-    """Best-of-restarts mean-field solve.
+def mean_field(model: IsingModel, seed: int = 0) -> MeanFieldState:
+    """Mean-field solve: one start, or the best of `RESTARTS`.
 
-    The first run starts from `init` (default tanh(h)); the remaining
-    restarts-1 runs start from uniform [-1, 1] draws of a Philox stream keyed
-    by `seed`. The state with the highest variational objective wins; with
-    restarts=1 there is nothing to compare, so the objective is not computed
-    and the output does not depend on the seed.
+    When every node's couplings satisfy sum_k |J_jk| < 1 (strictly; summed
+    with math.fsum, so the test is exact), the update m -> tanh(h + J m) is a
+    contraction in the max norm, because |tanh'| <= 1. Its fixed point is then
+    unique (Banach), so further starts could only find it again, and one run
+    from tanh(h) is returned; the objective is not computed and the output
+    does not depend on the seed. Otherwise the first run starts from tanh(h),
+    the other RESTARTS - 1 from uniform [-1, 1] draws of a Philox stream
+    keyed by `seed`, and the state with the highest variational objective
+    wins. Each run sweeps until the largest change is at most `TOL`, or
+    `MAX_SWEEPS` times.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     nbr_ids, nbr_js = _neighbor_arrays(model)
     h = model.h
-    inits: list[np.ndarray] = [np.tanh(h) if init is None else np.asarray(init, dtype=np.float64)]
-    if restarts > 1:
+    inits: list[np.ndarray] = [np.tanh(h)]
+    if not all(math.fsum(abs(j) for j in js) < 1.0 for js in nbr_js):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        for _ in range(restarts - 1):
+        for _ in range(RESTARTS - 1):
             inits.append(rng.uniform(-1.0, 1.0, size=model.n))
     fields = h.tolist()
     best: MeanFieldState | None = None
     best_obj = -math.inf
     for start in inits:
         m = [float(x) for x in start]
-        iters, residual, converged = _sweeps(nbr_ids, nbr_js, fields, m, tol, max_iter)
+        iters, residual, converged = _sweeps(nbr_ids, nbr_js, fields, m, TOL, MAX_SWEEPS)
         state = MeanFieldState(
             m=np.array(m), iterations=iters, residual=residual, converged=converged
         )
@@ -126,15 +135,10 @@ def boundary_mean_field(
     The subproblem holds the two boundary layers: variables are
     boundary_alpha + boundary_beta, edges are the cross edges plus the
     original edges inside each layer, fields are the original fields.
-
-    When every node's couplings satisfy sum_k |J_jk| < 1 (strictly; summed
-    with math.fsum, so the test is exact), the update m -> tanh(h + J m) is a
-    contraction in the max norm, because |tanh'| <= 1. Its fixed point is then
-    unique (Banach), so random restarts could only find it again, and one run
-    from tanh(h) is used: `mean_field(sub, restarts=1)`. Otherwise uniqueness
-    is not proven and `mean_field` runs with its default best-of-3 restarts.
-    Either way the certificate stays sound, since b is computed against
-    whatever means were used; the choice only decides how tight it is.
+    `mean_field` decides how many starts it needs; on a contraction it runs
+    one. Either way the certificate stays sound, since b is computed against
+    whatever means were used; the number of starts only decides how tight
+    it is.
 
     Returns the means of the boundary_beta nodes and the underlying solver
     state.
@@ -148,14 +152,6 @@ def boundary_mean_field(
             for v in model.adjacency[u]:
                 if v in side_set and u < v:
                     edges.append((index[u], index[v], model.coupling(u, v)))
-    sub = build_model(edges, [float(model.h[g]) for g in nodes])
-    abs_j: list[list[float]] = [[] for _ in nodes]
-    for j, k, jv in edges:
-        abs_j[j].append(abs(jv))
-        abs_j[k].append(abs(jv))
-    if all(math.fsum(row) < 1.0 for row in abs_j):
-        state = mean_field(sub, restarts=1)
-    else:
-        state = mean_field(sub)
+    state = mean_field(build_model(edges, [float(model.h[g]) for g in nodes]))
     means = {k: float(state.m[index[k]]) for k in region.boundary_beta}
     return means, state

@@ -379,8 +379,9 @@ def localize(
                 residual=state.residual,
             )
         index = {g: i for i, g in enumerate(region.alpha)}
-        for j, k, jv in region.cross_edges:
-            h_tilde[index[j]] += jv * means[k]
+        with np.errstate(over="ignore"):  # an overflow is named below
+            for j, k, jv in region.cross_edges:
+                h_tilde[index[j]] += jv * means[k]
         if not np.all(np.isfinite(h_tilde)):
             bad = int(np.flatnonzero(~np.isfinite(h_tilde))[0])
             raise ModelError(f"non-finite field h[{bad}]={h_tilde[bad]}")

@@ -1,4 +1,5 @@
 """Naive mean field and the boundary compensation subproblem."""
+import inspect
 import math
 import warnings
 
@@ -19,7 +20,21 @@ from localmrf import (
     mean_field,
     variational_objective,
 )
+from localmrf import meanfield
 from conftest import chain_model, random_connected_model
+
+
+def sweep(model, start, tol, max_iter):
+    """The private sweep kernel from `start`: (means, sweeps, residual, converged)."""
+    ids, js = meanfield._neighbor_arrays(model)
+    m = [float(x) for x in start]
+    iters, residual, converged = meanfield._sweeps(ids, js, model.h.tolist(), m, tol, max_iter)
+    return np.array(m), iters, residual, converged
+
+
+def one_start(model):
+    """The means of a single mean-field run from tanh(h)."""
+    return sweep(model, np.tanh(model.h), meanfield.TOL, meanfield.MAX_SWEEPS)[0]
 
 
 def boundary_subproblem(model, region):
@@ -81,36 +96,32 @@ class TestMeanField:
         cur = np.tanh(m.h)
         prev_obj = variational_objective(m, cur)
         for _ in range(6):
-            state = mean_field(m, init=cur, max_iter=1, restarts=1)
-            obj = variational_objective(m, state.m)
+            cur = sweep(m, cur, meanfield.TOL, 1)[0]
+            obj = variational_objective(m, cur)
             assert obj >= prev_obj - 1e-12
-            prev_obj, cur = obj, state.m
+            prev_obj = obj
 
     @given(st.integers(2, 9), st.integers(0, 10**6))
     def test_means_in_unit_interval(self, n, seed):
         m = random_connected_model(n, seed, j_scale=2.0, h_scale=2.0)
-        state = mean_field(m, max_iter=50)
-        assert np.all(np.abs(state.m) <= 1.0)
+        means = sweep(m, np.tanh(m.h), meanfield.TOL, 50)[0]
+        assert np.all(np.abs(means) <= 1.0)
 
     def test_restarts_deterministic(self):
         m = random_connected_model(8, 4, j_scale=1.5)
-        a = mean_field(m, restarts=4, seed=123)
-        b = mean_field(m, restarts=4, seed=123)
+        assert max_row_sum(m) >= 1.0  # so the seeded starts run
+        a = mean_field(m, seed=123)
+        b = mean_field(m, seed=123)
         assert np.array_equal(a.m, b.m)
 
     def test_restarts_escape_symmetric_saddle(self):
         # tanh(h) = 0 is a stationary start; restarts find a broken solution
         m = build_model([(0, 1, 2.0)], [0.0, 0.0])
-        stuck = mean_field(m, restarts=1)
-        assert np.allclose(stuck.m, 0.0)
-        state = mean_field(m, restarts=3, seed=0)
+        stuck = one_start(m)
+        assert np.allclose(stuck, 0.0)
+        state = mean_field(m, seed=0)
         assert abs(state.m[0]) > 0.5
-        assert variational_objective(m, state.m) > variational_objective(m, stuck.m)
-
-    def test_restart_count_validated(self):
-        m = build_model([], [0.0])
-        with pytest.raises(ValueError, match="restarts"):
-            mean_field(m, restarts=0)
+        assert variational_objective(m, state.m) > variational_objective(m, stuck)
 
     def test_relabel_invariance(self):
         m = build_model([(0, 1, 0.4), (1, 2, -0.2)], [0.3, -0.1, 0.2])
@@ -120,25 +131,33 @@ class TestMeanField:
             [m.h[{v: k for k, v in perm.items()}[i]] for i in range(3)],
         )
         # sweep order follows node ids, so agreement is only up to tol
-        a = mean_field(m, tol=1e-13, restarts=1)
-        b = mean_field(m2, tol=1e-13, restarts=1)
+        a = sweep(m, np.tanh(m.h), 1e-13, meanfield.MAX_SWEEPS)[0]
+        b = sweep(m2, np.tanh(m2.h), 1e-13, meanfield.MAX_SWEEPS)[0]
         for old, new in perm.items():
-            assert a.m[old] == pytest.approx(b.m[new], abs=1e-10)
+            assert a[old] == pytest.approx(b[new], abs=1e-10)
 
     def test_non_convergence_flagged(self):
         m = build_model([(0, 1, 0.5)], [0.4, 0.0])
-        state = mean_field(m, tol=1e-30, max_iter=2, restarts=1)
-        assert not state.converged
-        assert state.iterations == 2
-        assert state.residual > 1e-30
+        _, iterations, residual, converged = sweep(m, np.tanh(m.h), 1e-30, 2)
+        assert not converged
+        assert iterations == 2
+        assert residual > 1e-30
 
     def test_overflowing_field_sum_is_silent(self):
-        # h_j + J m_k overflows to inf in the sweep: tanh(inf) = 1, no warning
+        # h_j + J m_k overflows to inf in the sweep: tanh(inf) = 1, and the
+        # objective that picks the best of three starts overflows to inf; no
+        # warning from either
         m = build_model([(0, 1, 1e308)], [1.5e308, 1.5e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state = mean_field(m, restarts=1)
+            state = mean_field(m)
+            assert variational_objective(m, state.m) == math.inf
         assert state.m.tolist() == [1.0, 1.0]
+
+    def test_solver_limits_are_not_settings(self):
+        # the tolerance, the sweep cap and the start count are constants, and
+        # the start count is read off the model: only the seed is a setting
+        assert list(inspect.signature(mean_field).parameters) == ["model", "seed"]
 
 
 class TestBoundaryMeanField:
@@ -181,17 +200,18 @@ class TestBoundaryMeanField:
 
     def test_contraction_runs_one_start(self):
         # every |J| row sum of the subproblem is below 1, so its fixed point is
-        # unique and the tanh(h) start alone is returned; on this grid the
-        # best-of-3 answer differs from it in the ninth decimal
+        # unique and mean_field returns the tanh(h) start alone, whatever the
+        # seed; boundary_mean_field returns that solve
         m = gen_grid(GridSpec(6, 6, seed=3))
         region = make_region(m, [14, 15, 20, 21], 14)
         sub, index = boundary_subproblem(m, region)
         assert max_row_sum(sub) < 1.0
-        want = mean_field(sub, restarts=1)
-        assert not np.array_equal(want.m, mean_field(sub).m)
+        want = one_start(sub)
+        assert np.array_equal(mean_field(sub).m, want)
+        assert np.array_equal(mean_field(sub, seed=7).m, want)
         means, state = boundary_mean_field(m, region)
-        assert np.array_equal(state.m, want.m)
-        assert means == {k: float(want.m[index[k]]) for k in region.boundary_beta}
+        assert np.array_equal(state.m, want)
+        assert means == {k: float(want[index[k]]) for k in region.boundary_beta}
 
     @pytest.mark.parametrize("row_sum", ["exactly_one", "above_one"])
     def test_unproven_uniqueness_keeps_restarts(self, row_sum):
@@ -209,8 +229,10 @@ class TestBoundaryMeanField:
             region = make_region(m, [0, 1], 0)
             sub, _ = boundary_subproblem(m, region)
             assert max_row_sum(sub) > 1.0
+        # mean_field runs more than the tanh(h) start: with a rule of
+        # sum <= 1 the exactly-one case would return that start alone
         want = mean_field(sub)
-        assert not np.array_equal(want.m, mean_field(sub, restarts=1).m)
+        assert not np.array_equal(want.m, one_start(sub))
         _, state = boundary_mean_field(m, region)
         assert np.array_equal(state.m, want.m)
 

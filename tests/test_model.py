@@ -224,17 +224,17 @@ class TestLocalize:
     def test_meanfield_divergence_carries_residual(self, chain3_mf, monkeypatch):
         from localmrf import MeanFieldDivergence, meanfield
 
-        real = meanfield.mean_field
+        # the sweep kernel is asked for a tolerance no run meets, in one sweep
+        real = meanfield._sweeps
         monkeypatch.setattr(
-            meanfield, "mean_field",
-            lambda sub, **settings: real(sub, tol=1e-30, max_iter=1, restarts=1),
+            meanfield, "_sweeps",
+            lambda ids, js, h, m, tol, max_iter: real(ids, js, h, m, 1e-30, 1),
         )
         r = make_region(chain3_mf, [0, 1], 0)
         with pytest.raises(MeanFieldDivergence) as exc:
             localize(chain3_mf, r, BoundaryMethod.MEAN_FIELD)
         assert exc.value.residual > 1e-30
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_meanfield_non_finite_field_named(self):
         # a near-max field plus a near-max cross coupling: the compensated
         # field of node 0 overflows, and localize says so
