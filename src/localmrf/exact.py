@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import IsingModel, LocalMRFError, connected_component, connected_components
+from .model import (
+    IsingModel,
+    LocalMRFError,
+    ModelError,
+    connected_component,
+    connected_components,
+)
 
 MAX_BRUTE_NODES = 22
 MAX_CLIQUE = 22
@@ -158,25 +164,31 @@ def eliminate_marginal(model: IsingModel, node: int) -> float:
     the min-fill order with ascending-id tie breaks."""
     comp = connected_component(model, node)
     order = min_fill_order(model, comp, keep=(node,))
-    factors = _eliminate(_model_factors(model, comp), order)
-    log_p = np.zeros(2)
-    for f in factors:
-        if f.scope == (node,):
-            log_p = log_p + f.table
-        elif f.scope == ():
-            log_p = log_p + f.table  # additive constant, cancels below
-        else:  # pragma: no cover - elimination above makes this unreachable
-            raise LocalMRFError(f"unexpected residual scope {f.scope}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        factors = _eliminate(_model_factors(model, comp), order)
+        log_p = np.zeros(2)
+        for f in factors:
+            if f.scope == (node,):
+                log_p = log_p + f.table
+            elif f.scope == ():
+                log_p = log_p + f.table  # additive constant, cancels below
+            else:  # pragma: no cover - elimination above makes this unreachable
+                raise LocalMRFError(f"unexpected residual scope {f.scope}")
+    if not np.all(np.isfinite(log_p)):
+        raise ModelError(f"elimination overflows: log p(x_{node}) is {log_p.tolist()}")
     return _p_plus(log_p[0], log_p[1])
 
 
 def log_partition(model: IsingModel) -> float:
     """log Z of the whole model (sums over components)."""
     total = 0.0
-    for comp in connected_components(model):
-        order = min_fill_order(model, comp)
-        factors = _eliminate(_model_factors(model, comp), order)
-        total += float(sum(f.table for f in factors))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for comp in connected_components(model):
+            order = min_fill_order(model, comp)
+            factors = _eliminate(_model_factors(model, comp), order)
+            total += float(sum(f.table for f in factors))
+    if not np.isfinite(total):
+        raise ModelError(f"elimination overflows: log Z is {total}")
     return total
 
 

@@ -63,6 +63,13 @@ def chain_model(js: list[float], hs: list[float]) -> IsingModel:
     return build_model([(i, i + 1, j) for i, j in enumerate(js)], hs)
 
 
+def overflowing_model() -> IsingModel:
+    """A model build_model accepts whose elimination tables overflow to inf."""
+    return build_model(
+        [(0, 1, 1e200), (0, 2, 1.5e154), (1, 2, 1e308)], [-1e200, -1e308, -0.1]
+    )
+
+
 @pytest.fixture
 def chain3() -> IsingModel:
     # J = (0.3, 0.3), h = (0.1, 0, -0.1); flip+reverse symmetry pins p_1 = 1/2

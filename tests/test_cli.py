@@ -20,7 +20,7 @@ from localmrf import (
     write_label_file,
 )
 from localmrf.cli import _HANDLERS, run
-from conftest import chain_model
+from conftest import chain_model, overflowing_model
 from test_same_answers import citation_model
 
 
@@ -223,6 +223,12 @@ class TestQuery:
         payload = _json_out(capsys)
         assert payload["bound"] is None and payload["valid"] is False
 
+
+    def test_overflowing_elimination_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        save_model(overflowing_model(), path)
+        assert run(["query", "--model", str(path), "--node", "0", "--k", "4"]) == 1
+        assert capsys.readouterr().err.startswith("error: elimination overflows")
 
     def test_query_over_degree_cap(self, tmp_path, capsys):
         # node 4 has degree 40, over ENUMERATION_CAP; only couplings in alpha are searched

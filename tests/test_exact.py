@@ -12,6 +12,7 @@ from localmrf import (
     CliqueTooLargeError,
     GraphTooLargeError,
     GridSpec,
+    ModelError,
     brute_force_marginal,
     build_model,
     eliminate_marginal,
@@ -23,7 +24,7 @@ from localmrf import (
 )
 from localmrf import exact
 from localmrf.exact import Factor, marginalize
-from conftest import chain_model, random_connected_model, sigmoid
+from conftest import chain_model, overflowing_model, random_connected_model, sigmoid
 
 CHAIN3_P = (0.5456434105075804, 0.5000000000000001, 0.4543565894924198)
 
@@ -52,6 +53,17 @@ class TestMarginals:
                 m = build_model([(0, 1, 0.5)], [h, 0.0])
                 assert eliminate_marginal(m, 0) == want
                 assert brute_force_marginal(m, 0) == want
+
+    def test_overflow_is_a_model_error(self):
+        # the elimination tables overflow: a named error, not nan and a warning
+        m = overflowing_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for node in range(m.n):
+                with pytest.raises(ModelError, match=rf"elimination overflows: log p\(x_{node}\)"):
+                    eliminate_marginal(m, node)
+            with pytest.raises(ModelError, match="elimination overflows: log Z is inf"):
+                log_partition(m)
 
     def test_readout_keeps_its_bits_below_overflow(self):
         # the readout as it was before the overflow became silent

@@ -30,7 +30,7 @@ from localmrf import (
     random_expand,
 )
 from localmrf.dobrushin import ENUMERATION_CAP
-from conftest import chain_model, random_connected_model, sigmoid
+from conftest import chain_model, overflowing_model, random_connected_model, sigmoid
 from test_same_answers import citation_model
 
 
@@ -493,6 +493,16 @@ class TestQueryMarginal:
         assert res.marginal == pytest.approx(0.7310585786300049, abs=1e-15)
         assert res.bound == 0.0 and res.valid
         assert res.alpha == (0,)
+
+    @pytest.mark.parametrize("inference", list(InferenceMethod), ids=lambda i: i.value)
+    def test_overflowing_elimination_is_a_model_error(self, inference):
+        m = overflowing_model()
+        if inference is InferenceMethod.EXACT:
+            with pytest.raises(ModelError, match="elimination overflows"):
+                query_marginal(m, 0, K=4)
+        else:
+            # mean field reads no elimination table
+            assert 0.0 <= query_marginal(m, 0, K=4, inference=inference).marginal <= 1.0
 
     def test_full_absorption_recovers_exact(self, chain3):
         res = query_marginal(chain3, 0, K=3, delta=-math.inf)
