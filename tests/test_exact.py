@@ -187,6 +187,7 @@ class TestCaps:
             ("brute_force_marginal", ["model", "node"]),
             ("multiply", ["factors"]),
         ],
+        ids=["eliminate_marginal", "log_partition", "brute_force_marginal", "multiply"],
     )
     def test_limits_are_not_settings(self, name, params):
         # MAX_CLIQUE and MAX_BRUTE_NODES are constants and the order is
