@@ -29,7 +29,6 @@ from .exact import (
 from .expansion import (
     ExpansionStep,
     ExpansionTrace,
-    InferenceMethod,
     QueryResult,
     StopReason,
     greedy_expand,

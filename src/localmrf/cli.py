@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .dobrushin import decay_radius, dobrushin_coefficient
-from .expansion import InferenceMethod, greedy_expand, query_marginal
+from .expansion import greedy_expand, query_marginal
 from .experiments import (
     COMPARISON_METHODS,
     CoraSpec,
@@ -34,7 +34,6 @@ from .experiments import (
 from .model import BoundaryMethod, LocalMRFError, load_model, save_model
 
 _METHODS = {m.value: m for m in BoundaryMethod}
-_INFERENCE = {m.value: m for m in InferenceMethod}
 
 
 def _default_threads() -> int:
@@ -110,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=16)
     sp.add_argument("--delta", type=float, default=0.005)
     sp.add_argument("--method", choices=sorted(_METHODS), default="dropout")
-    sp.add_argument("--inference", choices=sorted(_INFERENCE), default="exact")
     common(sp)
 
     sp = sub.add_parser("expand", help="greedy expansion trace only")
@@ -290,7 +288,6 @@ def _cmd_query(ns) -> int:
         K=ns.k,
         delta=ns.delta,
         method=_METHODS[ns.method],
-        inference=_INFERENCE[ns.inference],
     )
     bound_txt = f"{res.bound:.12g}" if math.isfinite(res.bound) else "unavailable"
     _emit(

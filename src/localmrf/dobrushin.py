@@ -42,15 +42,19 @@ only through t). _check_enumeration is the one check, made before any memo
 lookup. Since every search runs over couplings inside alpha, a region of at
 most ENUMERATION_CAP + 1 nodes never reaches the cap, whatever the degrees.
 
-local_certificate is the one place C and b are assembled, in local order;
+extend_certificates is the one place C and b are assembled, in local order;
 dobrushin_coefficient reads the rows of C for a whole model, in global order.
 Both look rows up through _memo_row, so they read the same bits. Row i of C
 reads only node i's localized field and its couplings inside alpha, and b_j
 only j's fields, couplings and cross sum. So the certificate of alpha + (k,)
-extends the certificate of alpha (local_certificate's base): with k last in
-local order, only the rows and entries of k, of k's alpha neighbours and of
-nodes whose compensated field moved are recomputed, and every other one is
-copied.
+extends the certificate of alpha (the base): with k last in local order, only
+the rows and entries of k, of k's alpha neighbours and of nodes whose
+compensated field moved are recomputed, and every other one is copied.
+extend_certificates does this for every candidate k of an expansion step at
+once: the candidates' C matrices all have the size |alpha| + 1, so they stack
+into one (m, n, n) array that influence_matrix solves in one call, one LAPACK
+gesv per slice. Each bound is still its own row-times-vector product, whose
+bits a stacked product would not keep. local_certificate is a batch of one.
 """
 from __future__ import annotations
 
@@ -58,6 +62,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -214,10 +219,11 @@ def spectral_radius(c: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(c)))) if c.size else 0.0
 
 
-def influence_matrix(c: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(D, valid) with D = (I - C)^-1 from one direct solve: np.linalg.inv
-    runs the LAPACK gesv against I that np.linalg.solve(I - C, I) runs, with
-    less overhead and the same bits.
+def influence_matrix(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, valid) with D = (I - C)^-1 for every n x n slice of C (..., n, n):
+    np.linalg.inv runs one LAPACK gesv against I per slice, the solve
+    np.linalg.solve(I - C, I) runs, with less overhead and the same bits, and
+    valid holds one flag per slice (shape C.shape[:-2]).
 
     For entrywise nonnegative C, rho(C) < 1 holds exactly when I - C is
     nonsingular and its inverse is nonnegative (the M-matrix
@@ -226,14 +232,24 @@ def influence_matrix(c: np.ndarray) -> tuple[np.ndarray, bool]:
     entrywise. The last test is the Collatz-Wielandt certificate for
     rho(C) < 1 (in exact arithmetic C v = v - 1); it guards the sign test
     against rounding when rho(C) is close to 1.
+
+    One singular slice makes the stacked call raise, so the stack is then
+    solved slice by slice, and a singular slice gets a D of nan and is
+    invalid. Every slice's D and flag are the bits a call on that slice alone
+    gives.
     """
-    n = c.shape[0]
+    eye = np.eye(c.shape[-1])
     try:
-        d = np.linalg.inv(np.eye(n) - c)
+        d = np.linalg.inv(eye - c)
     except np.linalg.LinAlgError:
-        return np.full((n, n), np.nan), False
-    v = d.sum(axis=1)
-    valid = float(d.min()) >= -NEG_TOL and bool((c @ v < v).all())
+        d = np.empty(c.shape)
+        for idx in np.ndindex(c.shape[:-2]):
+            try:
+                d[idx] = np.linalg.inv(eye - c[idx])
+            except np.linalg.LinAlgError:
+                d[idx] = np.nan
+    v = d.sum(axis=-1)[..., None]
+    valid = (d.min(axis=(-2, -1)) >= -NEG_TOL) & (c @ v < v).all(axis=(-2, -1))
     return d, valid
 
 
@@ -252,10 +268,17 @@ def _perturbation_entry(
 
 
 def _memo_entry(
-    model: IsingModel, index: dict[int, int], h_tilde: float, j: int, memo: dict
+    h_tilde: float,
+    h: float,
+    inside_js: list[float],
+    outside_js: list[float],
+    node: int,
+    memo: dict,
 ) -> float:
-    """b_j for boundary node j of the alpha indexed by `index`, whose
-    localized field is h_tilde, looked up in memo under every float it reads.
+    """b_j at boundary node j = `node`, whose localized field is h_tilde and
+    global field h, with couplings inside_js to its alpha neighbours and
+    outside_js to its other neighbours, each in adjacency order; looked up in
+    memo under every float it reads.
 
     The localized conditional at j uses h_tilde and j's alpha neighbours only;
     the full model's also sums j's outside neighbours. An interior node has no
@@ -270,10 +293,9 @@ def _memo_entry(
     Raises EnumerationCapError, before the lookup, when j has more couplings
     inside alpha, the ones searched, than ENUMERATION_CAP.
     """
-    alpha_js = tuple(2.0 * model.coupling(j, k) for k in model.adjacency[j] if k in index)
-    _check_enumeration(j, len(alpha_js))
-    t = 2.0 * sum(abs(model.coupling(j, k)) for k in model.adjacency[j] if k not in index)
-    h = float(model.h[j])
+    alpha_js = tuple(2.0 * x for x in inside_js)
+    _check_enumeration(node, len(alpha_js))
+    t = 2.0 * sum(abs(x) for x in outside_js)
     key = ("b", h_tilde, h, alpha_js, t)
     entry = memo.get(key)
     if entry is None:
@@ -309,6 +331,160 @@ class DobrushinCertificate:
         return json.dumps(payload, sort_keys=True)
 
 
+@dataclass(frozen=True, eq=False)
+class CertificateBatch:
+    """Certificates of alpha + (k,) for each candidate k, stacked.
+
+    Slice i of C (m, n, n) and b (m, n) is candidates[i]'s, in the local order
+    alpha + (k,). bounds[i] is its bound, +inf when it is invalid or its
+    assembly raised; valid[i] is its validity flag. errors maps each
+    candidate whose assembly raised to the EnumerationCapError; its slices
+    are incomplete and were not solved.
+    """
+
+    candidates: tuple[int, ...]
+    C: np.ndarray
+    b: np.ndarray
+    bounds: tuple[float, ...]
+    valid: np.ndarray
+    errors: dict[int, EnumerationCapError]
+
+    def certificate(self, k: int, localized: LocalizedModel) -> DobrushinCertificate:
+        """Candidate k's certificate, on the localization of alpha + (k,)
+        whose fields were certified.
+
+        Raises:
+            EnumerationCapError: k's assembly raised it.
+        """
+        if k in self.errors:
+            raise self.errors[k]
+        i = self.candidates.index(k)
+        c = self.C[i].copy()
+        return DobrushinCertificate(
+            C=c,
+            b=self.b[i].copy(),
+            bound=self.bounds[i],
+            valid=bool(self.valid[i]),
+            c_local=float(c.sum(axis=1).max()),
+            localized=localized,
+        )
+
+
+def extend_certificates(
+    model: IsingModel,
+    alpha: tuple[int, ...],
+    query: int,
+    candidates: Sequence[int],
+    fields: Sequence[np.ndarray] | None = None,
+    *,
+    memo: dict | None = None,
+    base: DobrushinCertificate | None = None,
+) -> CertificateBatch:
+    """Certificates for the query marginal of alpha + (k,), k in candidates.
+
+    This is the one place C and b are assembled. For each candidate, C is the
+    interaction matrix of its localized model (localized fields, edges inside
+    alpha + (k,) only), row i in local adjacency order; b compares the two
+    conditionals at the boundary (see _memo_entry), zero inside, where a node
+    is on the boundary when a neighbour lies outside alpha + (k,); the bound
+    is row `query` of D against b. The stacked C goes through one
+    influence_matrix call, and a slice that fails its validity test yields
+    valid=False and bound=+inf. fields[i] holds the localized fields of
+    alpha + (candidates[i],) in local order; None takes the model's own
+    fields, as DROP_OUT does. Everything is read off the global model and
+    the fields, so no region, localization or submodel is built.
+
+    base, the certificate of alpha of the same model, extends instead of
+    rebuilding: with k appended last in local order, only the rows of C and
+    the entries of b of k, of k's alpha neighbours and of nodes whose field
+    differs from base's (mean field moves them) can change. Those are
+    recomputed and every other row and entry is copied from base. base=None
+    computes every row and entry. memo holds the rows of C and the entries of
+    b computed so far, such as for one expansion's earlier steps, each keyed
+    on every input it reads. Neither base, memo, nor the other candidates of
+    the batch change a bit of a candidate's result: the bound of each is its
+    own `d[qi] @ b`, since a stacked product would round differently.
+
+    A candidate whose row or entry is over ENUMERATION_CAP is recorded in
+    errors and scores +inf; the others are still certified.
+
+    Raises:
+        ValueError: base does not certify alpha of model.
+    """
+    memo = {} if memo is None else memo
+    candidates = tuple(candidates)
+    m, n = len(candidates), len(alpha) + 1
+    if fields is None:
+        h = np.empty((m, n))
+        h[:, :-1] = model.h[list(alpha)]
+        h[:, -1] = model.h[list(candidates)]
+    else:
+        h = np.array(fields, dtype=np.float64).reshape(m, n)
+    index = {g: i for i, g in enumerate(alpha)}
+    adjacency, couplings = model.adjacency, model.J
+    c = np.zeros((m, n, n))
+    b = np.zeros((m, n))
+    moved: list[list[int]] = [[] for _ in candidates]
+    if base is not None:
+        if (base.localized.model, base.localized.alpha) != (model, alpha):
+            raise ValueError("base must certify alpha of the same model")
+        c[:, :-1, :-1] = base.C
+        b[:, :-1] = base.b
+        for ci, i in zip(*np.nonzero(h[:, :-1] != base.localized.h)):
+            moved[ci].append(int(i))
+    errors: dict[int, EnumerationCapError] = {}
+    for ci, (k, h_tilde) in enumerate(zip(candidates, h.tolist())):
+        inside = {**index, k: n - 1}
+        local = (*alpha, k)
+        if base is None:
+            redo = range(n)
+        else:
+            k_nbrs = (index[g] for g in adjacency[k] if g in index)
+            redo = sorted({n - 1, *k_nbrs, *moved[ci]})
+        c_k, b_k = c[ci], b[ci]
+        try:
+            # one pass over each node's adjacency splits its couplings into
+            # alpha + (k,) and outside; an old node's alpha neighbours only
+            # gain k, so its new row overwrites every entry its copied row had
+            split = []
+            for i in redo:
+                g = local[i]
+                cols, inside_js, outside_js = [], [], []
+                for x in adjacency[g]:
+                    j = couplings[(g, x) if g < x else (x, g)]
+                    if x in inside:
+                        cols.append(inside[x])
+                        inside_js.append(j)
+                    else:
+                        outside_js.append(j)
+                split.append((i, g, inside_js, outside_js))
+                row = sorted(zip(cols, inside_js))
+                js = tuple(j for _, j in row)
+                for (l, _), entry in zip(row, _memo_row(h_tilde[i], js, memo, g)):
+                    c_k[i, l] = entry
+            # a node that left the boundary had k as its last outside neighbour
+            for i, g, inside_js, outside_js in split:
+                b_k[i] = (
+                    _memo_entry(h_tilde[i], float(model.h[g]), inside_js, outside_js, g, memo)
+                    if outside_js
+                    else 0.0
+                )
+        except EnumerationCapError as exc:
+            errors[k] = exc
+    solved = [ci for ci, k in enumerate(candidates) if k not in errors]
+    d, solved_valid = influence_matrix(c[solved] if errors else c)
+    valid = np.zeros(m, dtype=bool)
+    valid[solved] = solved_valid
+    qi = index.get(query, n - 1)
+    bounds = [math.inf] * m
+    for s, ci in enumerate(solved):
+        if solved_valid[s]:
+            bounds[ci] = float(d[s, qi] @ b[ci])
+    return CertificateBatch(
+        candidates=candidates, C=c, b=b, bounds=tuple(bounds), valid=valid, errors=errors
+    )
+
+
 def local_certificate(
     model: IsingModel,
     region: Region,
@@ -319,73 +495,23 @@ def local_certificate(
 ) -> DobrushinCertificate:
     """Certificate for the query marginal of a localized model.
 
-    This is the one place C and b are assembled. C is the interaction matrix
-    of the localized model (compensated fields, alpha-internal edges only),
-    row i in local adjacency order; b compares the two conditionals at the
-    alpha boundary (see _memo_entry), zero inside; the bound is row `query`
-    of D against b. A solve that fails influence_matrix's validity test
-    yields valid=False and bound=+inf. Both are read off the global model and
-    localized.h, so the submodel is not built. For a region over range(n)
-    with DROP_OUT, local order is global order and there is no boundary, so C
-    is the whole model's interaction matrix.
-
-    base, the certificate of region.alpha[:-1] of the same model, extends
-    instead of rebuilding: with k = alpha[-1] appended last in local order,
-    only the rows of C and the entries of b of k, of k's alpha neighbours and
-    of nodes whose localized field differs from base's (mean field moves
-    them) can change. Those are recomputed and every other row and entry is
-    copied from base. base=None computes every row and entry. memo holds the
-    rows of C and the entries of b computed so far, such as for one
-    expansion's earlier candidates, each keyed on every input it reads.
-    Neither base nor memo changes a bit of the result.
+    A batch of one: extend_certificates of region.alpha[:-1] by its last
+    node, with localized.h as that node's fields, so it is assembled and
+    solved as an expansion's candidates are. base, when given, is the
+    certificate of alpha[:-1]. For a region over range(n) with DROP_OUT,
+    local order is global order and there is no boundary, so C is the whole
+    model's interaction matrix.
 
     Raises:
         EnumerationCapError: a row or entry computed here is over
             ENUMERATION_CAP.
         ValueError: base does not certify alpha[:-1] of model.
     """
-    memo = {} if memo is None else memo
-    alpha, h_tilde = region.alpha, localized.h
-    n = len(alpha)
-    index = {g: i for i, g in enumerate(alpha)}
-    c = np.zeros((n, n))
-    b = np.zeros(n)
-    if base is None:
-        redo = range(n)
-    else:
-        if (base.localized.model, base.localized.alpha) != (model, alpha[:-1]):
-            raise ValueError("base must certify alpha[:-1] of the same model")
-        c[:-1, :-1] = base.C
-        b[:-1] = base.b
-        k_nbrs = (index[g] for g in model.adjacency[alpha[-1]] if g in index)
-        old_h = base.localized.h.tolist()
-        moved = (i for i, x in enumerate(h_tilde.tolist()[:-1]) if x != old_h[i])
-        redo = sorted({n - 1, *k_nbrs, *moved})
-    # an old node's alpha neighbours only gain k, so its new row overwrites
-    # every entry its copied row had
-    for i in redo:
-        g = alpha[i]
-        nbrs = sorted(index[x] for x in model.adjacency[g] if x in index)
-        js = tuple(model.coupling(g, alpha[l]) for l in nbrs)
-        for l, entry in zip(nbrs, _memo_row(float(h_tilde[i]), js, memo, g)):
-            c[i, l] = entry
-    # a node that left the boundary had k as its last outside neighbour
-    boundary = set(region.boundary_alpha)
-    for i in redo:
-        g = alpha[i]
-        b[i] = _memo_entry(model, index, float(h_tilde[i]), g, memo) if g in boundary else 0.0
-    d, valid = influence_matrix(c)
-    c_local = float(c.sum(axis=1).max()) if c.size else 0.0
-    qi = index[region.query]
-    bound = float(d[qi] @ b) if valid else math.inf
-    return DobrushinCertificate(
-        C=c,
-        b=b,
-        bound=bound,
-        valid=valid,
-        c_local=c_local,
-        localized=localized,
+    alpha = region.alpha
+    batch = extend_certificates(
+        model, alpha[:-1], region.query, alpha[-1:], [localized.h], memo=memo, base=base
     )
+    return batch.certificate(alpha[-1], localized)
 
 
 def _decay_rate(c: float, t: float) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     IsingModel,
@@ -193,7 +192,14 @@ def log_partition(model: IsingModel) -> float:
 
 
 def brute_force_marginal(model: IsingModel, node: int) -> float:
-    """p(x_node = +1) by enumerating the node's component."""
+    """p(x_node = +1) by enumerating the node's component.
+
+    Raises:
+        GraphTooLargeError: the component has more than MAX_BRUTE_NODES nodes.
+        ModelError: a log mass overflows, as elimination reports it.
+    """
+    from scipy.special import logsumexp  # scipy.special takes most of the package's import time
+
     comp = connected_component(model, node)
     m = len(comp)
     if m > MAX_BRUTE_NODES:
@@ -205,13 +211,18 @@ def brute_force_marginal(model: IsingModel, node: int) -> float:
         return ((idx >> i) & 1).astype(np.float64) * 2.0 - 1.0
 
     energy = np.zeros(1 << m)
-    for g in comp:
-        energy += model.h[g] * spins(pos[g])
-    comp_set = set(comp)
-    for (u, v), j in model.J.items():
-        if u in comp_set and v in comp_set:
-            energy += j * spins(pos[u]) * spins(pos[v])
     mask = ((idx >> pos[node]) & 1) == 1
-    log_plus = logsumexp(energy[mask])
-    log_minus = logsumexp(energy[~mask])
+    comp_set = set(comp)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for g in comp:
+            energy += model.h[g] * spins(pos[g])
+        for (u, v), j in model.J.items():
+            if u in comp_set and v in comp_set:
+                energy += j * spins(pos[u]) * spins(pos[v])
+        log_plus = logsumexp(energy[mask])
+        log_minus = logsumexp(energy[~mask])
+    if not (np.isfinite(log_plus) and np.isfinite(log_minus)):
+        raise ModelError(
+            f"enumeration overflows: log p(x_{node}) is {[float(log_minus), float(log_plus)]}"
+        )
     return _p_plus(log_minus, log_plus)

@@ -8,11 +8,14 @@ always detach alpha by dropping the cross edges, so all three strategies share
 one trace format and one final-certificate rule.
 
 A candidate k shares all of alpha with the certificate its step accepted, so
-it is scored by extending that certificate: the region grows by k
-(`Region.grow`), the localization keeps only alpha and its fields (the
-alpha-only model is built when first read, so an unchosen candidate never
-builds one), and `local_certificate(..., base=...)` recomputes only the rows
-and entries that k can change. The result is bit-identical to a rebuild.
+a step scores its candidates in one `extend_certificates` call on that
+certificate: each candidate's C and b are copied from it, only the rows and
+entries that k can change are recomputed, and the stacked C goes through one
+solve. Only the chosen node gets a `Region`, a localization and a
+`DobrushinCertificate`; under MEAN_FIELD each candidate is also grown and
+localized first, for its boundary solve. The alpha-only model is built when
+first read, so an unchosen candidate never builds one. Every bound is
+bit-identical to a certificate built from scratch.
 """
 from __future__ import annotations
 
@@ -23,14 +26,18 @@ from enum import Enum
 
 import numpy as np
 
-from .dobrushin import DobrushinCertificate, EnumerationCapError, local_certificate
+from .dobrushin import (
+    DobrushinCertificate,
+    EnumerationCapError,
+    extend_certificates,
+    local_certificate,
+)
 from .exact import eliminate_marginal
-from .meanfield import mean_field
 from .model import (
     BoundaryMethod,
     IsingModel,
+    LocalizedModel,
     MeanFieldDivergence,
-    Region,
     localize,
     make_region,
 )
@@ -40,11 +47,6 @@ class StopReason(Enum):
     REACHED_K = "ReachedK"
     NO_IMPROVEMENT = "NoImprovement"
     BOUNDARY_EMPTY = "BoundaryEmpty"
-
-
-class InferenceMethod(Enum):
-    EXACT = "exact"
-    MEAN_FIELD = "meanfield"
 
 
 @dataclass(frozen=True)
@@ -102,17 +104,6 @@ class ExpansionTrace:
                 )
             )
         return "\n".join(lines) + "\n" if lines else ""
-
-
-def _certificate(
-    model: IsingModel,
-    region: Region,
-    method: BoundaryMethod,
-    memo: dict,
-    base: DobrushinCertificate | None = None,
-) -> DobrushinCertificate:
-    loc = localize(model, region, method=method)
-    return local_certificate(model, region, loc, memo=memo, base=base)
 
 
 def _maxnorm_choice(model: IsingModel, alpha: list[int], candidates: tuple[int, ...]) -> int:
@@ -186,16 +177,20 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     to_score(alpha, candidates) names the candidates scored at a step: all of
     them for greedy, the one its pick rule names for a baseline, which runs
     with delta=-inf so any finite bound is accepted. When every scored node is
-    invalid, the maxnorm rule picks among them and the trace is degraded. The
-    final certificate is the one scored for the node appended last; it is only
-    built afresh when alpha is still {query} or that node's build raised.
+    invalid, the maxnorm rule picks among them and the trace is degraded.
 
-    Each candidate's region is the current one grown by it, and its
-    certificate extends final_cert, the certificate of the current alpha;
-    with no such certificate (the first step, or after a raised build) every
-    row and entry is computed. One memo of C rows and b entries lives for the
-    call, so a recomputed row or entry that an earlier candidate already
-    needed is looked up, not computed again.
+    The loop starts from the certificate of {query}, and each step scores its
+    candidates with one extend_certificates call on the certificate of the
+    current alpha. Only the chosen node's region, localization and
+    certificate are built; under MEAN_FIELD every candidate is localized
+    first, since its fields come from its own boundary solve, and a candidate
+    whose solve stalls scores +inf. The final certificate is the one built
+    for the node appended last. When that build raised, the next step has no
+    base and computes every row and entry; when it was the last one, a region
+    over ENUMERATION_CAP ends the degraded trace with an invalid certificate,
+    and a stalled boundary solve raises MeanFieldDivergence. One memo of C
+    rows and b entries lives for the call, so a recomputed row or entry that
+    an earlier candidate already needed is looked up, not computed again.
     """
     if not (0 <= query < model.n):
         raise ValueError(f"query {query} out of range")
@@ -207,39 +202,54 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     steps: list[ExpansionStep] = []
     degraded = False
     stop = StopReason.REACHED_K
-    final_cert: DobrushinCertificate | None = None
     memo: dict = {}
+    try:
+        final_cert = local_certificate(model, region, localize(model, region, method), memo=memo)
+    except MeanFieldDivergence:
+        final_cert = None
     while len(alpha) < K:
         candidates = region.boundary_beta
         if not candidates:
             stop = StopReason.BOUNDARY_EMPTY
             break
-        bounds: dict[int, float] = {}
-        regions: dict[int, Region] = {}
-        certs: dict[int, DobrushinCertificate] = {}
-        for k in to_score(alpha, candidates):
-            regions[k] = region.grow(model, k)
-            try:
-                certs[k] = _certificate(model, regions[k], method, memo, final_cert)
-                bounds[k] = certs[k].bound
-            except (MeanFieldDivergence, EnumerationCapError):
-                bounds[k] = math.inf
+        scored = tuple(to_score(alpha, candidates))
+        bounds = dict.fromkeys(scored, math.inf)
+        locs: dict[int, LocalizedModel] = {}
+        if method is BoundaryMethod.MEAN_FIELD:
+            for k in scored:
+                try:
+                    locs[k] = localize(model, region.grow(model, k), method)
+                except MeanFieldDivergence:
+                    pass
+            ks, fields = tuple(locs), [loc.h for loc in locs.values()]
+        else:
+            ks, fields = scored, None
+        batch = extend_certificates(
+            model, region.alpha, query, ks, fields, memo=memo, base=final_cert
+        )
+        bounds.update(zip(ks, batch.bounds))
         chosen = min(bounds, key=lambda k: (bounds[k], k))
         if bounds[chosen] < best_bound - delta:
             best_bound = bounds[chosen]
         elif all(math.isinf(b) for b in bounds.values()):
-            chosen = _maxnorm_choice(model, alpha, tuple(bounds))
+            chosen = _maxnorm_choice(model, alpha, scored)
             degraded = True
         else:
             steps.append(ExpansionStep(candidates, bounds, None, best_bound))
             stop = StopReason.NO_IMPROVEMENT
             break
         alpha.append(chosen)
-        region = regions[chosen]
-        final_cert = certs.get(chosen)
+        region = region.grow(model, chosen)
+        final_cert = None
+        if chosen in ks:
+            loc = locs[chosen] if chosen in locs else localize(model, region, method)
+            try:
+                final_cert = batch.certificate(chosen, loc)
+            except EnumerationCapError:
+                pass
         steps.append(ExpansionStep(candidates, bounds, chosen, best_bound, final_cert))
-    if final_cert is None:
-        final_cert = _certificate(model, region, method, memo)
+    if final_cert is None:  # the last build raised, and would raise again
+        final_cert = _uncertified(localize(model, region, method))
     return ExpansionTrace(
         query=query,
         method=method,
@@ -248,6 +258,20 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
         final_certificate=final_cert,
         stop_reason=stop,
         degraded=degraded,
+    )
+
+
+def _uncertified(localized: LocalizedModel) -> DobrushinCertificate:
+    """The certificate of a region whose C or b is over ENUMERATION_CAP:
+    invalid, with bound +inf, and C, b and c_local unknown (nan)."""
+    n = len(localized.alpha)
+    return DobrushinCertificate(
+        C=np.full((n, n), np.nan),
+        b=np.full(n, np.nan),
+        bound=math.inf,
+        valid=False,
+        c_local=math.nan,
+        localized=localized,
     )
 
 
@@ -266,25 +290,19 @@ def query_marginal(
     K: int = 16,
     delta: float = 0.005,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
-    inference: InferenceMethod = InferenceMethod.EXACT,
 ) -> QueryResult:
-    """Greedy-expand around the query and infer on alpha only.
+    """Greedy-expand around the query and infer exactly on alpha only.
 
-    Inference runs on the localized model the final certificate was built
-    on, so the region is localized once per answer. The answer never touches
+    The marginal is the exact marginal of the localized model the final
+    certificate was built on, which is what the certificate's bound covers,
+    so the region is localized once per answer. The answer never touches
     nodes beyond the expanded region, so its cost is independent of the
     global graph size.
     """
     trace = greedy_expand(model, query, K=K, delta=delta, method=method)
     loc = trace.final_certificate.localized
-    qi = loc.index_of(query)
-    if inference is InferenceMethod.EXACT:
-        p = eliminate_marginal(loc.submodel, qi)
-    else:
-        state = mean_field(loc.submodel)
-        p = (1.0 + float(state.m[qi])) / 2.0
     return QueryResult(
-        marginal=p,
+        marginal=eliminate_marginal(loc.submodel, loc.index_of(query)),
         bound=trace.final_certificate.bound,
         valid=trace.valid,
         alpha=trace.final_alpha,

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
 from .model import IsingModel, Region, build_model
 
@@ -40,6 +39,8 @@ def variational_objective(model: IsingModel, m: np.ndarray) -> float:
     Couplings and fields near the float limit overflow the sums to inf; that
     is the objective's value there, so numpy does not warn about it.
     """
+    from scipy.special import entr  # scipy.special takes most of the package's import time
+
     m = np.asarray(m, dtype=np.float64)
     p = (1.0 + m) / 2.0
     entropy = float(np.sum(entr(p) + entr(1.0 - p)))

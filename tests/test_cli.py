@@ -202,11 +202,18 @@ class TestQuery:
     def test_meanfield_flags(self, chain_file, capsys):
         code = run([
             "query", "--model", chain_file, "--node", "0", "--k", "2",
-            "--method", "meanfield", "--inference", "meanfield", "--json",
+            "--method", "meanfield", "--json",
         ])
         assert code == 0
         payload = _json_out(capsys)
         assert 0.0 <= payload["marginal"] <= 1.0
+
+    def test_no_uncertified_readout(self, chain_file, capsys):
+        # the mean-field readout was reported with the exact marginal's bound
+        code = run([
+            "query", "--model", chain_file, "--node", "0", "--inference", "meanfield",
+        ])
+        assert code == 2
 
     def test_invalid_certificate_gives_null_bound(self, tmp_path, capsys):
         model = build_model(

@@ -1,6 +1,7 @@
 """Interaction matrix C and perturbation vector b (both read through
 local_certificate), the influence series, certificates and decay bounds."""
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -442,6 +443,122 @@ class TestInfluenceMatrix:
         assert valid
         c_max = float(np.max(c.sum(axis=1)))
         assert np.all(d.sum(axis=1) <= 1.0 / (1.0 - c_max) + 1e-9)
+
+    @staticmethod
+    def one_matrix(c):
+        """influence_matrix on one matrix as it was before it took stacks,
+        kept as the reference for every slice of a stack."""
+        n = c.shape[0]
+        try:
+            d = np.linalg.inv(np.eye(n) - c)
+        except np.linalg.LinAlgError:
+            return np.full((n, n), np.nan), False
+        v = d.sum(axis=1)
+        return d, float(d.min()) >= -dobrushin.NEG_TOL and bool((c @ v < v).all())
+
+    @given(st.integers(1, 12), st.integers(1, 16), st.integers(0, 10**6))
+    def test_stack_matches_one_call_per_slice(self, m, n, seed):
+        # each slice is scaled to a spectral radius in [0.95, 1.05], where
+        # the sign test and the Collatz-Wielandt guard decide validity
+        rng = np.random.Generator(np.random.Philox(seed))
+        c = rng.uniform(0, 1, size=(m, n, n)) * (rng.random((m, n, n)) < 0.6)
+        for i in range(m):
+            rho = float(np.max(np.abs(np.linalg.eigvals(c[i]))))
+            if rho > 0.0:
+                c[i] *= rng.uniform(0.95, 1.05) / rho
+        d, valid = influence_matrix(c)
+        assert d.shape == c.shape and valid.shape == (m,)
+        for i in range(m):
+            want_d, want_valid = self.one_matrix(c[i])
+            one_d, one_valid = influence_matrix(c[i])
+            assert d[i].tobytes() == one_d.tobytes() == want_d.tobytes()
+            assert valid[i] == one_valid == want_valid
+
+    def test_singular_slice_in_a_stack(self):
+        # I - C of the first slice is singular, so the stacked solve raises
+        # and every slice is solved alone
+        c = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.3], [0.3, 0.0]]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.eye(2) - c)
+        d, valid = influence_matrix(c)
+        assert np.isnan(d[0]).all() and not valid[0]
+        want_d, want_valid = self.one_matrix(c[1])
+        assert d[1].tobytes() == want_d.tobytes() and valid[1] == want_valid
+
+
+class TestExtendCertificates:
+    """A step's candidates certified in one batch: each candidate's slices,
+    bound and validity are those of the certificate of alpha + (k,) alone."""
+
+    @staticmethod
+    def start(model, alpha, query=0):
+        region = make_region(model, alpha, query)
+        return local_certificate(model, region, localize(model, region))
+
+    def assert_fresh(self, model, alpha, batch, query=0):
+        """Every candidate of batch against a fresh, memo-less certificate."""
+        for i, k in enumerate(batch.candidates):
+            region = make_region(model, alpha + (k,), query)
+            loc = localize(model, region)
+            if k in batch.errors:
+                assert batch.bounds[i] == math.inf and not batch.valid[i]
+                message = re.escape(str(batch.errors[k]))
+                with pytest.raises(EnumerationCapError, match=message):
+                    local_certificate(model, region, loc)
+                with pytest.raises(EnumerationCapError, match=message):
+                    batch.certificate(k, loc)
+                continue
+            want = local_certificate(model, region, loc)
+            got = batch.certificate(k, loc)
+            assert batch.C[i].tobytes() == got.C.tobytes() == want.C.tobytes()
+            assert batch.b[i].tobytes() == got.b.tobytes() == want.b.tobytes()
+            assert batch.bounds[i].hex() == got.bound.hex() == want.bound.hex()
+            assert batch.valid[i] == got.valid == want.valid
+            assert got.c_local == want.c_local
+
+    def test_singular_candidate(self):
+        # a coupling of 50 puts C_01 = C_10 = 1.0, so I - C of candidate 1 is
+        # singular: it is invalid and candidate 2 is still certified
+        model = build_model([(0, 1, 50.0), (0, 2, 0.1)], [0.0, 0.0, 0.0])
+        for base in (None, self.start(model, (0,))):
+            batch = dobrushin.extend_certificates(model, (0,), 0, (1, 2), base=base)
+            assert batch.C[0, 0, 1] == batch.C[0, 1, 0] == 1.0
+            assert batch.bounds[0] == math.inf and not batch.valid[0]
+            assert batch.valid[1] and math.isfinite(batch.bounds[1])
+            self.assert_fresh(model, (0,), batch)
+
+    def test_over_cap_candidate(self):
+        # hub 0 with 27 leaves, 25 of them in alpha, and node 28 hanging off
+        # leaf 1: a 26th leaf puts the hub's b entry over the cap, node 28
+        # does not
+        model = build_model(
+            [(0, k, 0.05) for k in range(1, 28)] + [(1, 28, 0.3)], [0.1] * 29
+        )
+        alpha = tuple(range(26))
+        for base in (None, self.start(model, alpha)):
+            batch = dobrushin.extend_certificates(model, alpha, 0, (26, 27, 28), base=base)
+            assert set(batch.errors) == {26, 27}
+            assert "node 0 would enumerate 26 couplings" in str(batch.errors[26])
+            assert batch.valid[2] and math.isfinite(batch.bounds[2])
+            self.assert_fresh(model, alpha, batch)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_slice_equals_a_batch_of_one(self, seed):
+        model = random_connected_model(12, seed, j_scale=1.0)
+        region = make_region(model, (0,), 0)
+        while len(region.alpha) < 6:
+            alpha, ks = region.alpha, region.boundary_beta
+            base = self.start(model, alpha)
+            for b in (None, base):
+                batch = dobrushin.extend_certificates(model, alpha, 0, ks, base=b)
+                self.assert_fresh(model, alpha, batch)
+                for i, k in enumerate(ks):
+                    one = dobrushin.extend_certificates(model, alpha, 0, (k,), base=b)
+                    assert one.C[0].tobytes() == batch.C[i].tobytes()
+                    assert one.b[0].tobytes() == batch.b[i].tobytes()
+                    assert one.bounds[0].hex() == batch.bounds[i].hex()
+                    assert one.valid[0] == batch.valid[i]
+            region = region.grow(model, ks[0])
 
 
 class TestSpectralRadius:

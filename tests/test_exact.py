@@ -55,13 +55,16 @@ class TestMarginals:
                 assert brute_force_marginal(m, 0) == want
 
     def test_overflow_is_a_model_error(self):
-        # the elimination tables overflow: a named error, not nan and a warning
+        # the elimination tables and the enumerated log masses overflow: a
+        # named error, not nan and a warning
         m = overflowing_model()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for node in range(m.n):
                 with pytest.raises(ModelError, match=rf"elimination overflows: log p\(x_{node}\)"):
                     eliminate_marginal(m, node)
+                with pytest.raises(ModelError, match=rf"enumeration overflows: log p\(x_{node}\)"):
+                    brute_force_marginal(m, node)
             with pytest.raises(ModelError, match="elimination overflows: log Z is inf"):
                 log_partition(m)
 

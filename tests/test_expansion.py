@@ -1,4 +1,5 @@
 """Greedy bound-driven expansion, baselines, and end-to-end queries."""
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from localmrf import (
     BoundaryMethod,
     EnumerationCapError,
     GridSpec,
-    InferenceMethod,
+    LocalizedModel,
     MeanFieldDivergence,
     ModelError,
     StopReason,
@@ -103,6 +104,26 @@ class TestGreedyExpand:
         assert not trace.final_certificate.valid
         assert trace.final_certificate.bound == math.inf
 
+    def test_every_candidate_over_the_cap_degrades(self):
+        # hub 0 with 30 leaves: once 25 leaves are in alpha, every candidate
+        # puts the hub's b entry over ENUMERATION_CAP, so no pick from there
+        # on has a certificate, the last one included
+        model = build_model([(0, k, 0.05) for k in range(1, 31)], [0.0] * 31)
+        for trace in (
+            greedy_expand(model, 0, K=30, delta=-math.inf),
+            maxnorm_expand(model, 0, K=30),
+        ):
+            assert len(trace.final_alpha) == 30
+            assert trace.degraded and not trace.valid
+            last = trace.steps[-1]
+            assert last.certificate is None and math.isinf(last.bounds[last.chosen])
+            assert not trace.final_certificate.valid
+            assert trace.final_certificate.bound == math.inf
+            assert trace.final_certificate.localized.alpha == trace.final_alpha
+        res = query_marginal(model, 0, K=30, delta=-math.inf)
+        assert not res.valid and res.bound == math.inf
+        assert res.marginal == pytest.approx(0.5, abs=1e-12)
+
     @pytest.mark.parametrize(
         "expand",
         [
@@ -182,6 +203,42 @@ class TestGreedyExpand:
             assert cert.valid == fresh.valid
             assert cert.b.tobytes() == fresh.b.tobytes()
             assert cert.C.tobytes() == fresh.C.tobytes()
+
+    @given(
+        st.integers(2, 12),
+        st.integers(0, 10**6),
+        st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+        st.sampled_from(list(BoundaryMethod)),
+    )
+    def test_every_step_matches_fresh_certificates(self, n, seed, j_scale, method):
+        """At every step each scored candidate's bound, and so its validity,
+        is that of a fresh, memo-less certificate of alpha + (k,), and the
+        chosen node's certificate has its C, b, bound and c_local."""
+        model = random_connected_model(n, seed, j_scale=j_scale)
+        try:
+            trace = greedy_expand(model, 0, K=n, delta=-math.inf, method=method)
+        except MeanFieldDivergence:
+            return
+        alpha = (0,)
+        for step in trace.steps:
+            for k, bound in step.bounds.items():
+                region = make_region(model, alpha + (k,), 0)
+                try:
+                    fresh = local_certificate(model, region, localize(model, region, method))
+                except (MeanFieldDivergence, EnumerationCapError):
+                    assert bound == math.inf
+                    continue
+                assert bound.hex() == fresh.bound.hex()
+                assert math.isfinite(bound) == fresh.valid
+                if k == step.chosen:
+                    cert = step.certificate
+                    assert cert.C.tobytes() == fresh.C.tobytes()
+                    assert cert.b.tobytes() == fresh.b.tobytes()
+                    assert (cert.bound, cert.valid, cert.c_local) == (
+                        fresh.bound, fresh.valid, fresh.c_local
+                    )
+            if step.chosen is not None:
+                alpha += (step.chosen,)
 
     def test_step_certificate_not_serialised(self):
         model = gen_grid(GridSpec(4, 4, I1=1.0, I2=0.25, seed=7))
@@ -270,6 +327,11 @@ class TestBoundaryDivergence:
         assert json.loads(trace.to_jsonl())["bounds"]["2"] is None
         assert step.chosen != 2 and math.isfinite(step.bounds[step.chosen])
         assert not trace.degraded and trace.valid
+        # the candidates whose solve converged are certified as if alone
+        for k in (1, 3):
+            region = make_region(star, (0, k), 0)
+            loc = localize(star, region, BoundaryMethod.MEAN_FIELD)
+            assert step.bounds[k] == local_certificate(star, region, loc).bound
 
     def test_all_diverging_step_takes_maxnorm_pick(self, star, monkeypatch):
         self._stall(monkeypatch, lambda alpha: len(alpha) == 2)
@@ -303,27 +365,35 @@ class TestCertificateExtension:
 
     @staticmethod
     def record(monkeypatch):
-        """Wrap the expansion's local_certificate: every call also builds the
-        certificate from scratch, and both outcomes are kept for the test."""
+        """Wrap the expansion's extend_certificates: every candidate of every
+        call is also certified from scratch, and both outcomes are kept for
+        the test as (base, region, batch outcome, fresh outcome)."""
         import localmrf.expansion as expansion
 
-        real = expansion.local_certificate
+        real = expansion.extend_certificates
         calls = []
 
-        def outcome(*args, **kwargs):
+        def outcome(build):
             try:
-                return real(*args, **kwargs)
+                return build()
             except EnumerationCapError as exc:
                 return exc
 
-        def checked(model, region, localized, *, memo=None, base=None):
-            got = outcome(model, region, localized, memo=memo, base=base)
-            calls.append((base, region, got, outcome(model, region, localized)))
-            if isinstance(got, Exception):
-                raise got
-            return got
+        def checked(model, alpha, query, candidates, fields=None, *, memo=None, base=None):
+            batch = real(model, alpha, query, candidates, fields, memo=memo, base=base)
+            for i, k in enumerate(batch.candidates):
+                region = make_region(model, alpha + (k,), query)
+                h = model.h[list(region.alpha)] if fields is None else fields[i]
+                loc = LocalizedModel(region.alpha, h, model)
+                calls.append((
+                    base,
+                    region,
+                    outcome(lambda: batch.certificate(k, loc)),
+                    outcome(lambda: local_certificate(model, region, loc)),
+                ))
+            return batch
 
-        monkeypatch.setattr(expansion, "local_certificate", checked)
+        monkeypatch.setattr(expansion, "extend_certificates", checked)
         return calls
 
     @staticmethod
@@ -357,15 +427,22 @@ class TestCertificateExtension:
         import localmrf.expansion as expansion
 
         model, hub, spokes = self.heavy_tailed(0)
-        real = expansion.localize
-
-        def stall_third(model, region, method):
-            if len(region.alpha) == 3:  # every candidate of the second step
-                raise MeanFieldDivergence("stalled", residual=1.0)
-            return real(model, region, method)
-
-        monkeypatch.setattr(expansion, "localize", stall_third)
         calls = self.record(monkeypatch)
+        recorded = expansion.extend_certificates
+
+        def raise_third(model, alpha, query, candidates, fields=None, **kwargs):
+            batch = recorded(model, alpha, query, candidates, fields, **kwargs)
+            if len(alpha) != 2:
+                return batch
+            # every candidate of the second step raises
+            planted = EnumerationCapError("planted")
+            return dataclasses.replace(
+                batch,
+                bounds=(math.inf,) * len(batch.candidates),
+                errors=dict.fromkeys(batch.candidates, planted),
+            )
+
+        monkeypatch.setattr(expansion, "extend_certificates", raise_third)
         trace = greedy_expand(model, hub, K=6, delta=-math.inf, method=method)
         assert trace.degraded and trace.steps[1].certificate is None
         self.assert_same(calls)
@@ -511,12 +588,18 @@ class TestQueryMarginal:
             if res.valid:
                 assert abs(res.marginal - p_true) <= res.bound + 1e-9
 
-    def test_meanfield_inference_readout(self, chain3):
-        exact = query_marginal(chain3, 0, K=1)
-        mf = query_marginal(chain3, 0, K=1, inference=InferenceMethod.MEAN_FIELD)
-        # single-node region: the product ansatz is exact
-        assert mf.marginal == pytest.approx(exact.marginal, abs=1e-12)
-        assert 0.0 <= mf.marginal <= 1.0
+    @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
+    def test_valid_answers_lie_within_their_bound(self, method):
+        # on this model the mean-field readout of the region's marginal
+        # answered p = 0.8173 with bound 0.01635 and valid=True for node 0,
+        # where brute force gives 0.6058; the answer is now always the exact
+        # marginal of the localized model, which the bound covers
+        model = random_connected_model(10, 162, j_scale=1.0)
+        for q in range(model.n):
+            res = query_marginal(model, q, K=6, method=method)
+            assert res.valid or res.bound == math.inf
+            if res.valid:
+                assert abs(res.marginal - brute_force_marginal(model, q)) <= res.bound + 1e-12
 
     def test_meanfield_localization_runs(self, chain3_mf):
         res = query_marginal(chain3_mf, 0, K=2, method=BoundaryMethod.MEAN_FIELD)
@@ -525,34 +608,22 @@ class TestQueryMarginal:
         assert res.trace.method is BoundaryMethod.MEAN_FIELD
 
     def test_meanfield_answer_localizes_once_per_certificate(self, monkeypatch):
-        import localmrf.expansion as expansion
         import localmrf.meanfield as meanfield
 
-        calls = {"cert": 0, "boundary": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(
-            expansion, "local_certificate", counting("cert", expansion.local_certificate)
-        )
+        solves = []
+        real = meanfield.boundary_mean_field
         # localize imports boundary_mean_field from the meanfield module per call
         monkeypatch.setattr(
-            meanfield,
-            "boundary_mean_field",
-            counting("boundary", meanfield.boundary_mean_field),
+            meanfield, "boundary_mean_field", lambda *args: solves.append(args) or real(*args)
         )
         model = gen_grid(GridSpec(5, 5, I1=1.0, I2=0.25, seed=1))
-        query_marginal(
+        res = query_marginal(
             model, GridSpec(5, 5).query, K=6, delta=-math.inf,
             method=BoundaryMethod.MEAN_FIELD,
         )
-        assert calls["cert"] > 0
-        assert calls["boundary"] == calls["cert"]
+        # one solve for {query} and one per scored candidate: neither the
+        # accepted certificates nor the answer localize again
+        assert len(solves) == 1 + sum(len(s.bounds) for s in res.trace.steps)
 
     def test_invalid_region_reports_inf_bound(self, frustrated_star=None):
         m = build_model(
