@@ -20,7 +20,10 @@ Validity is decided by the solve that yields D: C is nonnegative, so
 rho(C) < 1 exactly when I - C is nonsingular with a nonnegative inverse, and
 a Collatz-Wielandt check on v = D 1 guards that test against rounding. The
 same geometric-series shape yields a distance form: influence decays like
-c^d, giving a radius that certifies a target accuracy from c alone.
+c^d, giving a radius that certifies a target accuracy from c alone. The bound
+at distance d has one free parameter t > 1, minimised in closed form at
+t* = 1 + 1/(d(1 - c) - c), and the radius is the smallest integer d whose
+bound is at most the target, found by integer bisection.
 
 Both searches run on one kernel, _nearest_sums: given couplings v_1..v_k and
 a target, it returns the achievable sums s = sum_l (+-v_l) nearest to the
@@ -70,7 +73,7 @@ from .model import IsingModel, LocalMRFError, LocalizedModel, Region
 
 ENUMERATION_CAP = 25
 SCALAR_MAX_K = 8  # _nearest_sums lists all 2^k sums up to here, splits in halves beyond
-_T_LOW = 1e-6  # search domain is t in (1 + _T_LOW, _T_HIGH]
+_T_LOW = 1e-6  # the decay bound's t is clamped to [1 + _T_LOW, _T_HIGH]
 _T_HIGH = 1e4
 NEG_TOL = 1e-12  # tolerated numerical negativity in D
 
@@ -514,54 +517,25 @@ def local_certificate(
     return batch.certificate(alpha[-1], localized)
 
 
-def _decay_rate(c: float, t: float) -> float:
-    """Per-hop log decay ln((1 + (t-1)c) / (tc)); positive for 0 < c < 1."""
-    return math.log((1.0 + (t - 1.0) * c) / (t * c))
+def _log_bound(c: float, d: float) -> tuple[float, float]:
+    """(log of the certified gap at distance d, the t > 1 attaining it).
 
-
-def _radius_objective(c: float, eps: float, t: float) -> float:
-    denom = 2.0 * eps * (t - 1.0) * (1.0 - c)
-    if 1e-300 < denom < math.inf:  # t <= _T_HIGH, so t / denom stays finite
-        return math.log(t / denom) / _decay_rate(c, t)
-    # the product under- or overflowed: add its logs instead
-    log_denom = math.log(2.0) + math.log(eps) + math.log(t - 1.0) + math.log(1.0 - c)
-    return (math.log(t) - log_denom) / _decay_rate(c, t)
-
-
-def _bound_objective(c: float, d: float, t: float) -> float:
-    # worst-entry factor 1/2 times the geometric tail e^(-d rate) * t/((t-1)(1-c))
-    log_val = math.log(0.5 * t / ((t - 1.0) * (1.0 - c)))
-    if d:  # at d = 0 there is no decay, and 0 * an overflowed rate would be nan
-        log_val -= d * _decay_rate(c, t)
-    return math.exp(log_val)
-
-
-def _golden_min(fun, lo: float, hi: float, iters: int = 120) -> float:
-    """Golden-section minimiser on [lo, hi]; returns the argmin."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - ratio * (b - a)
-    x2 = a + ratio * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - ratio * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (b - a)
-            f2 = fun(x2)
-    return (a + b) / 2.0
-
-
-def _candidate_ts(fun) -> list[float]:
-    """Shared t-search: golden section in log(t-1) plus a fixed grid and t=2."""
-    lo, hi = math.log(_T_LOW), math.log(_T_HIGH - 1.0)
-    u_star = _golden_min(lambda u: fun(1.0 + math.exp(u)), lo, hi)
-    grid = np.exp(np.linspace(lo, hi, 65))
-    # Python floats, so an overflow in _decay_rate gives inf without numpy's warning
-    return [1.0 + math.exp(u_star), 2.0] + [1.0 + float(g) for g in grid]
+    At t the gap is 0.5 t / ((t-1)(1-c)) times e^(-d rate), with the per-hop
+    log decay rate = ln(1 + (1-c)/(tc)) (worst entry 1/2 times a geometric
+    tail). Its log has one stationary point, the minimum
+    t* = 1 + 1/(d(1-c) - c), when d(1-c) > c, and falls all the way to
+    _T_HIGH otherwise. t* is clamped to the domain, and t = 2 is also tried,
+    so the result is never above the t = 2 closed form.
+    """
+    slope = d * (1.0 - c) - c
+    t_star = 1.0 + min(max(1.0 / slope, _T_LOW), _T_HIGH - 1.0) if slope > 0 else _T_HIGH
+    best = (math.inf, 2.0)
+    for t in (t_star, 2.0):
+        log_gap = math.log(0.5 * t / ((t - 1.0) * (1.0 - c)))
+        if d:  # at d = 0 there is no decay, and 0 * an overflowed rate would be nan
+            log_gap -= d * math.log1p((1.0 - c) / (t * c))
+        best = min(best, (log_gap, t))
+    return best
 
 
 def _check_c(c: float) -> None:
@@ -575,33 +549,39 @@ def decay_radius(c: float, eps: float, return_t: bool = False):
     """Smallest certified hop distance: matching a model on a radius-r ball
     around the query keeps the query marginal within eps.
 
-    Minimises the un-ceiled distance expression over t by golden section, then
-    takes the best integer over the candidate set; the t=2 closed form
-    ceil(-ln(eps (1-c)) / ln((1+c)/(2c))) is always a candidate, so the result
-    never exceeds it. Clamped at zero. With return_t, also reports the t that
-    attained the minimum.
+    r is the smallest integer d >= 0 whose log bound (see _log_bound) is at
+    most log(eps), found by integer bisection below the t = 2 closed form
+    ceil(-ln(eps (1-c)) / ln((1+c)/(2c))), which is stepped up first if its
+    own rounding fails it. With return_t, also reports the t at which r is
+    certified, t*(r).
     """
     _check_c(c)
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    best, best_t = math.inf, 2.0
-    for t in _candidate_ts(lambda t: _radius_objective(c, eps, t)):
-        r = max(0, math.ceil(_radius_objective(c, eps, t)))
-        if r < best:
-            best, best_t = r, t
-    return (int(best), best_t) if return_t else int(best)
+    log_eps = math.log(eps)
+    # a subnormal c overflows the rate to inf, and the closed form reads 0
+    hi = max(0, math.ceil(-(log_eps + math.log1p(-c)) / math.log1p((1.0 - c) / (2.0 * c))))
+    step = 1  # doubled, so that a d past 2^53, where + 1 rounds away, still moves
+    while _log_bound(c, hi)[0] > log_eps:
+        hi, step = hi + step, 2 * step
+    lo = -1  # lo fails (or is below 0), hi passes
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _log_bound(c, mid)[0] <= log_eps:
+            hi = mid
+        else:
+            lo = mid
+    return (hi, _log_bound(c, hi)[1]) if return_t else hi
 
 
 def decay_bound(c: float, d: float) -> float:
-    """Certified marginal gap at hop distance d >= 0 under coefficient c.
+    """Certified marginal gap at hop distance d >= 0 under coefficient c:
+    the gap of _log_bound at its minimising t.
 
     Inverse-consistent with decay_radius: decay_bound(c, decay_radius(c, eps))
-    is at most eps.
+    is at most eps, up to the rounding of exp(log(eps)).
     """
     _check_c(c)
     if not d >= 0:
         raise ValueError(f"distance must be >= 0, got {d}")
-    best = math.inf
-    for t in _candidate_ts(lambda t: _bound_objective(c, d, t)):
-        best = min(best, _bound_objective(c, d, t))
-    return best
+    return math.exp(_log_bound(c, d)[0])

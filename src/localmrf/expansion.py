@@ -69,6 +69,11 @@ class ExpansionStep:
 
 @dataclass
 class ExpansionTrace:
+    """A growth run: its steps, final region and certificate, and why it
+    stopped. start_certificate is the certificate of {query} the loop grew
+    from, None when its boundary solve stalled; like the steps' certificates
+    it is not serialised by to_jsonl."""
+
     query: int
     method: BoundaryMethod
     steps: list[ExpansionStep]
@@ -76,6 +81,9 @@ class ExpansionTrace:
     final_certificate: DobrushinCertificate
     stop_reason: StopReason
     degraded: bool = False
+    start_certificate: DobrushinCertificate | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def valid(self) -> bool:
@@ -179,16 +187,16 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     with delta=-inf so any finite bound is accepted. When every scored node is
     invalid, the maxnorm rule picks among them and the trace is degraded.
 
-    The loop starts from the certificate of {query}, and each step scores its
-    candidates with one extend_certificates call on the certificate of the
-    current alpha. Only the chosen node's region, localization and
+    The loop starts from the certificate of {query}, which the trace keeps as
+    start_certificate, and each step scores its candidates with one
+    extend_certificates call on the certificate of the current alpha. Only the chosen node's region, localization and
     certificate are built; under MEAN_FIELD every candidate is localized
     first, since its fields come from its own boundary solve, and a candidate
     whose solve stalls scores +inf. The final certificate is the one built
     for the node appended last. When that build raised, the next step has no
-    base and computes every row and entry; when it was the last one, a region
-    over ENUMERATION_CAP ends the degraded trace with an invalid certificate,
-    and a stalled boundary solve raises MeanFieldDivergence. One memo of C
+    base and computes every row and entry; when it was the last one, the
+    trace ends with an invalid certificate, on the drop-out localization when
+    the boundary solve of the final region stalls. One memo of C
     rows and b entries lives for the call, so a recomputed row or entry that
     an earlier candidate already needed is looked up, not computed again.
     """
@@ -207,6 +215,7 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
         final_cert = local_certificate(model, region, localize(model, region, method), memo=memo)
     except MeanFieldDivergence:
         final_cert = None
+    start_cert = final_cert
     while len(alpha) < K:
         candidates = region.boundary_beta
         if not candidates:
@@ -249,7 +258,11 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
                 pass
         steps.append(ExpansionStep(candidates, bounds, chosen, best_bound, final_cert))
     if final_cert is None:  # the last build raised, and would raise again
-        final_cert = _uncertified(localize(model, region, method))
+        try:
+            loc = localize(model, region, method)
+        except MeanFieldDivergence:
+            loc = localize(model, region, BoundaryMethod.DROP_OUT)
+        final_cert = _uncertified(loc)
     return ExpansionTrace(
         query=query,
         method=method,
@@ -258,12 +271,14 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
         final_certificate=final_cert,
         stop_reason=stop,
         degraded=degraded,
+        start_certificate=start_cert,
     )
 
 
 def _uncertified(localized: LocalizedModel) -> DobrushinCertificate:
-    """The certificate of a region whose C or b is over ENUMERATION_CAP:
-    invalid, with bound +inf, and C, b and c_local unknown (nan)."""
+    """The certificate of a region whose C or b is over ENUMERATION_CAP, or
+    whose boundary solve stalled: invalid, with bound +inf, and C, b and
+    c_local unknown (nan)."""
     n = len(localized.alpha)
     return DobrushinCertificate(
         C=np.full((n, n), np.nan),

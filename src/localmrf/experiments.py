@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dobrushin import ENUMERATION_CAP, dobrushin_coefficient, local_certificate
+from .dobrushin import ENUMERATION_CAP, dobrushin_coefficient
 from .exact import eliminate_marginal
 from .meanfield import mean_field
 from .model import (
@@ -284,32 +284,29 @@ def evaluate_prefixes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """True error and certificate bound of the size-1..K prefixes of a trace.
 
-    The size-s prefix (s >= 2) is read off the step that accepted its last
-    node: its bound is step.bounds[step.chosen] and its error is eliminated
-    on step.certificate.localized. Only the size-1 prefix is localized and
-    certified here, with the trace's boundary method; so is the localization
-    of a step whose certificate build raised. Sizes beyond the final region
-    repeat its value, so curves over a fixed size axis stay well defined when
-    expansion stopped early.
+    The size-1 prefix is read off the trace's start certificate, and the
+    size-s prefix (s >= 2) off the certificate of the step that accepted its
+    last node: its bound is the certificate's and its error is eliminated on
+    the certificate's localization. A prefix without a certificate (its
+    build raised or its boundary solve stalled) is localized afresh with the
+    trace's boundary method, and its bound is +inf. Sizes beyond the final
+    region repeat its value, so curves over a fixed size axis stay well
+    defined when expansion stopped early.
     """
-    accepted = [s for s in trace.steps if s.chosen is not None]
+    certs = [trace.start_certificate]
+    certs += [step.certificate for step in trace.steps if step.chosen is not None]
     errors = np.empty(K)
     bounds = np.empty(K)
     query = trace.query
     sizes = min(K, len(trace.final_alpha))
-    for s in range(1, sizes + 1):
-        step = accepted[s - 2] if s >= 2 else None
-        if step is None or step.certificate is None:
+    for s, cert in enumerate(certs[:sizes], 1):
+        if cert is None:
             region = make_region(model, trace.alpha_prefix(s), query)
-            loc = localize(model, region, method=trace.method)
+            loc, bounds[s - 1] = localize(model, region, method=trace.method), math.inf
         else:
-            loc = step.certificate.localized
+            loc, bounds[s - 1] = cert.localized, cert.bound
         p_loc = eliminate_marginal(loc.submodel, loc.index_of(query))
         errors[s - 1] = abs(p_loc - p_true)
-        if step is None:
-            bounds[0] = local_certificate(model, region, loc).bound
-        else:
-            bounds[s - 1] = step.bounds[step.chosen]
     errors[sizes:] = errors[sizes - 1]
     bounds[sizes:] = trace.final_certificate.bound
     return errors, bounds

@@ -185,7 +185,7 @@ class TestRadius:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["radius", "--c", "1e-320", "--eps", "0.01"]) == 0
-        assert "r = 0" in capsys.readouterr().out
+        assert "r = 1 " in capsys.readouterr().out
 
 
 class TestQuery:

@@ -32,10 +32,10 @@ from localmrf import (
 )
 from localmrf import dobrushin
 from localmrf.dobrushin import (
+    _log_bound,
     _min_abs_offset_sum,
     _nearest_sums,
     _perturbation_entry,
-    _radius_objective,
 )
 from conftest import chain_model, random_connected_model, sigmoid
 
@@ -809,8 +809,9 @@ class TestDecayRadius:
     def test_frozen_optimum(self):
         assert decay_radius(0.5, 0.01) == 11
         r, t = decay_radius(0.5, 0.01, return_t=True)
-        assert r == 11 and t > 1.0
-        assert math.ceil(_radius_objective(0.5, 0.01, t)) == 11
+        # t*(11) = 1 + 1 / (11 (1 - c) - c), and r is certified at it
+        assert r == 11 and t == pytest.approx(1.2, rel=1e-15)
+        assert 0.5 * t / ((t - 1) * 0.5) * ((1 + (t - 1) * 0.5) / (t * 0.5)) ** -11 <= 0.01
 
     def test_never_exceeds_t2_closed_form(self):
         for c in (0.2, 0.5, 0.8, 0.95):
@@ -841,23 +842,19 @@ class TestDecayRadius:
     @pytest.mark.parametrize("c", [0.5, 0.9999999999])
     @pytest.mark.parametrize("eps", [1e-300, 1e-320, 5e-324])
     def test_tiny_eps_gives_finite_radius(self, c, eps):
-        # 2 eps (t - 1)(1 - c) leaves the normal range here, so the objective
-        # is summed in logs; it must agree with the direct form on the shift
-        for t in (1.000001, 2.0, 9999.0):
-            shift = math.log(1e-20 / eps) / math.log((1.0 + (t - 1.0) * c) / (t * c))
-            assert _radius_objective(c, eps, t) == pytest.approx(
-                _radius_objective(c, 1e-20, t) + shift, rel=1e-12
-            )
         r = decay_radius(c, eps)
         closed = math.ceil(-(math.log(eps) + math.log(1 - c)) / math.log((1 + c) / (2 * c)))
         assert decay_radius(c, 1e-20) < r <= closed
 
     def test_subnormal_c_overflows_without_warning(self):
-        # (1 + (t-1) c) / (t c) overflows to inf: the per-hop decay is
-        # infinite, so radius 0, and no numpy overflow warning on the way
+        # (1 - c) / (t c) overflows to inf: one hop decays the bound to 0,
+        # while at distance 0 it is 0.50005 > eps, so radius 1, and no numpy
+        # overflow warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert decay_radius(1e-320, 0.01) == 0
+            for c in (1e-310, 1e-320):
+                assert decay_radius(c, 0.01) == 1
+                assert decay_bound(c, 1) == 0.0 < 0.01 < decay_bound(c, 0)
 
     def test_non_finite_input_named(self):
         with pytest.raises(DobrushinConditionError, match="c=nan"):
@@ -865,6 +862,20 @@ class TestDecayRadius:
         for eps in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"got {eps}"):
                 decay_radius(0.5, eps)
+
+    @given(
+        st.floats(min_value=5e-324, max_value=1 - 1e-9),
+        st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+    )
+    @example(1e-310, 0.01)
+    @example(1e-320, 5e-324)
+    @example(1 - 1e-9, 5e-324)
+    def test_radius_is_certified_and_minimal(self, c, eps):
+        # compared in logs: exp(log(eps)) need not round back to a subnormal eps
+        r = decay_radius(c, eps)
+        assert _log_bound(c, r)[0] <= math.log(eps)
+        if r > 0:
+            assert _log_bound(c, r - 1)[0] > math.log(eps)
 
 
 class TestDecayBound:
@@ -899,6 +910,14 @@ class TestDecayBound:
             decay_bound(math.nan, 3)
         with pytest.raises(ValueError, match="got nan"):
             decay_bound(0.5, math.nan)
+
+    @given(st.floats(0.01, 0.99), st.floats(0.0, 100.0))
+    def test_at_most_the_per_t_minimum(self, c, d):
+        # the per-t formula, minimised over a dense log-grid of t - 1 spanning
+        # the same [1e-6, 9999] the closed form is clamped to
+        t = 1.0 + np.exp(np.linspace(math.log(1e-6), math.log(9999.0), 4001))
+        per_t = 0.5 * t / ((t - 1) * (1 - c)) * ((1 + (t - 1) * c) / (t * c)) ** -d
+        assert decay_bound(c, d) <= (1 + 1e-12) * per_t.min()
 
     def test_inverse_consistency_with_radius(self):
         for c in np.linspace(0.05, 0.95, 10):

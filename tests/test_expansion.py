@@ -344,6 +344,27 @@ class TestBoundaryDivergence:
         assert math.isfinite(second.bounds[second.chosen])
         assert trace.degraded and not trace.valid
 
+    @pytest.mark.parametrize(
+        "stalls, K",
+        [("two-node regions", 2), ("every region", 1), ("every region", 2), ("every region", 3)],
+    )
+    def test_stalled_final_region_ends_uncertified(self, star, monkeypatch, stalls, K):
+        # the final region cannot be localized with its boundary solve: the
+        # trace ends invalid on the drop-out localization instead of raising
+        when = {"two-node regions": lambda alpha: len(alpha) == 2, "every region": bool}
+        self._stall(monkeypatch, when[stalls])
+        trace = greedy_expand(star, 0, K=K, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD)
+        res = query_marginal(star, 0, K=K, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD)
+        monkeypatch.undo()
+        assert len(trace.final_alpha) == K and trace.degraded == (K > 1)
+        cert = trace.final_certificate
+        assert not cert.valid and cert.bound == math.inf and not trace.valid
+        assert (trace.start_certificate is None) == (stalls == "every region")
+        loc = localize(star, make_region(star, trace.final_alpha, 0))
+        assert cert.localized.h.tolist() == loc.h.tolist()
+        assert not res.valid and res.bound == math.inf and res.alpha == trace.final_alpha
+        assert res.marginal == eliminate_marginal(loc.submodel, loc.index_of(0))
+
 
 class TestCertificateExtension:
     """Each candidate is certified by extending the certificate accepted at

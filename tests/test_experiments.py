@@ -238,7 +238,7 @@ class TestEvaluatePrefixes:
             calls = self._count_localize(monkeypatch)
             errors, _ = evaluate_prefixes(model, trace, p_true, 10)
             monkeypatch.undo()
-            assert len(calls) == 1
+            assert len(calls) == 0  # every prefix, {query} too, is read off the trace
             fresh = self._fresh_errors(model, trace, p_true, 10)
             assert [e.hex() for e in errors] == [e.hex() for e in fresh]
 
@@ -270,7 +270,7 @@ class TestEvaluatePrefixes:
         calls = self._count_localize(monkeypatch)
         errors, bounds = evaluate_prefixes(star, trace, p_true, 6)
         monkeypatch.undo()
-        assert len(calls) == 4  # the size-1 prefix and the three raised steps
+        assert len(calls) == 3  # the three raised steps; {query} is on the trace
         fresh = self._fresh_errors(star, trace, p_true, 6)
         assert [e.hex() for e in errors] == [e.hex() for e in fresh]
         assert list(bounds[1:4]) == [math.inf] * 3
