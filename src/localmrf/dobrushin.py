@@ -494,25 +494,22 @@ def local_certificate(
     localized: LocalizedModel,
     *,
     memo: dict | None = None,
-    base: DobrushinCertificate | None = None,
 ) -> DobrushinCertificate:
     """Certificate for the query marginal of a localized model.
 
     A batch of one: extend_certificates of region.alpha[:-1] by its last
     node, with localized.h as that node's fields, so it is assembled and
-    solved as an expansion's candidates are. base, when given, is the
-    certificate of alpha[:-1]. For a region over range(n) with DROP_OUT,
-    local order is global order and there is no boundary, so C is the whole
-    model's interaction matrix.
+    solved as an expansion's candidates are. For a region over range(n) with
+    DROP_OUT, local order is global order and there is no boundary, so C is
+    the whole model's interaction matrix.
 
     Raises:
         EnumerationCapError: a row or entry computed here is over
             ENUMERATION_CAP.
-        ValueError: base does not certify alpha[:-1] of model.
     """
     alpha = region.alpha
     batch = extend_certificates(
-        model, alpha[:-1], region.query, alpha[-1:], [localized.h], memo=memo, base=base
+        model, alpha[:-1], region.query, alpha[-1:], [localized.h], memo=memo
     )
     return batch.certificate(alpha[-1], localized)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -56,42 +56,40 @@ class ExpansionStep:
     candidates is the outside boundary when the step ran; bounds maps the
     scored candidates to their certificate bounds (+inf for invalid ones);
     chosen is None when the step only established that no candidate improves.
-    certificate is the one scored for the chosen node, None when there is no
-    chosen node or its build raised; it is not serialised by to_jsonl.
     """
 
     candidates: tuple[int, ...]
     bounds: dict[int, float]
     chosen: int | None
     best_bound: float
-    certificate: DobrushinCertificate | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
 class ExpansionTrace:
-    """A growth run: its steps, final region and certificate, and why it
-    stopped. start_certificate is the certificate of {query} the loop grew
-    from, None when its boundary solve stalled; like the steps' certificates
-    it is not serialised by to_jsonl."""
+    """A growth run: its steps, the certificate of every prefix of alpha, and
+    why it stopped. certificates[s - 1] certifies the first s nodes of alpha;
+    a prefix whose build raised, or whose boundary solve stalled, holds an
+    invalid certificate with bound +inf. Certificates are not serialised by
+    to_jsonl."""
 
     query: int
     method: BoundaryMethod
     steps: list[ExpansionStep]
-    final_alpha: tuple[int, ...]
-    final_certificate: DobrushinCertificate
+    certificates: list[DobrushinCertificate]
     stop_reason: StopReason
     degraded: bool = False
-    start_certificate: DobrushinCertificate | None = field(
-        default=None, compare=False, repr=False
-    )
+
+    @property
+    def final_certificate(self) -> DobrushinCertificate:
+        return self.certificates[-1]
+
+    @property
+    def final_alpha(self) -> tuple[int, ...]:
+        return self.certificates[-1].localized.alpha
 
     @property
     def valid(self) -> bool:
         return self.final_certificate.valid and not self.degraded
-
-    def alpha_prefix(self, size: int) -> tuple[int, ...]:
-        """The first `size` nodes added (clipped to the final size)."""
-        return self.final_alpha[: max(1, min(size, len(self.final_alpha)))]
 
     def to_jsonl(self) -> str:
         """One JSON object per step (inf bounds serialised as null)."""
@@ -114,7 +112,9 @@ class ExpansionTrace:
         return "\n".join(lines) + "\n" if lines else ""
 
 
-def _maxnorm_choice(model: IsingModel, alpha: list[int], candidates: tuple[int, ...]) -> int:
+def _maxnorm_choice(
+    model: IsingModel, alpha: tuple[int, ...], candidates: tuple[int, ...]
+) -> int:
     """argmax over candidates of sum over alpha neighbours of J^2, ties low id.
 
     A square that overflows (|J| above about 1.3e154) scores the candidate
@@ -187,41 +187,39 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     with delta=-inf so any finite bound is accepted. When every scored node is
     invalid, the maxnorm rule picks among them and the trace is degraded.
 
-    The loop starts from the certificate of {query}, which the trace keeps as
-    start_certificate, and each step scores its candidates with one
-    extend_certificates call on the certificate of the current alpha. Only the chosen node's region, localization and
-    certificate are built; under MEAN_FIELD every candidate is localized
-    first, since its fields come from its own boundary solve, and a candidate
-    whose solve stalls scores +inf. The final certificate is the one built
-    for the node appended last. When that build raised, the next step has no
-    base and computes every row and entry; when it was the last one, the
-    trace ends with an invalid certificate, on the drop-out localization when
-    the boundary solve of the final region stalls. One memo of C
-    rows and b entries lives for the call, so a recomputed row or entry that
-    an earlier candidate already needed is looked up, not computed again.
+    The loop starts from the certificate of {query}. Each step scores its
+    candidates with one extend_certificates call on base, the last certificate
+    that was built, and only the chosen node gets a region, a localization
+    and a certificate. Under MEAN_FIELD every candidate is localized first,
+    since its fields come from its own boundary solve; a candidate whose
+    solve stalls scores +inf, and if it is chosen anyway its prefix is
+    localized by DROP_OUT. A prefix whose build raises or whose solve stalled
+    is recorded as _uncertified on that localization and leaves no base, so
+    the next step computes every row and entry. One memo of C rows and b
+    entries lives for the call, so a recomputed row or entry that an earlier
+    candidate already needed is looked up, not computed again.
     """
     if not (0 <= query < model.n):
         raise ValueError(f"query {query} out of range")
     if K < 1:
         raise ValueError("K must be >= 1")
-    alpha = [query]
-    region = make_region(model, alpha, query)
+    region = make_region(model, [query], query)
     best_bound = 1.0
     steps: list[ExpansionStep] = []
     degraded = False
     stop = StopReason.REACHED_K
     memo: dict = {}
     try:
-        final_cert = local_certificate(model, region, localize(model, region, method), memo=memo)
+        base = local_certificate(model, region, localize(model, region, method), memo=memo)
     except MeanFieldDivergence:
-        final_cert = None
-    start_cert = final_cert
-    while len(alpha) < K:
+        base = None
+    certificates = [base or _uncertified(localize(model, region, BoundaryMethod.DROP_OUT))]
+    while len(region.alpha) < K:
         candidates = region.boundary_beta
         if not candidates:
             stop = StopReason.BOUNDARY_EMPTY
             break
-        scored = tuple(to_score(alpha, candidates))
+        scored = tuple(to_score(region.alpha, candidates))
         bounds = dict.fromkeys(scored, math.inf)
         locs: dict[int, LocalizedModel] = {}
         if method is BoundaryMethod.MEAN_FIELD:
@@ -234,44 +232,38 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
         else:
             ks, fields = scored, None
         batch = extend_certificates(
-            model, region.alpha, query, ks, fields, memo=memo, base=final_cert
+            model, region.alpha, query, ks, fields, memo=memo, base=base
         )
         bounds.update(zip(ks, batch.bounds))
         chosen = min(bounds, key=lambda k: (bounds[k], k))
         if bounds[chosen] < best_bound - delta:
             best_bound = bounds[chosen]
         elif all(math.isinf(b) for b in bounds.values()):
-            chosen = _maxnorm_choice(model, alpha, scored)
+            chosen = _maxnorm_choice(model, region.alpha, scored)
             degraded = True
         else:
             steps.append(ExpansionStep(candidates, bounds, None, best_bound))
             stop = StopReason.NO_IMPROVEMENT
             break
-        alpha.append(chosen)
         region = region.grow(model, chosen)
-        final_cert = None
+        base = None
         if chosen in ks:
             loc = locs[chosen] if chosen in locs else localize(model, region, method)
             try:
-                final_cert = batch.certificate(chosen, loc)
+                base = batch.certificate(chosen, loc)
             except EnumerationCapError:
                 pass
-        steps.append(ExpansionStep(candidates, bounds, chosen, best_bound, final_cert))
-    if final_cert is None:  # the last build raised, and would raise again
-        try:
-            loc = localize(model, region, method)
-        except MeanFieldDivergence:
+        else:  # its boundary solve stalled while it was scored
             loc = localize(model, region, BoundaryMethod.DROP_OUT)
-        final_cert = _uncertified(loc)
+        certificates.append(base or _uncertified(loc))
+        steps.append(ExpansionStep(candidates, bounds, chosen, best_bound))
     return ExpansionTrace(
         query=query,
         method=method,
         steps=steps,
-        final_alpha=tuple(alpha),
-        final_certificate=final_cert,
+        certificates=certificates,
         stop_reason=stop,
         degraded=degraded,
-        start_certificate=start_cert,
     )
 
 

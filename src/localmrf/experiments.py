@@ -24,8 +24,6 @@ from .model import (
     BoundaryMethod,
     IsingModel,
     build_model,
-    localize,
-    make_region,
     read_edge_list,
     read_labels,
 )
@@ -284,31 +282,21 @@ def evaluate_prefixes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """True error and certificate bound of the size-1..K prefixes of a trace.
 
-    The size-1 prefix is read off the trace's start certificate, and the
-    size-s prefix (s >= 2) off the certificate of the step that accepted its
-    last node: its bound is the certificate's and its error is eliminated on
-    the certificate's localization. A prefix without a certificate (its
-    build raised or its boundary solve stalled) is localized afresh with the
-    trace's boundary method, and its bound is +inf. Sizes beyond the final
+    Each prefix is read off its certificate on the trace: its bound is the
+    certificate's (+inf where the prefix is uncertified) and its error is
+    eliminated on the certificate's localization. Sizes beyond the final
     region repeat its value, so curves over a fixed size axis stay well
     defined when expansion stopped early.
     """
-    certs = [trace.start_certificate]
-    certs += [step.certificate for step in trace.steps if step.chosen is not None]
     errors = np.empty(K)
     bounds = np.empty(K)
     query = trace.query
-    sizes = min(K, len(trace.final_alpha))
-    for s, cert in enumerate(certs[:sizes], 1):
-        if cert is None:
-            region = make_region(model, trace.alpha_prefix(s), query)
-            loc, bounds[s - 1] = localize(model, region, method=trace.method), math.inf
-        else:
-            loc, bounds[s - 1] = cert.localized, cert.bound
-        p_loc = eliminate_marginal(loc.submodel, loc.index_of(query))
-        errors[s - 1] = abs(p_loc - p_true)
-    errors[sizes:] = errors[sizes - 1]
-    bounds[sizes:] = trace.final_certificate.bound
+    for s, cert in enumerate(trace.certificates[:K]):
+        loc = cert.localized
+        errors[s] = abs(eliminate_marginal(loc.submodel, loc.index_of(query)) - p_true)
+        bounds[s] = cert.bound
+    errors[s + 1 :] = errors[s]
+    bounds[s + 1 :] = bounds[s]
     return errors, bounds
 
 

@@ -713,16 +713,17 @@ class TestCertificate:
             local_certificate(model, region, localize(model, region))
 
     def test_base_must_certify_alpha_without_its_last_node(self, chain3):
-        def cert(alpha, base=None, model=chain3):
-            region = make_region(model, alpha, 0)
-            return local_certificate(model, region, localize(model, region), base=base)
+        region = make_region(chain3, [0, 1], 0)
+        base = local_certificate(chain3, region, localize(chain3, region))
 
-        base = cert([0, 1])
-        assert cert([0, 1, 2], base=base).C.tobytes() == cert([0, 1, 2]).C.tobytes()
+        def c_of(model=chain3, alpha=(0, 1), k=2, base=None):
+            return dobrushin.extend_certificates(model, alpha, 0, (k,), base=base).C
+
+        assert c_of(base=base).tobytes() == c_of().tobytes()
         other = chain_model([0.3, 0.3], [0.0] * 3)
-        for wrong in ({"alpha": [0, 2, 1]}, {"model": other}):
+        for wrong in ({"alpha": (0, 2), "k": 1}, {"model": other}):
             with pytest.raises(ValueError, match="base must certify"):
-                cert(**{"alpha": [0, 1, 2], "base": base, **wrong})
+                c_of(base=base, **wrong)
 
     @given(st.integers(3, 9), st.integers(0, 10**6))
     def test_soundness_on_random_models(self, n, seed):

@@ -116,7 +116,8 @@ class TestGreedyExpand:
             assert len(trace.final_alpha) == 30
             assert trace.degraded and not trace.valid
             last = trace.steps[-1]
-            assert last.certificate is None and math.isinf(last.bounds[last.chosen])
+            assert math.isnan(trace.certificates[-1].c_local)  # none was built
+            assert math.isinf(last.bounds[last.chosen])
             assert not trace.final_certificate.valid
             assert trace.final_certificate.bound == math.inf
             assert trace.final_certificate.localized.alpha == trace.final_alpha
@@ -191,11 +192,13 @@ class TestGreedyExpand:
         except MeanFieldDivergence:
             return
         accepted = [s for s in trace.steps if s.chosen is not None]
-        held = [s.certificate for s in accepted if s.certificate is not None]
-        for size, step in enumerate(accepted, start=2):
-            if step.certificate is not None:
-                assert step.certificate.localized.alpha == trace.final_alpha[:size]
-                assert step.certificate.bound == step.bounds[step.chosen]
+        assert len(trace.certificates) == len(accepted) + 1
+        for size, cert in enumerate(trace.certificates, start=1):
+            assert cert.localized.alpha == trace.final_alpha[:size]
+        for step, cert in zip(accepted, trace.certificates[1:]):
+            assert cert.bound == step.bounds[step.chosen]
+        # every certificate that was built; an uncertified final one fails
+        held = [c for c in trace.certificates[:-1] if not math.isnan(c.c_local)]
         for cert in held + [trace.final_certificate]:
             region = make_region(model, cert.localized.alpha, 0)
             fresh = local_certificate(model, region, localize(model, region, trace.method))
@@ -220,7 +223,7 @@ class TestGreedyExpand:
         except MeanFieldDivergence:
             return
         alpha = (0,)
-        for step in trace.steps:
+        for i, step in enumerate(trace.steps):
             for k, bound in step.bounds.items():
                 region = make_region(model, alpha + (k,), 0)
                 try:
@@ -231,7 +234,7 @@ class TestGreedyExpand:
                 assert bound.hex() == fresh.bound.hex()
                 assert math.isfinite(bound) == fresh.valid
                 if k == step.chosen:
-                    cert = step.certificate
+                    cert = trace.certificates[i + 1]
                     assert cert.C.tobytes() == fresh.C.tobytes()
                     assert cert.b.tobytes() == fresh.b.tobytes()
                     assert (cert.bound, cert.valid, cert.c_local) == (
@@ -244,15 +247,9 @@ class TestGreedyExpand:
         model = gen_grid(GridSpec(4, 4, I1=1.0, I2=0.25, seed=7))
         trace = greedy_expand(model, GridSpec(4, 4).query, K=5, delta=-math.inf)
         step = trace.steps[-1]
-        assert step.certificate is trace.final_certificate
+        assert trace.certificates[-1] is trace.final_certificate
         assert "certificate" not in repr(step)
         assert "certificate" not in trace.to_jsonl()
-
-    def test_alpha_prefix_clips(self, chain3):
-        trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)
-        assert trace.alpha_prefix(1) == trace.final_alpha[:1]
-        assert trace.alpha_prefix(99) == trace.final_alpha
-        assert trace.alpha_prefix(0) == trace.final_alpha[:1]
 
     def test_jsonl_format(self):
         model = gen_grid(GridSpec(4, 4, I1=1.0, I2=0.25, seed=7))
@@ -359,7 +356,7 @@ class TestBoundaryDivergence:
         assert len(trace.final_alpha) == K and trace.degraded == (K > 1)
         cert = trace.final_certificate
         assert not cert.valid and cert.bound == math.inf and not trace.valid
-        assert (trace.start_certificate is None) == (stalls == "every region")
+        assert (not trace.certificates[0].valid) == (stalls == "every region")
         loc = localize(star, make_region(star, trace.final_alpha, 0))
         assert cert.localized.h.tolist() == loc.h.tolist()
         assert not res.valid and res.bound == math.inf and res.alpha == trace.final_alpha
@@ -465,7 +462,7 @@ class TestCertificateExtension:
 
         monkeypatch.setattr(expansion, "extend_certificates", raise_third)
         trace = greedy_expand(model, hub, K=6, delta=-math.inf, method=method)
-        assert trace.degraded and trace.steps[1].certificate is None
+        assert trace.degraded and math.isnan(trace.certificates[2].c_local)
         self.assert_same(calls)
         sizes = [(len(region.alpha), base is not None) for base, region, _, _ in calls]
         assert (4, False) in sizes and (4, True) not in sizes  # rebuilt after the raise
@@ -493,6 +490,58 @@ class TestCertificateExtension:
         sub = trace.final_certificate.localized.submodel
         assert trace.final_certificate.localized.submodel is sub
         assert len(built) == before + 1 and sub.n == len(trace.final_alpha)
+
+
+class TestEdgeSoundness:
+    """Every certificate on greedy traces, under both boundary methods, at
+    the edges of the certificate: rho(C) near 1, fields near 1e3, and
+    queries in disconnected models. A valid certificate covers the oracle
+    error (plus 1e-12 of rounding slack, never as a ratio, since bounds can
+    be subnormal), and an invalid one carries bound +inf."""
+
+    @staticmethod
+    def certificates(model, queries):
+        """(valid certificate, query) pairs, the soundness of every
+        certificate asserted on the way."""
+        valid = []
+        for q in queries:
+            p_true = brute_force_marginal(model, q)
+            for method in BoundaryMethod:
+                trace = greedy_expand(model, q, K=model.n, delta=-math.inf, method=method)
+                for cert in trace.certificates:
+                    if not cert.valid:
+                        assert cert.bound == math.inf
+                        continue
+                    loc = cert.localized
+                    err = abs(eliminate_marginal(loc.submodel, loc.index_of(q)) - p_true)
+                    assert err <= cert.bound + 1e-12, (q, method, loc.alpha)
+                    valid.append(cert)
+        return valid
+
+    def test_spectral_radius_near_one(self):
+        valid = []
+        for n in (6, 9):
+            for j_scale in (1.0, 2.0):
+                for seed in range(25):
+                    model = random_connected_model(n, seed, j_scale=j_scale)
+                    valid += self.certificates(model, [0])
+        rho = np.array([max(abs(np.linalg.eigvals(cert.C))) for cert in valid])
+        assert np.count_nonzero((rho >= 0.95) & (rho < 1.0)) >= 20
+
+    def test_fields_near_1e3(self):
+        for seed in range(40):
+            model = random_connected_model(6, seed, h_scale=1e3)
+            assert self.certificates(model, [0])
+
+    def test_disconnected_queries(self):
+        # two components and an isolated node, queried in each
+        for seed in range(20):
+            a = random_connected_model(5, seed, j_scale=1.5)
+            b = random_connected_model(4, seed + 10**6, j_scale=1.5)
+            edges = list(a.edges()) + [(u + 5, v + 5, j) for u, v, j in b.edges()]
+            model = build_model(edges, np.concatenate([a.h, b.h, [0.4]]))
+            valid = self.certificates(model, [0, 6, 9])
+            assert {cert.localized.alpha[0] for cert in valid} == {0, 6, 9}
 
 
 class TestBaselines:

@@ -197,29 +197,56 @@ class TestEvaluatePrefixes:
             assert errors.shape == (8,) and bounds.shape == (8,)
             assert np.all(errors <= bounds + 1e-9)
             for s in range(1, 9):
-                region = make_region(model, trace.alpha_prefix(s), q)
+                region = make_region(model, trace.final_alpha[:s], q)
                 loc = localize(model, region, method)
                 # read off the trace, yet bit-identical to a fresh certificate
                 assert bounds[s - 1] == local_certificate(model, region, loc).bound
 
     @staticmethod
-    def _fresh_errors(model, trace, p_true, K):
-        """The errors as every prefix localized afresh gives them."""
+    def _fresh_errors(model, trace, p_true, methods):
+        """The errors of the size-1..len(methods) prefixes, each localized
+        afresh with its method."""
         out = []
-        for s in range(1, K + 1):
-            region = make_region(model, trace.alpha_prefix(s), trace.query)
-            loc = localize(model, region, trace.method)
+        for s, method in enumerate(methods, start=1):
+            region = make_region(model, trace.final_alpha[:s], trace.query)
+            loc = localize(model, region, method)
             out.append(abs(eliminate_marginal(loc.submodel, loc.index_of(trace.query)) - p_true))
         return out
 
     @staticmethod
     def _count_localize(monkeypatch):
+        """Count the calls of localize, through localmrf.model and through
+        every module-level copy that evaluate_prefixes could reach."""
+        import localmrf.expansion as expansion
+        import localmrf.model as model_module
+
         calls = []
-        real = experiments.localize
-        monkeypatch.setattr(
-            experiments, "localize", lambda *a, **kw: calls.append(a) or real(*a, **kw)
-        )
+        real = model_module.localize
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        for module in (model_module, expansion, experiments):
+            if hasattr(module, "localize"):
+                monkeypatch.setattr(module, "localize", counted)
         return calls
+
+    @staticmethod
+    def _stall(monkeypatch, when):
+        """Mark the boundary solve of every region with when(region) as
+        stalled; localize reads boundary_mean_field off meanfield per call."""
+        import localmrf.meanfield as meanfield
+
+        real = meanfield.boundary_mean_field
+
+        def stalled(model, region):
+            means, state = real(model, region)
+            if when(region):
+                state.converged = False
+            return means, state
+
+        monkeypatch.setattr(meanfield, "boundary_mean_field", stalled)
 
     def test_prefixes_localize_once_per_trace(self, monkeypatch):
         spec = GridSpec(5, 5, I1=1.0, I2=0.25, seed=11)
@@ -234,46 +261,54 @@ class TestEvaluatePrefixes:
             maxnorm_expand(model, q, K=8),
         ]
         for trace in traces:
-            assert all(s.certificate is not None for s in trace.steps if s.chosen is not None)
+            assert not any(math.isnan(c.c_local) for c in trace.certificates)
             calls = self._count_localize(monkeypatch)
             errors, _ = evaluate_prefixes(model, trace, p_true, 10)
             monkeypatch.undo()
             assert len(calls) == 0  # every prefix, {query} too, is read off the trace
-            fresh = self._fresh_errors(model, trace, p_true, 10)
+            fresh = self._fresh_errors(model, trace, p_true, [trace.method] * 10)
             assert [e.hex() for e in errors] == [e.hex() for e in fresh]
 
-    def test_raised_step_is_localized_afresh(self, monkeypatch):
+    def test_raised_step_is_read_off_the_trace(self, monkeypatch):
         # the boundary solve does not converge while hub 0 is on the boundary,
-        # so every region that leaves it there raises while localizing; once
+        # so every region that leaves it there stalls while localizing; once
         # all leaves are in, it does not
-        import localmrf.meanfield as meanfield
-
+        drop, mf = BoundaryMethod.DROP_OUT, BoundaryMethod.MEAN_FIELD
         star = build_model(
             [(0, k, 0.1 * k) for k in range(1, 5)], [0.2, -0.1, 0.4, 0.0, -0.3]
         )
-        real = meanfield.boundary_mean_field
-
-        def stalled(model, region):
-            means, state = real(model, region)
-            if 0 in region.boundary_alpha:
-                state.converged = False
-            return means, state
-
         with monkeypatch.context() as patch:
-            patch.setattr(meanfield, "boundary_mean_field", stalled)
-            trace = greedy_expand(
-                star, 1, K=5, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD
-            )
+            self._stall(patch, lambda region: 0 in region.boundary_alpha)
+            trace = greedy_expand(star, 1, K=5, delta=-math.inf, method=mf)
         assert trace.degraded and trace.final_certificate.valid
-        assert [s.certificate is None for s in trace.steps] == [True, True, True, False]
+        uncertified = [math.isnan(c.c_local) for c in trace.certificates[1:]]
+        assert uncertified == [True, True, True, False]
         p_true = eliminate_marginal(star, 1)
         calls = self._count_localize(monkeypatch)
         errors, bounds = evaluate_prefixes(star, trace, p_true, 6)
         monkeypatch.undo()
-        assert len(calls) == 3  # the three raised steps; {query} is on the trace
-        fresh = self._fresh_errors(star, trace, p_true, 6)
+        assert len(calls) == 0  # the stalled prefixes too are read off the trace
+        # the three stalled prefixes are scored on their drop-out localization
+        fresh = self._fresh_errors(star, trace, p_true, [mf, drop, drop, drop, mf, mf])
         assert [e.hex() for e in errors] == [e.hex() for e in fresh]
         assert list(bounds[1:4]) == [math.inf] * 3
+
+    def test_stalled_final_prefix_is_scored_on_drop_out(self, monkeypatch):
+        # every two-node solve stalls, so greedy ends on an uncertified pair;
+        # evaluate_prefixes used to localize that pair afresh and stall again
+        star = build_model([(0, 1, 0.3), (0, 2, 0.5), (0, 3, 0.2)], [0.1, 0.0, 0.2, -0.1])
+        p_true = eliminate_marginal(star, 0)
+        self._stall(monkeypatch, lambda region: len(region.alpha) == 2)
+        trace = greedy_expand(star, 0, K=2, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD)
+        calls = self._count_localize(monkeypatch)
+        errors, bounds = evaluate_prefixes(star, trace, p_true, 3)
+        monkeypatch.undo()
+        assert len(calls) == 0
+        assert trace.degraded and not trace.valid
+        assert list(bounds[1:]) == [math.inf, math.inf]
+        loc = localize(star, make_region(star, trace.final_alpha, 0), BoundaryMethod.DROP_OUT)
+        want = abs(eliminate_marginal(loc.submodel, loc.index_of(0)) - p_true)
+        assert errors[1] == errors[2] == want
 
     def test_short_trace_repeats_final_value(self, chain3):
         trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)

@@ -1,9 +1,10 @@
-"""Pinned answers: greedy traces and final certificates on seeded model sets.
+"""Pinned answers: greedy traces and their certificates on seeded model sets.
 
 A change that must leave answers alone keeps these digests. A change that
 declares new answers updates the pins and records the old and new values in
 CHANGES.md.
 """
+import functools
 import hashlib
 import math
 
@@ -27,6 +28,17 @@ PINNED_CITATION = {
     BoundaryMethod.DROP_OUT: "35e97e10c3208ee8ba56baa6f1bbaa4284203aec303915202d4a70fd78b63b71",
     BoundaryMethod.MEAN_FIELD: "81d5da0f240fbb00c3c3c047a22f5c28ee39c1aa8332688396f7f92d9d9d6cf6",
 }
+# sha256 over to_json() of every prefix certificate of the same traces
+PINNED_PREFIXES = {
+    ("grid", BoundaryMethod.DROP_OUT):
+        "81625454c962f344124c136c7d4158e38e741fde0694106b2450403362dde634",
+    ("grid", BoundaryMethod.MEAN_FIELD):
+        "5c78d90cd2058291dae68aa6a148224a8b897675e16f8a61de9e853b582dd3e4",
+    ("citation", BoundaryMethod.DROP_OUT):
+        "427c302d8af2aab5d5757e47561e90d6305ba5be85a04d9fc83f9232aed3b9d7",
+    ("citation", BoundaryMethod.MEAN_FIELD):
+        "9e3204ec875faf31184e3c8a84aa78f4ba821a5f25771044e42603dcd6ca5c0c",
+}
 # Hub 13 (degree 24) as the query; hubs 2 and 1 (degrees 23 and 16) join the
 # regions of 62 and 299. Hubs 4, 0, 6 and 3 (degrees 40, 31, 30 and 30, over
 # ENUMERATION_CAP) are scored as candidates, and hub 4 joins the mean-field
@@ -34,17 +46,20 @@ PINNED_CITATION = {
 CITATION_QUERIES = (13, 62, 150, 299)
 
 
-def _digest(cases, method: BoundaryMethod) -> str:
-    """sha256 over to_jsonl() + final_certificate.to_json() of greedy traces
-    to K=12 for each (model, query) case, with the default delta and with
-    delta=-inf."""
-    digest = hashlib.sha256()
+def _digests(cases, method: BoundaryMethod) -> tuple[str, str]:
+    """Two sha256 digests of greedy traces to K=12 for each (model, query)
+    case, with the default delta and with delta=-inf: one over to_jsonl() +
+    final_certificate.to_json(), one over to_json() of every certificate in
+    trace.certificates."""
+    answers, prefixes = hashlib.sha256(), hashlib.sha256()
     for model, query in cases:
         for delta in (0.005, -math.inf):
             trace = greedy_expand(model, query, K=12, delta=delta, method=method)
-            digest.update(trace.to_jsonl().encode())
-            digest.update(trace.final_certificate.to_json().encode())
-    return digest.hexdigest()
+            answers.update(trace.to_jsonl().encode())
+            answers.update(trace.final_certificate.to_json().encode())
+            for cert in trace.certificates:
+                prefixes.update(cert.to_json().encode())
+    return answers.hexdigest(), prefixes.hexdigest()
 
 
 def grid_cases():
@@ -57,10 +72,6 @@ def grid_cases():
     return cases
 
 
-def answers_digest(method: BoundaryMethod) -> str:
-    return _digest(grid_cases(), method)
-
-
 def citation_model():
     """gen_citation_graph(n=300, attach=2, seed=0) with seeded couplings
     uniform in [-0.5, 0.5] and fields 0.3 * label + N(0, 0.5^2)."""
@@ -71,17 +82,27 @@ def citation_model():
     return build_model([(u, v, float(j)) for (u, v), j in zip(edges, js)], h)
 
 
-def citation_digest(method: BoundaryMethod) -> str:
-    """The heavy-tailed citation model at CITATION_QUERIES."""
+@functools.cache
+def case_digests(kind: str, method: BoundaryMethod) -> tuple[str, str]:
+    """_digests of the grid cases, or of the heavy-tailed citation model at
+    CITATION_QUERIES, computed once per session."""
+    if kind == "grid":
+        return _digests(grid_cases(), method)
     model = citation_model()
-    return _digest([(model, q) for q in CITATION_QUERIES], method)
+    return _digests([(model, q) for q in CITATION_QUERIES], method)
 
 
 @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
 def test_greedy_answers_match_pin(method):
-    assert answers_digest(method) == PINNED[method]
+    assert case_digests("grid", method)[0] == PINNED[method]
 
 
 @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
 def test_citation_answers_match_pin(method):
-    assert citation_digest(method) == PINNED_CITATION[method]
+    assert case_digests("citation", method)[0] == PINNED_CITATION[method]
+
+
+@pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", ["grid", "citation"])
+def test_prefix_certificates_match_pin(kind, method):
+    assert case_digests(kind, method)[1] == PINNED_PREFIXES[kind, method]
