@@ -9,11 +9,16 @@ that no caller sets.
 
 Every variable is binary, so summing one out is a two-term log-add-exp
 (`marginalize`), bit-identical to `scipy.special.logsumexp` on two values.
-`min_fill_order` rescores after each elimination only the nodes whose
-neighbourhood changed, and gives the order a full rescan would.
+Elimination keeps, per variable, the live factors that touch it, so no step
+scans the whole factor list; products and the factors left keep list order.
+`min_fill_order` pops nodes from a heap of (fill, id), keeps each node's count
+of edges among its neighbours up to date, and rescores after each elimination
+only the nodes whose fill can change, which gives the order a full rescan
+would.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +60,13 @@ class Factor:
 
 
 def _embed(factor: Factor, scope: tuple[int, ...]) -> np.ndarray:
-    """Return factor.table transposed/reshaped to broadcast over scope."""
-    perm = sorted(range(len(factor.scope)), key=lambda a: scope.index(factor.scope[a]))
-    table = np.transpose(factor.table, perm)
-    shape = tuple(2 if v in factor.scope else 1 for v in scope)
-    return table.reshape(shape)
+    """Return factor.table transposed/reshaped to broadcast over scope, an
+    ascending tuple; a factor whose scope ascends too needs no transpose."""
+    table = factor.table
+    fs = factor.scope
+    if list(fs) != sorted(fs):
+        table = np.transpose(table, sorted(range(len(fs)), key=fs.__getitem__))
+    return table.reshape([2 if v in fs else 1 for v in scope])
 
 
 def multiply(factors: list[Factor]) -> Factor:
@@ -70,7 +77,7 @@ def multiply(factors: list[Factor]) -> Factor:
         )
     table = np.zeros((2,) * len(scope))
     for f in factors:
-        table = table + _embed(f, scope)
+        table += _embed(f, scope)
     return Factor(scope, table)
 
 
@@ -84,19 +91,23 @@ def marginalize(factor: Factor, var: int) -> Factor:
     """
     axis = factor.scope.index(var)
     scope = factor.scope[:axis] + factor.scope[axis + 1 :]
-    a = np.take(factor.table, 0, axis=axis)
-    b = np.take(factor.table, 1, axis=axis)
+    lead = (slice(None),) * axis
+    a = factor.table[lead + (0,)]
+    b = factor.table[lead + (1,)]
     hi = np.maximum(a, b)
     return Factor(scope, hi + np.log1p(np.exp(np.minimum(a, b) - hi)))
 
 
 def _model_factors(model: IsingModel, nodes: tuple[int, ...]) -> list[Factor]:
+    """One factor h_i x_i per node, then one J_uv x_u x_v per edge inside
+    `nodes` in edge order; each kind's tables come from one outer product."""
     node_set = set(nodes)
     spin = np.array([-1.0, 1.0])
-    factors = [Factor((i,), model.h[i] * spin) for i in nodes]
-    for (u, v), j in model.J.items():
-        if u in node_set and v in node_set:
-            factors.append(Factor((u, v), j * np.outer(spin, spin)))
+    unary = np.multiply.outer(model.h[list(nodes)], spin)
+    factors = [Factor((i,), table) for i, table in zip(nodes, unary)]
+    edges = [(e, j) for e, j in model.J.items() if e[0] in node_set and e[1] in node_set]
+    pairs = np.multiply.outer([j for _, j in edges], np.outer(spin, spin))
+    factors += [Factor(e, table) for (e, _), table in zip(edges, pairs)]
     return factors
 
 
@@ -104,48 +115,85 @@ def min_fill_order(model: IsingModel, nodes: tuple[int, ...], keep: tuple[int, .
     """Min-fill elimination order over `nodes` minus `keep`, ties to lowest id.
 
     The fill of v is the number of non-adjacent pairs among its neighbours,
-    C(d, 2) minus the edges among them. Eliminating v changes the
-    neighbourhoods of its neighbours and of their neighbours only, so only
-    those are rescored.
+    C(d, 2) minus the edges among them; each node keeps that edge count.
+    Eliminating x removes x, which takes |N(a) & N(x)| edges from the count
+    of each neighbour a, and joins its neighbours pairwise. A new fill edge
+    (a, b) adds |N(a) & N(b)| to the counts of a and b and 1 to the count of
+    each of their common neighbours. So only x's neighbours and the common
+    neighbours of each fill edge's ends change their fill, and only they are
+    rescored. The next node is popped from a heap of (fill, id), skipping
+    entries whose fill is stale.
     """
     node_set = set(nodes)
-    keep_set = set(keep)
     adj: dict[int, set[int]] = {
         i: {v for v in model.adjacency[i] if v in node_set} for i in nodes
     }
+    inner = {v: sum(len(adj[u] & nbrs) for u in nbrs) // 2 for v, nbrs in adj.items()}
 
     def fill(v: int) -> int:
-        nbrs = adj[v]
-        d = len(nbrs)
-        return d * (d - 1) // 2 - sum(len(adj[u] & nbrs) for u in nbrs) // 2
+        d = len(adj[v])
+        return d * (d - 1) // 2 - inner[v]
 
-    fills = {v: fill(v) for v in node_set - keep_set}
+    keep_set = set(keep)
+    fills = {v: fill(v) for v in nodes if v not in keep_set}
+    heap = [(f, v) for v, f in fills.items()]
+    heapq.heapify(heap)
     order: list[int] = []
     while fills:
-        best = min(fills, key=lambda v: (fills[v], v))
+        f, best = heapq.heappop(heap)
+        if fills.get(best) != f:
+            continue
         del fills[best]
+        order.append(best)
         nbrs = adj.pop(best)
         for a in nbrs:
             adj[a].discard(best)
-            adj[a] |= nbrs - {a}
+            inner[a] -= len(adj[a] & nbrs)
         touched = set(nbrs)
         for a in nbrs:
-            touched |= adj[a]
+            for b in nbrs:
+                if a < b and b not in adj[a]:
+                    common = adj[a] & adj[b]
+                    inner[a] += len(common)
+                    inner[b] += len(common)
+                    for w in common:
+                        inner[w] += 1
+                    touched |= common
+                    adj[a].add(b)
+                    adj[b].add(a)
         for v in touched:
             if v in fills:
-                fills[v] = fill(v)
-        order.append(best)
+                f = fill(v)
+                if f != fills[v]:
+                    fills[v] = f
+                    heapq.heappush(heap, (f, v))
     return order
 
 
 def _eliminate(factors: list[Factor], order: list[int]) -> list[Factor]:
+    """Sum each variable of `order` out in turn; returns the factors left.
+
+    Factors are tagged with their position in the list, and a new factor is
+    tagged after all others, so each product adds its factors, and the
+    result lists them, in the order of a list that drops the factors it
+    multiplies and appends their marginal. Each variable keeps the tags of
+    the factors that touch it in ascending order; a tag whose factor was
+    already multiplied into another is skipped.
+    """
+    live = dict(enumerate(factors))
+    buckets: dict[int, list[int]] = {}
+    for tag, f in live.items():
+        for v in f.scope:
+            buckets.setdefault(v, []).append(tag)
+    tag = len(factors)
     for var in order:
-        touching = [f for f in factors if var in f.scope]
-        rest = [f for f in factors if var not in f.scope]
-        product = multiply(touching)
-        rest.append(marginalize(product, var))
-        factors = rest
-    return factors
+        touching = [live.pop(t) for t in buckets.pop(var, ()) if t in live]
+        marginal = marginalize(multiply(touching), var)
+        live[tag] = marginal
+        for v in marginal.scope:
+            buckets[v].append(tag)
+        tag += 1
+    return list(live.values())
 
 
 def _p_plus(log_minus: float, log_plus: float) -> float:

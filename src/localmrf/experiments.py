@@ -275,7 +275,6 @@ def dobrushin_heatmap(
 
 
 def evaluate_prefixes(
-    model: IsingModel,
     trace: ExpansionTrace,
     p_true: float,
     K: int,
@@ -327,7 +326,7 @@ def _comparison_trial(args) -> tuple[np.ndarray, np.ndarray]:
     for m, name in enumerate(methods):
         expand = _COMPARISON_EXPANDERS[name]
         trace = expand(model, query, K, substream(seed, trial, 1))
-        errors[m], bounds[m] = evaluate_prefixes(model, trace, p_true, K)
+        errors[m], bounds[m] = evaluate_prefixes(trace, p_true, K)
     return errors, bounds
 
 

@@ -10,11 +10,17 @@ so every sweep is monotone. Sweeps visit nodes in ascending id order.
 The solver's limits are constants that no caller sets: a run stops when no
 mean moves by more than `TOL` in a sweep, or after `MAX_SWEEPS` sweeps, and a
 model that is not a max-norm contraction gets the best of `RESTARTS` starts.
+
+`mean_field` and `boundary_mean_field` share one solve on neighbour lists.
+The boundary solve reads its lists off the global model and builds the
+subproblem as a model only when the variational objective must rank several
+starts.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -62,17 +68,15 @@ def _sweeps(
     h holds Python floats, so a field that overflows gives inf without
     numpy's overflow warning.
     """
-    n = len(m)
     tanh = math.tanh
+    rows = [list(zip(ids, js)) for ids, js in zip(nbr_ids, nbr_js)]
+    nodes = list(zip(range(len(m)), rows, h))
     residual = math.inf
     for it in range(1, max_iter + 1):
         residual = 0.0
-        for j in range(n):
-            s = h[j]
-            ids = nbr_ids[j]
-            js = nbr_js[j]
-            for t in range(len(ids)):
-                s += js[t] * m[ids[t]]
+        for j, row, s in nodes:
+            for k, jv in row:
+                s += jv * m[k]
             new = tanh(s)
             diff = abs(new - m[j])
             if diff > residual:
@@ -104,24 +108,41 @@ def mean_field(model: IsingModel, seed: int = 0) -> MeanFieldState:
     `MAX_SWEEPS` times.
     """
     nbr_ids, nbr_js = _neighbor_arrays(model)
-    h = model.h
+    return _solve(nbr_ids, nbr_js, model.h, seed, lambda: model)
+
+
+def _solve(
+    nbr_ids: list[list[int]],
+    nbr_js: list[list[float]],
+    h: np.ndarray,
+    seed: int,
+    objective_model: Callable[[], IsingModel],
+) -> MeanFieldState:
+    """`mean_field` on neighbour lists (ascending ids) and fields h.
+
+    objective_model() returns the model whose variational objective ranks
+    the starts; it is called only when more than one start runs.
+    """
     inits: list[np.ndarray] = [np.tanh(h)]
-    if not all(math.fsum(abs(j) for j in js) < 1.0 for js in nbr_js):
+    if not all(math.fsum(map(abs, js)) < 1.0 for js in nbr_js):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         for _ in range(RESTARTS - 1):
-            inits.append(rng.uniform(-1.0, 1.0, size=model.n))
+            inits.append(rng.uniform(-1.0, 1.0, size=len(h)))
     fields = h.tolist()
+    ranked: IsingModel | None = None
     best: MeanFieldState | None = None
     best_obj = -math.inf
     for start in inits:
-        m = [float(x) for x in start]
+        m = start.tolist()
         iters, residual, converged = _sweeps(nbr_ids, nbr_js, fields, m, TOL, MAX_SWEEPS)
         state = MeanFieldState(
             m=np.array(m), iterations=iters, residual=residual, converged=converged
         )
         if len(inits) == 1:
             return state
-        obj = variational_objective(model, state.m)
+        if ranked is None:
+            ranked = objective_model()
+        obj = variational_objective(ranked, state.m)
         if obj > best_obj:
             best, best_obj = state, obj
     assert best is not None
@@ -134,25 +155,41 @@ def boundary_mean_field(
     """Mean-field means of the outside boundary spins.
 
     The subproblem holds the two boundary layers: variables are
-    boundary_alpha + boundary_beta, edges are the cross edges plus the
-    original edges inside each layer, fields are the original fields.
-    `mean_field` decides how many starts it needs; on a contraction it runs
-    one. Either way the certificate stays sound, since b is computed against
-    whatever means were used; the number of starts only decides how tight
-    it is.
+    boundary_alpha + boundary_beta in ascending id, edges are the cross
+    edges plus the original edges inside each layer (together, every edge of
+    the model between two of them), fields are the original fields. It is
+    solved as `mean_field` solves a model, on neighbour lists read off the
+    model's adjacency; the subproblem model itself, edges in the order
+    above, is built only when the best of several starts is chosen by its
+    objective. Its fields and |J| row sums are finite because the global
+    model's are. `mean_field` decides how many starts it needs; on a
+    contraction it runs one. Either way the certificate stays sound, since b
+    is computed against whatever means were used; the number of starts only
+    decides how tight it is.
 
     Returns the means of the boundary_beta nodes and the underlying solver
     state.
     """
     nodes = sorted(set(region.boundary_alpha) | set(region.boundary_beta))
     index = {g: i for i, g in enumerate(nodes)}
-    edges = [(index[j], index[k], jv) for j, k, jv in region.cross_edges]
-    for side in (region.boundary_alpha, region.boundary_beta):
-        side_set = set(side)
-        for u in side:
-            for v in model.adjacency[u]:
-                if v in side_set and u < v:
-                    edges.append((index[u], index[v], model.coupling(u, v)))
-    state = mean_field(build_model(edges, [float(model.h[g]) for g in nodes]))
+    adjacency, couplings = model.adjacency, model.J
+    nbr_ids: list[list[int]] = []
+    nbr_js: list[list[float]] = []
+    for g in nodes:
+        inside = [v for v in adjacency[g] if v in index]
+        nbr_ids.append([index[v] for v in inside])
+        nbr_js.append([couplings[(g, v) if g < v else (v, g)] for v in inside])
+
+    def subproblem() -> IsingModel:
+        edges = [(index[j], index[k], jv) for j, k, jv in region.cross_edges]
+        for side in (region.boundary_alpha, region.boundary_beta):
+            side_set = set(side)
+            for u in side:
+                for v in adjacency[u]:
+                    if v in side_set and u < v:
+                        edges.append((index[u], index[v], couplings[(u, v)]))
+        return build_model(edges, model.h[nodes])
+
+    state = _solve(nbr_ids, nbr_js, model.h[nodes], 0, subproblem)
     means = {k: float(state.m[index[k]]) for k in region.boundary_beta}
     return means, state

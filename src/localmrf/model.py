@@ -219,16 +219,17 @@ def read_labels(path) -> dict[int, str]:
     return out
 
 
-def _bfs_distances(model: IsingModel, source: int) -> np.ndarray:
-    dist = np.full(model.n, np.inf)
-    dist[source] = 0.0
+def _bfs_distances(model: IsingModel, source: int) -> dict[int, int]:
+    """{node: hops from source} for every node reachable from source."""
+    dist = {source: 0}
     queue = deque([source])
+    adjacency = model.adjacency
     while queue:
         u = queue.popleft()
-        du = dist[u]
-        for v in model.adjacency[u]:
-            if not np.isfinite(dist[v]):
-                dist[v] = du + 1.0
+        du = dist[u] + 1
+        for v in adjacency[u]:
+            if v not in dist:
+                dist[v] = du
                 queue.append(v)
     return dist
 
@@ -237,31 +238,36 @@ def graph_distance(model: IsingModel, source: int, targets: Iterable[int] | None
     """Hop distance from source to each target (math.inf when unreachable).
 
     With targets=None, returns distances to every node.
+
+    Raises:
+        ModelError: the source or a target is not a node id.
     """
     if not (0 <= source < model.n):
         raise ModelError(f"source {source} out of range")
     dist = _bfs_distances(model, source)
-    if targets is None:
-        return {i: float(dist[i]) for i in range(model.n)}
-    return {int(t): float(dist[int(t)]) for t in targets}
+    out: dict[int, float] = {}
+    for t in range(model.n) if targets is None else targets:
+        t = int(t)
+        if not (0 <= t < model.n):
+            raise ModelError(f"target {t} out of range")
+        out[t] = float(dist.get(t, math.inf))
+    return out
 
 
 def connected_component(model: IsingModel, node: int) -> tuple[int, ...]:
     """Sorted node ids of the component containing node."""
-    dist = _bfs_distances(model, node)
-    return tuple(int(i) for i in np.flatnonzero(np.isfinite(dist)))
+    return tuple(sorted(int(i) for i in _bfs_distances(model, node)))
 
 
 def connected_components(model: IsingModel) -> list[tuple[int, ...]]:
     """All components as sorted tuples, ordered by their smallest node id."""
-    seen = np.zeros(model.n, dtype=bool)
+    seen: set[int] = set()
     comps: list[tuple[int, ...]] = []
     for start in range(model.n):
-        if seen[start]:
+        if start in seen:
             continue
         comp = connected_component(model, start)
-        for i in comp:
-            seen[i] = True
+        seen.update(comp)
         comps.append(comp)
     return comps
 

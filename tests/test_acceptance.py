@@ -85,7 +85,7 @@ def _grid_soundness(out_dir):
             trace = greedy_expand(
                 model, query, K=K, delta=-math.inf, method=method
             )
-            errors, bounds = evaluate_prefixes(model, trace, p_true, K)
+            errors, bounds = evaluate_prefixes(trace, p_true, K)
             for s in range(K):
                 if math.isfinite(bounds[s]):
                     n_valid += 1

@@ -211,7 +211,7 @@ class TestMinFill:
         assert min_fill_order(m, (0, 1, 2), keep=(1,)) == [0, 2]
 
     @given(
-        st.sampled_from(["random", "grid", "citation"]),
+        st.sampled_from(["random", "grid", "citation", "grid10", "hub"]),
         st.integers(1, 12),
         st.integers(1, 12),
         st.integers(0, 10**6),
@@ -219,21 +219,44 @@ class TestMinFill:
         st.booleans(),
     )
     def test_matches_rescan_reference(self, kind, a, b, seed, n_keep, subset):
+        rng = np.random.Generator(np.random.Philox(seed))
+        if kind == "grid10":
+            # the whole 10x10 grid with its centre kept, as the comparison
+            # trial's global marginal eliminates it
+            m = gen_grid(GridSpec(10, 10, seed=seed))
+            nodes, keep = tuple(range(m.n)), (GridSpec(10, 10).query,)
+            assert min_fill_order(m, nodes, keep) == rescan_min_fill_order(m, nodes, keep)
+            return
         if kind == "random":
             m = random_connected_model(a * b // 2 + 1, seed)
         elif kind == "grid":
             m = gen_grid(GridSpec(a, b, seed=seed))
-        else:
+        elif kind == "citation":
             n = a * b // 2 + 6
             edges, _ = gen_citation_graph(n, attach=1 + seed % 3, seed=seed)
             m = build_model([(u, v, 0.1) for u, v in edges], [0.0] * n)
-        rng = np.random.Generator(np.random.Philox(seed))
+        else:
+            m = hub_model(rng)
         nodes = tuple(range(m.n))
         if subset and m.n > 1:
             size = int(rng.integers(1, m.n + 1))
             nodes = tuple(sorted(int(v) for v in rng.choice(m.n, size, replace=False)))
         keep = tuple(int(v) for v in rng.choice(nodes, min(n_keep, len(nodes)), replace=False))
         assert min_fill_order(m, nodes, keep) == rescan_min_fill_order(m, nodes, keep)
+
+
+def hub_model(rng):
+    """Node 0 joined to 24 leaves on a ring, plus up to 8 random chords
+    between leaves; couplings and fields uniform from rng."""
+    edges = {(0, k) for k in range(1, 25)} | {(k, k % 24 + 1) for k in range(1, 25)}
+    for _ in range(8):
+        u, v = sorted(int(x) for x in rng.choice(np.arange(1, 25), 2, replace=False))
+        edges.add((u, v))
+    edges = sorted(edges)
+    js = rng.uniform(-1.0, 1.0, size=len(edges))
+    return build_model(
+        [(u, v, float(j)) for (u, v), j in zip(edges, js)], rng.uniform(-1.0, 1.0, size=25)
+    )
 
 
 def rescan_min_fill_order(model, nodes, keep=()):
@@ -264,6 +287,97 @@ def rescan_min_fill_order(model, nodes, keep=()):
         remaining.remove(best)
         order.append(best)
     return order
+
+
+def transposing_multiply(factors):
+    """`multiply` as it was: every factor transposed into the sorted scope."""
+    scope = tuple(sorted(set().union(*(f.scope for f in factors))))
+    if len(scope) > exact.MAX_CLIQUE:
+        raise CliqueTooLargeError(f"elimination clique has {len(scope)} variables")
+    table = np.zeros((2,) * len(scope))
+    for f in factors:
+        perm = sorted(range(len(f.scope)), key=lambda a: scope.index(f.scope[a]))
+        shape = tuple(2 if v in f.scope else 1 for v in scope)
+        table = table + np.transpose(f.table, perm).reshape(shape)
+    return Factor(scope, table)
+
+
+def take_marginalize(factor, var):
+    """`marginalize` as it was, reading both halves with np.take."""
+    axis = factor.scope.index(var)
+    scope = factor.scope[:axis] + factor.scope[axis + 1 :]
+    a = np.take(factor.table, 0, axis=axis)
+    b = np.take(factor.table, 1, axis=axis)
+    hi = np.maximum(a, b)
+    return Factor(scope, hi + np.log1p(np.exp(np.minimum(a, b) - hi)))
+
+
+def scan_eliminate(factors, order):
+    """The list-scan elimination: each variable scans every factor twice,
+    multiplies the ones touching it and appends their marginal."""
+    for var in order:
+        touching = [f for f in factors if var in f.scope]
+        rest = [f for f in factors if var not in f.scope]
+        rest.append(take_marginalize(transposing_multiply(touching), var))
+        factors = rest
+    return factors
+
+
+def elimination_corpus(kind, seed):
+    """A random model, a grid, or a citation subgraph, all small enough to
+    eliminate under MAX_CLIQUE."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if kind == "random":
+        return random_connected_model(2 + seed % 15, seed, j_scale=[0.3, 1.0, 3.0][seed % 3])
+    if kind == "grid":
+        return gen_grid(GridSpec(1 + seed % 6, 1 + (seed // 6) % 6, seed=seed))
+    # the first n nodes of a preferential-attachment graph of 2n nodes
+    n = 4 + seed % 17
+    edges, _ = gen_citation_graph(2 * n, attach=1 + seed % 3, seed=seed)
+    inside = [(u, v) for u, v in edges if u < n and v < n]
+    js = rng.uniform(-1.0, 1.0, size=len(inside))
+    return build_model(
+        [(u, v, float(j)) for (u, v), j in zip(inside, js)], rng.uniform(-1.0, 1.0, size=n)
+    )
+
+
+class TestBucketElimination:
+    def test_multiply_transposes_an_unsorted_scope(self):
+        # every factor elimination builds has an ascending scope; one that
+        # does not is transposed into the product's sorted scope
+        t = np.arange(8.0).reshape(2, 2, 2)
+        u = np.array([10.0, 20.0])
+        got = exact.multiply([Factor((7, 2, 5), t), Factor((5,), u)])
+        want = transposing_multiply([Factor((7, 2, 5), t), Factor((5,), u)])
+        assert got.scope == want.scope == (2, 5, 7)
+        assert got.table.tobytes() == want.table.tobytes()
+        assert got.table[1, 0, 1] == t[1, 1, 0] + u[0]
+
+    @given(st.sampled_from(["random", "grid", "citation"]), st.integers(0, 10**6), st.sampled_from([0, 1, 3]))
+    def test_kernel_matches_list_scan(self, kind, seed, n_keep):
+        # the factors left after eliminating all but `keep`, scope and bytes
+        m = elimination_corpus(kind, seed)
+        rng = np.random.Generator(np.random.Philox(seed + 1))
+        nodes = tuple(range(m.n))
+        keep = tuple(int(v) for v in rng.choice(m.n, min(n_keep, m.n), replace=False))
+        order = min_fill_order(m, nodes, keep)
+        got = exact._eliminate(exact._model_factors(m, nodes), order)
+        want = scan_eliminate(exact._model_factors(m, nodes), order)
+        assert [(f.scope, np.asarray(f.table).tobytes()) for f in got] == [
+            (f.scope, np.asarray(f.table).tobytes()) for f in want
+        ]
+
+    @given(st.sampled_from(["random", "grid", "citation"]), st.integers(0, 10**6))
+    def test_readouts_match_list_scan(self, kind, seed):
+        m = elimination_corpus(kind, seed)
+
+        def readouts():
+            return [eliminate_marginal(m, v).hex() for v in range(m.n)] + [log_partition(m).hex()]
+
+        got = readouts()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_eliminate", scan_eliminate)
+            assert readouts() == got
 
 
 def scipy_marginalize(factor, var):

@@ -193,7 +193,7 @@ class TestEvaluatePrefixes:
             (maxnorm_expand(model, q, K=8), drop),
         ]
         for trace, method in traces:
-            errors, bounds = evaluate_prefixes(model, trace, p_true, 8)
+            errors, bounds = evaluate_prefixes(trace, p_true, 8)
             assert errors.shape == (8,) and bounds.shape == (8,)
             assert np.all(errors <= bounds + 1e-9)
             for s in range(1, 9):
@@ -263,7 +263,7 @@ class TestEvaluatePrefixes:
         for trace in traces:
             assert not any(math.isnan(c.c_local) for c in trace.certificates)
             calls = self._count_localize(monkeypatch)
-            errors, _ = evaluate_prefixes(model, trace, p_true, 10)
+            errors, _ = evaluate_prefixes(trace, p_true, 10)
             monkeypatch.undo()
             assert len(calls) == 0  # every prefix, {query} too, is read off the trace
             fresh = self._fresh_errors(model, trace, p_true, [trace.method] * 10)
@@ -285,7 +285,7 @@ class TestEvaluatePrefixes:
         assert uncertified == [True, True, True, False]
         p_true = eliminate_marginal(star, 1)
         calls = self._count_localize(monkeypatch)
-        errors, bounds = evaluate_prefixes(star, trace, p_true, 6)
+        errors, bounds = evaluate_prefixes(trace, p_true, 6)
         monkeypatch.undo()
         assert len(calls) == 0  # the stalled prefixes too are read off the trace
         # the three stalled prefixes are scored on their drop-out localization
@@ -301,7 +301,7 @@ class TestEvaluatePrefixes:
         self._stall(monkeypatch, lambda region: len(region.alpha) == 2)
         trace = greedy_expand(star, 0, K=2, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD)
         calls = self._count_localize(monkeypatch)
-        errors, bounds = evaluate_prefixes(star, trace, p_true, 3)
+        errors, bounds = evaluate_prefixes(trace, p_true, 3)
         monkeypatch.undo()
         assert len(calls) == 0
         assert trace.degraded and not trace.valid
@@ -313,7 +313,7 @@ class TestEvaluatePrefixes:
     def test_short_trace_repeats_final_value(self, chain3):
         trace = greedy_expand(chain3, 0, K=3, delta=-math.inf)
         p_true = eliminate_marginal(chain3, 0)
-        errors, bounds = evaluate_prefixes(chain3, trace, p_true, 5)
+        errors, bounds = evaluate_prefixes(trace, p_true, 5)
         assert errors[2] == errors[3] == errors[4]
         assert bounds[2] == bounds[3] == bounds[4] == 0.0
 

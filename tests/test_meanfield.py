@@ -57,6 +57,29 @@ def max_row_sum(model):
     )
 
 
+def prefix_regions(model, seed):
+    """The regions of every prefix of a random node order that starts at 0."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    order = [0] + [int(v) for v in rng.permutation(np.arange(1, model.n))]
+    return [make_region(model, order[:s], 0) for s in range(1, model.n + 1)]
+
+
+def assert_matches_subproblem_model(model, region):
+    """boundary_mean_field gives, byte for byte, what mean_field gives on the
+    boundary subproblem built as a model; returns whether one start ran."""
+    sub, index = boundary_subproblem(model, region)
+    want = mean_field(sub)
+    means, state = boundary_mean_field(model, region)
+    assert state.m.tobytes() == want.m.tobytes()
+    assert state.iterations == want.iterations
+    assert state.residual.hex() == want.residual.hex()
+    assert state.converged == want.converged
+    assert [(k, v.hex()) for k, v in means.items()] == [
+        (k, float(want.m[index[k]]).hex()) for k in region.boundary_beta
+    ]
+    return sub.n == 0 or max_row_sum(sub) < 1.0
+
+
 class TestMeanField:
     def test_no_couplings_is_exact_tanh(self):
         m = build_model([], [0.3, -0.7, 0.0])
@@ -236,6 +259,25 @@ class TestBoundaryMeanField:
         assert not np.array_equal(want.m, one_start(sub))
         _, state = boundary_mean_field(m, region)
         assert np.array_equal(state.m, want.m)
+
+    @given(st.integers(2, 12), st.integers(0, 10**6), st.sampled_from([0.1, 1.0, 3.0]))
+    def test_matches_mean_field_on_subproblem_model(self, n, seed, j_scale):
+        # the solve on neighbour lists against mean_field on the subproblem
+        # built as an IsingModel, for every prefix region of a random order
+        m = random_connected_model(n, seed, j_scale=j_scale)
+        for region in prefix_regions(m, seed):
+            assert_matches_subproblem_model(m, region)
+
+    def test_subproblem_corpus_reaches_both_start_counts(self):
+        # the same comparison on a fixed corpus from the same space, which
+        # runs both one start (a contraction) and the best of three
+        one_start_seen = set()
+        for seed in range(12):
+            for j_scale in (0.1, 1.0, 3.0):
+                m = random_connected_model(2 + seed % 11, seed, j_scale=j_scale)
+                for region in prefix_regions(m, seed):
+                    one_start_seen.add(assert_matches_subproblem_model(m, region))
+        assert one_start_seen == {True, False}
 
     @given(st.integers(2, 12), st.integers(0, 10**6), st.sampled_from([0.1, 0.3, 1.0, 3.0]))
     def test_certificates_sound_against_enumeration(self, n, seed, j_scale):

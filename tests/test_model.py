@@ -146,6 +146,13 @@ class TestDistances:
         with pytest.raises(ModelError):
             graph_distance(m, 5)
 
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_targets_validated(self, target):
+        # a negative id used to read the distance of node n + target
+        m = chain_model([0.1], [0.0, 0.0])
+        with pytest.raises(ModelError, match=f"target {target} out of range"):
+            graph_distance(m, 0, [0, target])
+
     def test_components(self):
         m = build_model([(0, 1, 0.1), (3, 4, 0.1)], [0.0] * 5)
         assert connected_component(m, 4) == (3, 4)

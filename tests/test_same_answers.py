@@ -1,4 +1,5 @@
-"""Pinned answers: greedy traces and their certificates on seeded model sets.
+"""Pinned answers: greedy traces, their certificates, and the exact and
+mean-field solves under them, on seeded model sets.
 
 A change that must leave answers alone keeps these digests. A change that
 declares new answers updates the pins and records the old and new values in
@@ -14,10 +15,14 @@ import pytest
 from localmrf import (
     BoundaryMethod,
     GridSpec,
+    boundary_mean_field,
     build_model,
+    eliminate_marginal,
     gen_citation_graph,
     gen_grid,
     greedy_expand,
+    log_partition,
+    make_region,
 )
 
 PINNED = {
@@ -39,6 +44,11 @@ PINNED_PREFIXES = {
     ("citation", BoundaryMethod.MEAN_FIELD):
         "9e3204ec875faf31184e3c8a84aa78f4ba821a5f25771044e42603dcd6ca5c0c",
 }
+# sha256 over the float.hex() of: the eliminated query marginal of every
+# certificate's localization and, for every mean-field prefix, its boundary
+# means (in key order) and sweep count, on the traces above; then the global
+# query marginal and log Z of each of the four 8x8 grids
+PINNED_EXACT = "bb968c2244dcc1565d76700bb40cb3a32ec154d0fc3094e0327ef5d23ac7eb27"
 # Hub 13 (degree 24) as the query; hubs 2 and 1 (degrees 23 and 16) join the
 # regions of 62 and 299. Hubs 4, 0, 6 and 3 (degrees 40, 31, 30 and 30, over
 # ENUMERATION_CAP) are scored as candidates, and hub 4 joins the mean-field
@@ -46,19 +56,16 @@ PINNED_PREFIXES = {
 CITATION_QUERIES = (13, 62, 150, 299)
 
 
-def _digests(cases, method: BoundaryMethod) -> tuple[str, str]:
-    """Two sha256 digests of greedy traces to K=12 for each (model, query)
-    case, with the default delta and with delta=-inf: one over to_jsonl() +
-    final_certificate.to_json(), one over to_json() of every certificate in
-    trace.certificates."""
+def _digests(traces) -> tuple[str, str]:
+    """Two sha256 digests of (model, query, trace) triples: one over
+    to_jsonl() + final_certificate.to_json(), one over to_json() of every
+    certificate in trace.certificates."""
     answers, prefixes = hashlib.sha256(), hashlib.sha256()
-    for model, query in cases:
-        for delta in (0.005, -math.inf):
-            trace = greedy_expand(model, query, K=12, delta=delta, method=method)
-            answers.update(trace.to_jsonl().encode())
-            answers.update(trace.final_certificate.to_json().encode())
-            for cert in trace.certificates:
-                prefixes.update(cert.to_json().encode())
+    for _, _, trace in traces:
+        answers.update(trace.to_jsonl().encode())
+        answers.update(trace.final_certificate.to_json().encode())
+        for cert in trace.certificates:
+            prefixes.update(cert.to_json().encode())
     return answers.hexdigest(), prefixes.hexdigest()
 
 
@@ -83,13 +90,47 @@ def citation_model():
 
 
 @functools.cache
-def case_digests(kind: str, method: BoundaryMethod) -> tuple[str, str]:
-    """_digests of the grid cases, or of the heavy-tailed citation model at
-    CITATION_QUERIES, computed once per session."""
+def case_traces(kind: str, method: BoundaryMethod) -> tuple:
+    """(model, query, trace) for greedy traces to K=12 of each grid case, or
+    of the heavy-tailed citation model at CITATION_QUERIES, with the default
+    delta and with delta=-inf; computed once per session."""
     if kind == "grid":
-        return _digests(grid_cases(), method)
-    model = citation_model()
-    return _digests([(model, q) for q in CITATION_QUERIES], method)
+        cases = grid_cases()
+    else:
+        model = citation_model()
+        cases = [(model, q) for q in CITATION_QUERIES]
+    return tuple(
+        (model, query, greedy_expand(model, query, K=12, delta=delta, method=method))
+        for model, query in cases
+        for delta in (0.005, -math.inf)
+    )
+
+
+@functools.cache
+def case_digests(kind: str, method: BoundaryMethod) -> tuple[str, str]:
+    return _digests(case_traces(kind, method))
+
+
+def exact_digest() -> str:
+    """The PINNED_EXACT digest."""
+    digest = hashlib.sha256()
+    for kind in ("grid", "citation"):
+        for method in BoundaryMethod:
+            for model, query, trace in case_traces(kind, method):
+                for cert in trace.certificates:
+                    loc = cert.localized
+                    p = eliminate_marginal(loc.submodel, loc.index_of(query))
+                    digest.update(p.hex().encode())
+                    if method is BoundaryMethod.MEAN_FIELD:
+                        region = make_region(model, loc.alpha, query)
+                        means, state = boundary_mean_field(model, region)
+                        for k in means:
+                            digest.update(means[k].hex().encode())
+                        digest.update(str(state.iterations).encode())
+    for model, query in grid_cases()[::2]:
+        digest.update(eliminate_marginal(model, query).hex().encode())
+        digest.update(log_partition(model).hex().encode())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
@@ -106,3 +147,7 @@ def test_citation_answers_match_pin(method):
 @pytest.mark.parametrize("kind", ["grid", "citation"])
 def test_prefix_certificates_match_pin(kind, method):
     assert case_digests(kind, method)[1] == PINNED_PREFIXES[kind, method]
+
+
+def test_exact_and_boundary_solves_match_pin():
+    assert exact_digest() == PINNED_EXACT
