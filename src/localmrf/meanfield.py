@@ -162,7 +162,7 @@ def boundary_mean_field(
     model's adjacency; the subproblem model itself, edges in the order
     above, is built only when the best of several starts is chosen by its
     objective. Its fields and |J| row sums are finite because the global
-    model's are. `mean_field` decides how many starts it needs; on a
+    model's are. The start count follows `mean_field`'s rule; on a
     contraction it runs one. Either way the certificate stays sound, since b
     is computed against whatever means were used; the number of starts only
     decides how tight it is.
