@@ -18,7 +18,6 @@ would.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +46,10 @@ class CliqueTooLargeError(LocalMRFError):
 class Factor:
     """Log-space table over {-1,+1}^scope.
 
-    scope is a tuple of node ids; table has shape (2,)*len(scope) with axis
-    order matching scope and index 0 <-> spin -1, 1 <-> spin +1. Flattened in C
-    order this is the lexicographic order with -1 before +1.
+    scope is a tuple of node ids in ascending order; table has shape
+    (2,)*len(scope) with axis order matching scope and index 0 <-> spin -1,
+    1 <-> spin +1. Flattened in C order this is the lexicographic order with
+    -1 before +1.
     """
 
     scope: tuple[int, ...]
@@ -57,16 +57,13 @@ class Factor:
 
     def __post_init__(self):
         assert self.table.shape == (2,) * len(self.scope)
+        assert all(u < v for u, v in zip(self.scope, self.scope[1:]))
 
 
 def _embed(factor: Factor, scope: tuple[int, ...]) -> np.ndarray:
-    """Return factor.table transposed/reshaped to broadcast over scope, an
-    ascending tuple; a factor whose scope ascends too needs no transpose."""
-    table = factor.table
-    fs = factor.scope
-    if list(fs) != sorted(fs):
-        table = np.transpose(table, sorted(range(len(fs)), key=fs.__getitem__))
-    return table.reshape([2 if v in fs else 1 for v in scope])
+    """Return factor.table reshaped to broadcast over scope, an ascending
+    superset of the factor's (ascending) scope."""
+    return factor.table.reshape([2 if v in factor.scope else 1 for v in scope])
 
 
 def multiply(factors: list[Factor]) -> Factor:
@@ -124,6 +121,8 @@ def min_fill_order(model: IsingModel, nodes: tuple[int, ...], keep: tuple[int, .
     rescored. The next node is popped from a heap of (fill, id), skipping
     entries whose fill is stale.
     """
+    import heapq
+
     node_set = set(nodes)
     adj: dict[int, set[int]] = {
         i: {v for v in model.adjacency[i] if v in node_set} for i in nodes

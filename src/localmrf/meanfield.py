@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -108,41 +107,37 @@ def mean_field(model: IsingModel, seed: int = 0) -> MeanFieldState:
     `MAX_SWEEPS` times.
     """
     nbr_ids, nbr_js = _neighbor_arrays(model)
-    return _solve(nbr_ids, nbr_js, model.h, seed, lambda: model)
+    states = _runs(nbr_ids, nbr_js, model.h, seed)
+    return states[0] if len(states) == 1 else _best(model, states)
 
 
-def _solve(
-    nbr_ids: list[list[int]],
-    nbr_js: list[list[float]],
-    h: np.ndarray,
-    seed: int,
-    objective_model: Callable[[], IsingModel],
-) -> MeanFieldState:
-    """`mean_field` on neighbour lists (ascending ids) and fields h.
-
-    objective_model() returns the model whose variational objective ranks
-    the starts; it is called only when more than one start runs.
-    """
+def _runs(
+    nbr_ids: list[list[int]], nbr_js: list[list[float]], h: np.ndarray, seed: int
+) -> list[MeanFieldState]:
+    """The runs `mean_field` makes, on neighbour lists (ascending ids) and
+    fields h: one from tanh(h) on a contraction, else `RESTARTS`."""
     inits: list[np.ndarray] = [np.tanh(h)]
     if not all(math.fsum(map(abs, js)) < 1.0 for js in nbr_js):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         for _ in range(RESTARTS - 1):
             inits.append(rng.uniform(-1.0, 1.0, size=len(h)))
     fields = h.tolist()
-    ranked: IsingModel | None = None
-    best: MeanFieldState | None = None
-    best_obj = -math.inf
+    states = []
     for start in inits:
         m = start.tolist()
         iters, residual, converged = _sweeps(nbr_ids, nbr_js, fields, m, TOL, MAX_SWEEPS)
-        state = MeanFieldState(
-            m=np.array(m), iterations=iters, residual=residual, converged=converged
+        states.append(
+            MeanFieldState(m=np.array(m), iterations=iters, residual=residual, converged=converged)
         )
-        if len(inits) == 1:
-            return state
-        if ranked is None:
-            ranked = objective_model()
-        obj = variational_objective(ranked, state.m)
+    return states
+
+
+def _best(model: IsingModel, states: list[MeanFieldState]) -> MeanFieldState:
+    """The first state with the highest variational objective on model."""
+    best: MeanFieldState | None = None
+    best_obj = -math.inf
+    for state in states:
+        obj = variational_objective(model, state.m)
         if obj > best_obj:
             best, best_obj = state, obj
     assert best is not None
@@ -180,7 +175,10 @@ def boundary_mean_field(
         nbr_ids.append([index[v] for v in inside])
         nbr_js.append([couplings[(g, v) if g < v else (v, g)] for v in inside])
 
-    def subproblem() -> IsingModel:
+    states = _runs(nbr_ids, nbr_js, model.h[nodes], 0)
+    if len(states) == 1:
+        state = states[0]
+    else:
         edges = [(index[j], index[k], jv) for j, k, jv in region.cross_edges]
         for side in (region.boundary_alpha, region.boundary_beta):
             side_set = set(side)
@@ -188,8 +186,6 @@ def boundary_mean_field(
                 for v in adjacency[u]:
                     if v in side_set and u < v:
                         edges.append((index[u], index[v], couplings[(u, v)]))
-        return build_model(edges, model.h[nodes])
-
-    state = _solve(nbr_ids, nbr_js, model.h[nodes], 0, subproblem)
+        state = _best(build_model(edges, model.h[nodes]), states)
     means = {k: float(state.m[index[k]]) for k in region.boundary_beta}
     return means, state
