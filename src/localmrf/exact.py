@@ -46,7 +46,7 @@ class CliqueTooLargeError(LocalMRFError):
 class Factor:
     """Log-space table over {-1,+1}^scope.
 
-    scope is a tuple of node ids in ascending order; table has shape
+    scope is a tuple of distinct node ids in ascending order; table has shape
     (2,)*len(scope) with axis order matching scope and index 0 <-> spin -1,
     1 <-> spin +1. Flattened in C order this is the lexicographic order with
     -1 before +1.
@@ -57,7 +57,7 @@ class Factor:
 
     def __post_init__(self):
         assert self.table.shape == (2,) * len(self.scope)
-        assert all(u < v for u, v in zip(self.scope, self.scope[1:]))
+        assert list(self.scope) == sorted(self.scope)
 
 
 def _embed(factor: Factor, scope: tuple[int, ...]) -> np.ndarray:

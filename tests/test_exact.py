@@ -357,8 +357,6 @@ class TestBucketElimination:
         # without a transpose, so a factor's scope must ascend
         with pytest.raises(AssertionError):
             Factor((7, 2, 5), np.zeros((2, 2, 2)))
-        with pytest.raises(AssertionError):
-            Factor((3, 3), np.zeros((2, 2)))
         Factor((2, 5, 7), np.zeros((2, 2, 2)))
 
     @given(
