@@ -16,9 +16,9 @@ and, for a model nu and its localisation mu agreeing inside alpha,
     |mu(x_q = s) - nu(x_q = s)| <= sum_{j in boundary_alpha} D_qj b_j
 
 where b_j is the worst-case conditional gap between the two models at j.
-Validity is decided by the solve that yields D: C is nonnegative, so
-rho(C) < 1 exactly when I - C is nonsingular with a nonnegative inverse, and
-a Collatz-Wielandt check on v = D 1 guards that test against rounding. The
+So a certificate reads x = D b and never D itself: one solve of
+(I - C) [v x] = [1 b] gives x, and v = D 1 proves rho(C) < 1 when it is
+positive with C v < v (Collatz-Wielandt, C being nonnegative). The
 same geometric-series shape yields a distance form: influence decays like
 c^d, giving a radius that certifies a target accuracy from c alone. The bound
 at distance d has one free parameter t > 1, minimised in closed form at
@@ -55,9 +55,9 @@ the rows and entries of k, of k's alpha neighbours and of nodes whose
 compensated field moved are recomputed, and every other one is copied.
 extend_certificates does this for every candidate k of an expansion step at
 once: the candidates' C matrices all have the size |alpha| + 1, so they stack
-into one (m, n, n) array that influence_matrix solves in one call, one LAPACK
-gesv per slice. Each bound is still its own row-times-vector product, whose
-bits a stacked product would not keep. local_certificate is a batch of one.
+into one (m, n, n) array that influence_matrix solves against the stacked b
+in one call, one LAPACK gesv per slice, so a candidate's bound has the same
+bits in any batch. local_certificate is a batch of one.
 """
 from __future__ import annotations
 
@@ -75,7 +75,6 @@ ENUMERATION_CAP = 25
 SCALAR_MAX_K = 8  # _nearest_sums lists all 2^k sums up to here, splits in halves beyond
 _T_LOW = 1e-6  # the decay bound's t is clamped to [1 + _T_LOW, _T_HIGH]
 _T_HIGH = 1e4
-NEG_TOL = 1e-12  # tolerated numerical negativity in D
 
 
 class EnumerationCapError(LocalMRFError):
@@ -222,38 +221,37 @@ def spectral_radius(c: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(c)))) if c.size else 0.0
 
 
-def influence_matrix(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(D, valid) with D = (I - C)^-1 for every n x n slice of C (..., n, n):
-    np.linalg.inv runs one LAPACK gesv against I per slice, the solve
-    np.linalg.solve(I - C, I) runs, with less overhead and the same bits, and
-    valid holds one flag per slice (shape C.shape[:-2]).
+def influence_matrix(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, valid) with x = (I - C)^-1 b for every n x n slice of C (..., n, n)
+    and its vector of b (..., n); valid holds one flag per slice (shape
+    C.shape[:-2]).
 
-    For entrywise nonnegative C, rho(C) < 1 holds exactly when I - C is
-    nonsingular and its inverse is nonnegative (the M-matrix
-    characterisation), so validity is read off the solve: it must succeed,
-    D must be >= -NEG_TOL entrywise, and v = D 1 must satisfy C v < v
-    entrywise. The last test is the Collatz-Wielandt certificate for
-    rho(C) < 1 (in exact arithmetic C v = v - 1); it guards the sign test
-    against rounding when rho(C) is close to 1.
+    One stacked np.linalg.solve(I - C, [1 b]), one LAPACK gesv per slice,
+    gives v = (I - C)^-1 1 next to x. A slice is valid when its solve
+    succeeds, v > 0 and C v < v entrywise: for entrywise nonnegative C, a
+    positive v with C v < v proves rho(C) < 1 (Collatz-Wielandt; Berman &
+    Plemmons, Thm 6.2.3). v > 0 is needed: for C = [[1.1]], v = -10 and
+    C v = -11 < v.
 
     One singular slice makes the stacked call raise, so the stack is then
-    solved slice by slice, and a singular slice gets a D of nan and is
-    invalid. Every slice's D and flag are the bits a call on that slice alone
+    solved slice by slice, and a singular slice gets an x of nan and is
+    invalid. Every slice's x and flag are the bits a call on that slice alone
     gives.
     """
-    eye = np.eye(c.shape[-1])
+    a = np.eye(c.shape[-1]) - c
+    rhs = np.stack([np.ones(b.shape), b], axis=-1)
     try:
-        d = np.linalg.inv(eye - c)
+        y = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        d = np.empty(c.shape)
+        y = np.empty(rhs.shape)
         for idx in np.ndindex(c.shape[:-2]):
             try:
-                d[idx] = np.linalg.inv(eye - c[idx])
+                y[idx] = np.linalg.solve(a[idx], rhs[idx])
             except np.linalg.LinAlgError:
-                d[idx] = np.nan
-    v = d.sum(axis=-1)[..., None]
-    valid = (d.min(axis=(-2, -1)) >= -NEG_TOL) & (c @ v < v).all(axis=(-2, -1))
-    return d, valid
+                y[idx] = np.nan
+    v = y[..., :1]
+    valid = ((v > 0.0) & (c @ v < v)).all(axis=(-2, -1))
+    return y[..., 1], valid
 
 
 def _perturbation_entry(
@@ -390,7 +388,7 @@ def extend_certificates(
     alpha + (k,) only), row i in local adjacency order; b compares the two
     conditionals at the boundary (see _memo_entry), zero inside, where a node
     is on the boundary when a neighbour lies outside alpha + (k,); the bound
-    is row `query` of D against b. The stacked C goes through one
+    is entry `query` of x = (I - C)^-1 b. The stacked C and b go through one
     influence_matrix call, and a slice that fails its validity test yields
     valid=False and bound=+inf. fields[i] holds the localized fields of
     alpha + (candidates[i],) in local order; None takes the model's own
@@ -405,8 +403,8 @@ def extend_certificates(
     computes every row and entry. memo holds the rows of C and the entries of
     b computed so far, such as for one expansion's earlier steps, each keyed
     on every input it reads. Neither base, memo, nor the other candidates of
-    the batch change a bit of a candidate's result: the bound of each is its
-    own `d[qi] @ b`, since a stacked product would round differently.
+    the batch change a bit of a candidate's result, since influence_matrix
+    solves each slice on its own.
 
     A candidate whose row or entry is over ENUMERATION_CAP is recorded in
     errors and scores +inf; the others are still certified.
@@ -475,16 +473,13 @@ def extend_certificates(
         except EnumerationCapError as exc:
             errors[k] = exc
     solved = [ci for ci, k in enumerate(candidates) if k not in errors]
-    d, solved_valid = influence_matrix(c[solved] if errors else c)
+    x, solved_valid = influence_matrix(c[solved], b[solved])
     valid = np.zeros(m, dtype=bool)
     valid[solved] = solved_valid
-    qi = index.get(query, n - 1)
-    bounds = [math.inf] * m
-    for s, ci in enumerate(solved):
-        if solved_valid[s]:
-            bounds[ci] = float(d[s, qi] @ b[ci])
+    bounds = np.full(m, math.inf)
+    bounds[solved] = np.where(solved_valid, x[:, index.get(query, n - 1)], math.inf)
     return CertificateBatch(
-        candidates=candidates, C=c, b=b, bounds=tuple(bounds), valid=valid, errors=errors
+        candidates=candidates, C=c, b=b, bounds=tuple(bounds.tolist()), valid=valid, errors=errors
     )
 
 

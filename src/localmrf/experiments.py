@@ -287,6 +287,8 @@ def evaluate_prefixes(
     region repeat its value, so curves over a fixed size axis stay well
     defined when expansion stopped early.
     """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     errors = np.empty(K)
     bounds = np.empty(K)
     query = trace.query
@@ -346,6 +348,8 @@ def expansion_comparison(
     size: [size, err per method..., bound per method...].
     """
     methods = tuple(methods)
+    if not methods:
+        raise ValueError("methods must name at least one strategy")
     unknown = set(methods) - set(COMPARISON_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")

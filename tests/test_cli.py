@@ -290,6 +290,16 @@ class TestExperimentCommands:
         header = (out / "comparison.csv").read_text().splitlines()[0]
         assert header == "size,err_greedy_drop,err_maxnorm,bound_greedy_drop,bound_maxnorm"
 
+    def test_compare_expansion_empty_methods_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = run([
+            "compare-expansion", "--rows", "3", "--cols", "3", "--k", "2",
+            "--trials", "1", "--methods", ",", "--out-dir", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: methods must name at least one strategy\n"
+        assert not (out / "comparison.csv").exists()
+
     def test_i1_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = run([

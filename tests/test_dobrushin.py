@@ -368,21 +368,50 @@ class TestAtTheCap:
 
 
 class TestInfluenceMatrix:
+    """x = (I - C)^-1 b and the validity flag, against the rule influence_matrix
+    had when it returned the whole inverse (one_matrix)."""
+
+    @staticmethod
+    def one_matrix(c, b):
+        """(x, valid) by the earlier rule: D = inv(I - C), valid when D >= -1e-12
+        entrywise and v = D 1 has C v < v; x = D b. Kept as the reference for
+        every slice of a stack."""
+        n = c.shape[0]
+        try:
+            d = np.linalg.inv(np.eye(n) - c)
+        except np.linalg.LinAlgError:
+            return np.full(n, np.nan), False
+        v = d.sum(axis=1)
+        return d @ b, float(d.min()) >= -1e-12 and bool((c @ v < v).all())
+
+    @staticmethod
+    def scaled_stack(rng, m, n, low, high):
+        """m sparse nonnegative n x n slices, each scaled to a spectral radius
+        drawn uniformly from [low, high] (a nilpotent slice stays at 0)."""
+        c = rng.uniform(0, 1, size=(m, n, n)) * (rng.random((m, n, n)) < 0.6)
+        for i in range(m):
+            rho = spectral_radius(c[i])
+            if rho > 0.0:
+                c[i] *= rng.uniform(low, high) / rho
+        return c
+
     def test_zero_matrix(self):
-        d, valid = influence_matrix(np.zeros((3, 3)))
+        b = np.array([0.25, 0.0, 3.0])
+        x, valid = influence_matrix(np.zeros((3, 3)), b)
         assert valid
-        np.testing.assert_array_equal(d, np.eye(3))
+        np.testing.assert_array_equal(x, b)
 
     def test_one_by_one(self):
-        d, valid = influence_matrix(np.array([[0.5]]))
-        assert valid and d[0, 0] == pytest.approx(2.0, abs=1e-12)
+        x, valid = influence_matrix(np.array([[0.5]]), np.ones(1))
+        assert valid and x[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_two_by_two_frozen(self):
+        # b = e_0, so x is column 0 of D: D_00 and D_10 (= D_01 by symmetry)
         c = np.array([[0.0, 0.3], [0.3, 0.0]])
-        d, valid = influence_matrix(c)
+        x, valid = influence_matrix(c, np.array([1.0, 0.0]))
         assert valid
-        assert d[0, 0] == pytest.approx(1.0989010989010988, abs=1e-12)
-        assert d[0, 1] == pytest.approx(0.32967032967032966, abs=1e-12)
+        assert x[0] == pytest.approx(1.0989010989010988, abs=1e-12)
+        assert x[1] == pytest.approx(0.32967032967032966, abs=1e-12)
 
     def test_invalid_when_radius_at_least_one(self):
         cases = [
@@ -394,7 +423,7 @@ class TestInfluenceMatrix:
             [[0.0, 0.0, 0.0], [0.2, 0.0, 1.5], [0.0, 1.5, 0.0]],
         ]
         for c in cases:
-            _, valid = influence_matrix(np.array(c))
+            _, valid = influence_matrix(np.array(c), np.ones(len(c)))
             assert not valid, c
 
     @given(st.integers(0, 10**6), st.floats(0.9, 1.1))
@@ -406,85 +435,73 @@ class TestInfluenceMatrix:
         c *= rho / rho0
         actual = spectral_radius(c)
         assume(abs(actual - 1.0) >= 1e-9)
-        assert influence_matrix(c)[1] == (actual < 1.0)
+        assert influence_matrix(c, np.ones(6))[1] == (actual < 1.0)
 
-    @given(st.integers(1, 16), st.integers(0, 10**6), st.floats(0.5, 3.0))
-    def test_inverse_bits_equal_solve_against_identity(self, n, seed, scale):
-        # the solve influence_matrix ran before np.linalg.inv, kept as the
-        # reference: both are one LAPACK gesv against I
+    @given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 10**6))
+    def test_solution_matches_inverse_times_b(self, m, n, seed):
+        # contracting slices and a positive b, so every entry of x is positive
+        # and compares relatively
         rng = np.random.Generator(np.random.Philox(seed))
-        c = rng.uniform(0, scale / n, size=(n, n)) * (rng.random((n, n)) < 0.5)
-        np.fill_diagonal(c, 0.0)
-        try:
-            want = np.linalg.solve(np.eye(n) - c, np.eye(n))
-        except np.linalg.LinAlgError:
-            assert not influence_matrix(c)[1]
-            return
-        assert influence_matrix(c)[0].tobytes() == want.tobytes()
+        c = self.scaled_stack(rng, m, n, 0.0, 0.9)
+        b = rng.uniform(0.01, 1.0, size=(m, n))
+        x, valid = influence_matrix(c, b)
+        assert valid.all()
+        for i in range(m):
+            want = np.linalg.inv(np.eye(n) - c[i]) @ b[i]
+            np.testing.assert_allclose(x[i], want, rtol=1e-12, atol=0.0)
 
     def test_matches_truncated_series(self):
         rng = np.random.Generator(np.random.Philox(3))
         c = rng.uniform(0, 0.2, size=(5, 5))
         np.fill_diagonal(c, 0.0)
-        d, valid = influence_matrix(c)
-        assert valid and np.all(d >= 0.0)
-        series = np.eye(5)
-        power = np.eye(5)
+        b = rng.uniform(0, 1, size=5)
+        x, valid = influence_matrix(c, b)
+        assert valid and np.all(x >= 0.0)
+        series = b.copy()
+        term = b.copy()
         for _ in range(200):
-            power = power @ c
-            series += power
-        np.testing.assert_allclose(d, series, atol=1e-10)
+            term = c @ term
+            series += term
+        np.testing.assert_allclose(x, series, atol=1e-10)
 
     def test_row_sum_bound(self):
+        # with b = 1, x = v = D 1 holds D's row sums
         rng = np.random.Generator(np.random.Philox(5))
         c = rng.uniform(0, 0.15, size=(6, 6))
         np.fill_diagonal(c, 0.0)
-        d, valid = influence_matrix(c)
+        x, valid = influence_matrix(c, np.ones(6))
         assert valid
         c_max = float(np.max(c.sum(axis=1)))
-        assert np.all(d.sum(axis=1) <= 1.0 / (1.0 - c_max) + 1e-9)
-
-    @staticmethod
-    def one_matrix(c):
-        """influence_matrix on one matrix as it was before it took stacks,
-        kept as the reference for every slice of a stack."""
-        n = c.shape[0]
-        try:
-            d = np.linalg.inv(np.eye(n) - c)
-        except np.linalg.LinAlgError:
-            return np.full((n, n), np.nan), False
-        v = d.sum(axis=1)
-        return d, float(d.min()) >= -dobrushin.NEG_TOL and bool((c @ v < v).all())
+        assert np.all(x <= 1.0 / (1.0 - c_max) + 1e-9)
 
     @given(st.integers(1, 12), st.integers(1, 16), st.integers(0, 10**6))
     def test_stack_matches_one_call_per_slice(self, m, n, seed):
         # each slice is scaled to a spectral radius in [0.95, 1.05], where
-        # the sign test and the Collatz-Wielandt guard decide validity
+        # the positivity of v and the Collatz-Wielandt test decide validity
         rng = np.random.Generator(np.random.Philox(seed))
-        c = rng.uniform(0, 1, size=(m, n, n)) * (rng.random((m, n, n)) < 0.6)
+        c = self.scaled_stack(rng, m, n, 0.95, 1.05)
+        b = rng.uniform(0, 1, size=(m, n)) * (rng.random((m, n)) < 0.5)
+        x, valid = influence_matrix(c, b)
+        assert x.shape == b.shape and valid.shape == (m,)
         for i in range(m):
-            rho = float(np.max(np.abs(np.linalg.eigvals(c[i]))))
-            if rho > 0.0:
-                c[i] *= rng.uniform(0.95, 1.05) / rho
-        d, valid = influence_matrix(c)
-        assert d.shape == c.shape and valid.shape == (m,)
-        for i in range(m):
-            want_d, want_valid = self.one_matrix(c[i])
-            one_d, one_valid = influence_matrix(c[i])
-            assert d[i].tobytes() == one_d.tobytes() == want_d.tobytes()
-            assert valid[i] == one_valid == want_valid
+            one_x, one_valid = influence_matrix(c[i], b[i])
+            assert x[i].tobytes() == one_x.tobytes()
+            assert valid[i] == one_valid == self.one_matrix(c[i], b[i])[1]
 
     def test_singular_slice_in_a_stack(self):
         # I - C of the first slice is singular, so the stacked solve raises
         # and every slice is solved alone
         c = np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.3], [0.3, 0.0]]])
+        b = np.array([[1.0, 0.5], [1.0, 0.5]])
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(np.eye(2) - c)
-        d, valid = influence_matrix(c)
-        assert np.isnan(d[0]).all() and not valid[0]
-        want_d, want_valid = self.one_matrix(c[1])
-        assert d[1].tobytes() == want_d.tobytes() and valid[1] == want_valid
-
+            np.linalg.solve(np.eye(2) - c, b[..., None])
+        x, valid = influence_matrix(c, b)
+        assert np.isnan(x[0]).all() and not valid[0]
+        one_x, one_valid = influence_matrix(c[1], b[1])
+        assert x[1].tobytes() == one_x.tobytes() and valid[1] == one_valid
+        want_x, want_valid = self.one_matrix(c[1], b[1])
+        np.testing.assert_allclose(x[1], want_x, rtol=1e-12)
+        assert valid[1] == want_valid
 
 class TestExtendCertificates:
     """A step's candidates certified in one batch: each candidate's slices,

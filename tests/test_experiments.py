@@ -202,6 +202,14 @@ class TestEvaluatePrefixes:
                 # read off the trace, yet bit-identical to a fresh certificate
                 assert bounds[s - 1] == local_certificate(model, region, loc).bound
 
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_k_below_one_raises(self, K):
+        spec = GridSpec(4, 4, I1=1.0, I2=0.25, seed=0)
+        model = gen_grid(spec)
+        trace = greedy_expand(model, spec.query, K=3)
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            evaluate_prefixes(trace, eliminate_marginal(model, spec.query), K)
+
     @staticmethod
     def _fresh_errors(model, trace, p_true, methods):
         """The errors of the size-1..len(methods) prefixes, each localized
@@ -347,6 +355,8 @@ class TestComparison:
             expansion_comparison(spec, K=3, trials=2, methods=("nope",))
         with pytest.raises(ValueError):
             expansion_comparison(spec, K=0, trials=2)
+        with pytest.raises(ValueError, match="at least one strategy"):
+            expansion_comparison(spec, K=3, trials=2, methods=())
 
 
 class TestI1Sweep:

@@ -26,23 +26,23 @@ from localmrf import (
 )
 
 PINNED = {
-    BoundaryMethod.DROP_OUT: "fc74cad80c71eba2eed0f08e36a7b1c002ce33d6f9a909506fe6706dfca64d94",
-    BoundaryMethod.MEAN_FIELD: "88291a7fb8ecefb4a52a475d8703fd0b2559d8b5572efc9c3935fce9b3698298",
+    BoundaryMethod.DROP_OUT: "b05852626a3a07c56f09009c8a18ce08ccdb29604073fee7b5305f64c5c30740",
+    BoundaryMethod.MEAN_FIELD: "419bf5005e65cec1c0e5f11d9be76a63d3ebb03435074faa85fb7691784f4d6c",
 }
 PINNED_CITATION = {
-    BoundaryMethod.DROP_OUT: "35e97e10c3208ee8ba56baa6f1bbaa4284203aec303915202d4a70fd78b63b71",
-    BoundaryMethod.MEAN_FIELD: "81d5da0f240fbb00c3c3c047a22f5c28ee39c1aa8332688396f7f92d9d9d6cf6",
+    BoundaryMethod.DROP_OUT: "14c68c935f45300486408bbe2f6bf3ed0dee7142d012ef93894fa87467a09d4c",
+    BoundaryMethod.MEAN_FIELD: "89e1a733cac3826a2baa80410fcf42c49055102ff07566d41d4f6d17c993e174",
 }
 # sha256 over to_json() of every prefix certificate of the same traces
 PINNED_PREFIXES = {
     ("grid", BoundaryMethod.DROP_OUT):
-        "81625454c962f344124c136c7d4158e38e741fde0694106b2450403362dde634",
+        "97baaa345b79f7ea491ed3c9acb472cb5be296b27913e8417f9c4443974a6214",
     ("grid", BoundaryMethod.MEAN_FIELD):
-        "5c78d90cd2058291dae68aa6a148224a8b897675e16f8a61de9e853b582dd3e4",
+        "24bb831f2d7a36eeca25d1c4c5e8a87e220191a575cdf2b1baf5072e722a5d60",
     ("citation", BoundaryMethod.DROP_OUT):
-        "427c302d8af2aab5d5757e47561e90d6305ba5be85a04d9fc83f9232aed3b9d7",
+        "57fa9c8352aa1b17b1835d7f2296f6bdae03090a41043a3c628dd75307b24c63",
     ("citation", BoundaryMethod.MEAN_FIELD):
-        "9e3204ec875faf31184e3c8a84aa78f4ba821a5f25771044e42603dcd6ca5c0c",
+        "ed0cae03b36ea73dc464f194de74444a8f734212cbadf05bd677b8c320cb30c4",
 }
 # sha256 over the float.hex() of: the eliminated query marginal of every
 # certificate's localization and, for every mean-field prefix, its boundary
