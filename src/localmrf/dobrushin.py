@@ -239,7 +239,9 @@ def influence_matrix(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     gives.
     """
     a = np.eye(c.shape[-1]) - c
-    rhs = np.stack([np.ones(b.shape), b], axis=-1)
+    rhs = np.empty(b.shape + (2,))
+    rhs[..., 0] = 1.0
+    rhs[..., 1] = b
     try:
         y = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
@@ -473,7 +475,7 @@ def extend_certificates(
         except EnumerationCapError as exc:
             errors[k] = exc
     solved = [ci for ci, k in enumerate(candidates) if k not in errors]
-    x, solved_valid = influence_matrix(c[solved], b[solved])
+    x, solved_valid = influence_matrix(c[solved], b[solved]) if errors else influence_matrix(c, b)
     valid = np.zeros(m, dtype=bool)
     valid[solved] = solved_valid
     bounds = np.full(m, math.inf)
