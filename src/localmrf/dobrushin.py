@@ -223,20 +223,17 @@ def spectral_radius(c: np.ndarray) -> float:
 
 def influence_matrix(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, valid) with x = (I - C)^-1 b for every n x n slice of C (..., n, n)
-    and its vector of b (..., n); valid holds one flag per slice (shape
-    C.shape[:-2]).
+    and its b (..., n), and one validity flag per slice (shape C.shape[:-2]).
 
     One stacked np.linalg.solve(I - C, [1 b]), one LAPACK gesv per slice,
     gives v = (I - C)^-1 1 next to x. A slice is valid when its solve
-    succeeds, v > 0 and C v < v entrywise: for entrywise nonnegative C, a
-    positive v with C v < v proves rho(C) < 1 (Collatz-Wielandt; Berman &
-    Plemmons, Thm 6.2.3). v > 0 is needed: for C = [[1.1]], v = -10 and
-    C v = -11 < v.
+    succeeds, v > 0 and C v < v entrywise: for nonnegative C, such a v proves
+    rho(C) < 1 (Collatz-Wielandt; Berman & Plemmons, Thm 6.2.3). Without
+    v > 0, C = [[1.1]] would pass: v = -10 and C v = -11 < v.
 
-    One singular slice makes the stacked call raise, so the stack is then
-    solved slice by slice, and a singular slice gets an x of nan and is
-    invalid. Every slice's x and flag are the bits a call on that slice alone
-    gives.
+    One singular slice makes the stacked call raise; the stack is then solved
+    slice by slice, and a singular slice gets an x of nan and is invalid.
+    Every slice's x and flag are the bits a call on that slice alone gives.
     """
     a = np.eye(c.shape[-1]) - c
     rhs = np.empty(b.shape + (2,))
