@@ -45,19 +45,21 @@ only through t). _check_enumeration is the one check, made before any memo
 lookup. Since every search runs over couplings inside alpha, a region of at
 most ENUMERATION_CAP + 1 nodes never reaches the cap, whatever the degrees.
 
-extend_certificates is the one place C and b are assembled, in local order;
+CandidateScorer is the one place C and b are assembled, in local order;
 dobrushin_coefficient reads the rows of C for a whole model, in global order.
 Both look rows up through _memo_row, so they read the same bits. Row i of C
 reads only node i's localized field and its couplings inside alpha, and b_j
 only j's fields, couplings and cross sum. So the certificate of alpha + (k,)
 extends the certificate of alpha (the base): with k last in local order, only
 the rows and entries of k, of k's alpha neighbours and of nodes whose
-compensated field moved are recomputed, and every other one is copied.
-extend_certificates does this for every candidate k of an expansion step at
-once: the candidates' C matrices all have the size |alpha| + 1, so they stack
-into one (m, n, n) array that influence_matrix solves against the stacked b
-in one call, one LAPACK gesv per slice, so a candidate's bound has the same
-bits in any batch. local_certificate is a batch of one.
+compensated field moved are recomputed, and every other one is copied. Those
+of k and its alpha neighbours are k's patch, and one scorer lives for one
+expansion: it keeps each candidate's patch from step to step and rebuilds
+only the patches the accepted node changes. A step's candidates all have
+|alpha| + 1 nodes, so their C matrices stack into one (m, n, n) array that
+influence_matrix solves against the stacked b in one call, one LAPACK gesv
+per slice, so a candidate's bound has the same bits in any batch.
+local_certificate is a batch of one.
 """
 from __future__ import annotations
 
@@ -150,7 +152,7 @@ def _nearest_sums(values: list[float], targets: tuple[float, ...]) -> list[float
 
 def _min_abs_offset_sum(values: list[float], offset: float) -> float:
     """min over signs s of |offset + sum_l s_l * values_l| (exact)."""
-    return min(abs(offset + s) for s in _nearest_sums(values, (-offset,)))
+    return min([abs(offset + s) for s in _nearest_sums(values, (-offset,))])
 
 
 def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
@@ -293,9 +295,9 @@ def _memo_entry(
     Raises EnumerationCapError, before the lookup, when j has more couplings
     inside alpha, the ones searched, than ENUMERATION_CAP.
     """
-    alpha_js = tuple(2.0 * x for x in inside_js)
+    alpha_js = tuple([2.0 * x for x in inside_js])
     _check_enumeration(node, len(alpha_js))
-    t = 2.0 * sum(abs(x) for x in outside_js)
+    t = 2.0 * sum(map(abs, outside_js))
     key = ("b", h_tilde, h, alpha_js, t)
     entry = memo.get(key)
     if entry is None:
@@ -370,116 +372,250 @@ class CertificateBatch:
         )
 
 
-def extend_certificates(
-    model: IsingModel,
-    alpha: tuple[int, ...],
-    query: int,
-    candidates: Sequence[int],
-    fields: Sequence[np.ndarray] | None = None,
-    *,
-    memo: dict | None = None,
-    base: DobrushinCertificate | None = None,
-) -> CertificateBatch:
-    """Certificates for the query marginal of alpha + (k,), k in candidates.
+class CandidateScorer:
+    """Certificates of alpha + (k,) for the candidates k of one expansion,
+    step after step; the one place C and b are assembled.
 
-    This is the one place C and b are assembled. For each candidate, C is the
-    interaction matrix of its localized model (localized fields, edges inside
-    alpha + (k,) only), row i in local adjacency order; b compares the two
-    conditionals at the boundary (see _memo_entry), zero inside, where a node
-    is on the boundary when a neighbour lies outside alpha + (k,); the bound
-    is entry `query` of x = (I - C)^-1 b. The stacked C and b go through one
-    influence_matrix call, and a slice that fails its validity test yields
-    valid=False and bound=+inf. fields[i] holds the localized fields of
-    alpha + (candidates[i],) in local order; None takes the model's own
-    fields, as DROP_OUT does. Everything is read off the global model and
-    the fields, so no region, localization or submodel is built.
+    For each candidate, C is the interaction matrix of its localized model
+    (localized fields, edges inside alpha + (k,) only), row i in local
+    adjacency order, k last; b compares the two conditionals at the boundary
+    (see _memo_entry), zero inside, where a node is on the boundary when a
+    neighbour lies outside alpha + (k,); the bound is entry `query` of
+    x = (I - C)^-1 b. Everything is read off the global model and the
+    fields, so no region, localization or submodel is built.
 
-    base, the certificate of alpha of the same model, extends instead of
-    rebuilding: with k appended last in local order, only the rows of C and
-    the entries of b of k, of k's alpha neighbours and of nodes whose field
-    differs from base's (mean field moves them) can change. Those are
-    recomputed and every other row and entry is copied from base. base=None
-    computes every row and entry. memo holds the rows of C and the entries of
-    b computed so far, such as for one expansion's earlier steps, each keyed
-    on every input it reads. Neither base, memo, nor the other candidates of
-    the batch change a bit of a candidate's result, since influence_matrix
-    solves each slice on its own.
+    base, the certificate of alpha, is extended instead of rebuilt: with k
+    last in local order, only the rows of C and the entries of b of k, of
+    k's alpha neighbours and of nodes whose field differs from base's (mean
+    field moves them) can change. A candidate's *patch* holds those rows and
+    entries as flat (row, col, value) lists, with k's index kept as -1 (k is
+    always last), so a patch stays right while alpha grows. A step copies
+    base into every slice of one (m, n + 1, n) stack, b over C, writes every
+    patch with one fancy-index store, and makes one influence_matrix call,
+    one LAPACK gesv per slice, so a candidate's bound has the same bits in
+    any batch.
 
-    A candidate whose row or entry is over ENUMERATION_CAP is recorded in
-    errors and scores +inf; the others are still certified.
+    With the model's own fields a patch depends only on which neighbours of
+    k and of k's alpha neighbours lie in alpha, so it is kept in `patches`
+    from step to step. accept(k*, ...) drops the patches k* can change:
+    those of the candidates in N(k*) and of the candidates with an alpha
+    neighbour in N(k*). Local indices only grow, so no other input of a
+    patch moves. With fields given (mean field moves them at every step),
+    each patch and the moved rows are rebuilt at every step, and without
+    base every row is built, as a certificate from scratch.
+
+    Each node's couplings are read from J once, in adjacency order, when the
+    node is first needed. memo holds the rows of C and the entries of b
+    computed so far, each keyed on every input it reads. Neither base, memo,
+    the patches kept nor the other candidates of a batch change a bit of a
+    candidate's result.
 
     Raises:
         ValueError: base does not certify alpha of model.
     """
-    memo = {} if memo is None else memo
-    candidates = tuple(candidates)
-    m, n = len(candidates), len(alpha) + 1
-    if fields is None:
-        h = np.empty((m, n))
-        h[:, :-1] = model.h[list(alpha)]
-        h[:, -1] = model.h[list(candidates)]
-    else:
-        h = np.array(fields, dtype=np.float64).reshape(m, n)
-    index = {g: i for i, g in enumerate(alpha)}
-    adjacency, couplings = model.adjacency, model.J
-    c = np.zeros((m, n, n))
-    b = np.zeros((m, n))
-    moved: list[list[int]] = [[] for _ in candidates]
-    if base is not None:
-        if (base.localized.model, base.localized.alpha) != (model, alpha):
+
+    def __init__(
+        self,
+        model: IsingModel,
+        alpha: Sequence[int],
+        query: int,
+        *,
+        memo: dict | None = None,
+        base: DobrushinCertificate | None = None,
+    ):
+        self.model = model
+        self.query = query
+        self.memo = {} if memo is None else memo
+        self.alpha: tuple[int, ...] = ()
+        self.patches: dict[int, tuple | EnumerationCapError] = {}
+        self._nodes: dict[int, tuple[float, tuple[tuple[int, float], ...]]] = {}
+        self._model_h: list[float] = []  # the model's fields of alpha, in local order
+        self._set_base(tuple(alpha), base)
+        self.index: dict[int, int] = {g: i for i, g in enumerate(self.alpha)}
+
+    def _set_base(self, alpha: tuple[int, ...], base: DobrushinCertificate | None) -> None:
+        """Set alpha and base, which must certify alpha, and list the local
+        indices at which base's fields differ from the model's."""
+        if base is not None and (base.localized.model, base.localized.alpha) != (self.model, alpha):
             raise ValueError("base must certify alpha of the same model")
-        c[:, :-1, :-1] = base.C
-        b[:, :-1] = base.b
-        for ci, i in zip(*np.nonzero(h[:, :-1] != base.localized.h)):
-            moved[ci].append(int(i))
-    errors: dict[int, EnumerationCapError] = {}
-    for ci, (k, h_tilde) in enumerate(zip(candidates, h.tolist())):
-        inside = {**index, k: n - 1}
-        local = (*alpha, k)
+        self._model_h += [self._node(g)[0] for g in alpha[len(self.alpha) :]]
+        self.alpha, self.base = alpha, base
+        self._base_moved: list[int] = []
         if base is None:
-            redo = range(n)
-        else:
-            k_nbrs = (index[g] for g in adjacency[k] if g in index)
-            redo = sorted({n - 1, *k_nbrs, *moved[ci]})
-        c_k, b_k = c[ci], b[ci]
+            self.patches.clear()
+            return
+        h = base.localized.h.tolist()
+        if h != self._model_h:
+            self._base_moved = [i for i, (x, y) in enumerate(zip(h, self._model_h)) if x != y]
+
+    def _node(self, g: int) -> tuple[float, tuple[tuple[int, float], ...]]:
+        """(h_g, the (neighbour, coupling) pairs of g in adjacency order)."""
+        node = self._nodes.get(g)
+        if node is None:
+            couplings = self.model.J
+            node = self._nodes[g] = (
+                float(self.model.h[g]),
+                tuple(
+                    (x, couplings[(g, x) if g < x else (x, g)])
+                    for x in self.model.adjacency[g]
+                ),
+            )
+        return node
+
+    def _split(self, g: int, k: int):
+        """(h_g, cols, js, inside, outside) of node g in alpha + (k,): js are
+        g's couplings to its neighbours inside, ordered by their local
+        indices cols, ascending with k's index -1 last; inside and outside
+        hold g's couplings to the neighbours inside and outside, in
+        adjacency order."""
+        index = self.index
+        h_g, pairs = self._node(g)
+        row, inside, outside = [], [], []
+        last = None
+        for x, j in pairs:
+            col = index.get(x)
+            if col is not None:
+                row.append((col, j))
+                inside.append(j)
+            elif x == k:
+                last = j
+                inside.append(j)
+            else:
+                outside.append(j)
+        row.sort()
+        cols = [col for col, _ in row]
+        js = [j for _, j in row]
+        if last is not None:
+            cols.append(-1)
+            js.append(last)
+        return h_g, cols, tuple(js), inside, outside
+
+    def _patch(self, k: int, moved=(), h_tilde: list[float] | None = None):
+        """k's patch: the rows of C and entries of b of k's alpha neighbours,
+        of the alpha nodes at the local indices in moved, and of k, last, as
+        (rows, cols, values) in a slice of the step's stack (see score), with
+        k's index -1; or the EnumerationCapError one of them raises.
+
+        h_tilde holds the localized fields in local order, k's last; None
+        takes the model's. Every row is computed before any entry, in local
+        order, so the error raised is the one a rebuild raises.
+        """
+        alpha = self.alpha
+        k_split = self._split(k, k)
+        redo = k_split[1]  # the local indices of k's alpha neighbours
+        if moved:
+            redo = sorted({*redo, *moved})
+        nodes = [(i, alpha[i], *self._split(alpha[i], k)) for i in redo]
+        nodes.append((-1, k, *k_split))
+        memo = self.memo
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
         try:
-            # one pass over each node's adjacency splits its couplings into
-            # alpha + (k,) and outside; an old node's alpha neighbours only
-            # gain k, so its new row overwrites every entry its copied row had
-            split = []
-            for i in redo:
-                g = local[i]
-                cols, inside_js, outside_js = [], [], []
-                for x in adjacency[g]:
-                    j = couplings[(g, x) if g < x else (x, g)]
-                    if x in inside:
-                        cols.append(inside[x])
-                        inside_js.append(j)
-                    else:
-                        outside_js.append(j)
-                split.append((i, g, inside_js, outside_js))
-                row = sorted(zip(cols, inside_js))
-                js = tuple(j for _, j in row)
-                for (l, _), entry in zip(row, _memo_row(h_tilde[i], js, memo, g)):
-                    c_k[i, l] = entry
+            for i, g, h_g, g_cols, js, _, _ in nodes:
+                vals += _memo_row(h_g if h_tilde is None else h_tilde[i], js, memo, g)
+                rows += [i + 1 if i >= 0 else -1] * len(g_cols)
+                cols += g_cols
             # a node that left the boundary had k as its last outside neighbour
-            for i, g, inside_js, outside_js in split:
-                b_k[i] = (
-                    _memo_entry(h_tilde[i], float(model.h[g]), inside_js, outside_js, g, memo)
-                    if outside_js
-                    else 0.0
-                )
+            vals += [
+                _memo_entry(h_g if h_tilde is None else h_tilde[i], h_g, inside, outside, g, memo)
+                if outside
+                else 0.0
+                for i, g, h_g, _, _, inside, outside in nodes
+            ]
         except EnumerationCapError as exc:
-            errors[k] = exc
-    solved = [ci for ci, k in enumerate(candidates) if k not in errors]
-    x, solved_valid = influence_matrix(c[solved], b[solved]) if errors else influence_matrix(c, b)
-    valid = np.zeros(m, dtype=bool)
-    valid[solved] = solved_valid
-    bounds = np.full(m, math.inf)
-    bounds[solved] = np.where(solved_valid, x[:, index.get(query, n - 1)], math.inf)
-    return CertificateBatch(
-        candidates=candidates, C=c, b=b, bounds=tuple(bounds.tolist()), valid=valid, errors=errors
-    )
+            return exc
+        rows += [0] * len(nodes)
+        cols += [node[0] for node in nodes]
+        return rows, cols, vals
+
+    def score(
+        self, candidates: Sequence[int], fields: Sequence[np.ndarray] | None = None
+    ) -> CertificateBatch:
+        """Certificates for the query marginal of alpha + (k,), k in candidates.
+
+        fields[i] holds the localized fields of alpha + (candidates[i],) in
+        local order; None takes the model's own fields, as DROP_OUT does. A
+        slice that fails its validity test yields valid=False and
+        bound=+inf. A candidate whose row or entry is over ENUMERATION_CAP
+        is recorded in errors and scores +inf; the others are still
+        certified.
+        """
+        candidates = tuple(candidates)
+        m, n = len(candidates), len(self.alpha) + 1
+        base = self.base
+        if base is not None and fields is None and not self._base_moved:
+            patches = []  # kept from step to step
+            for k in candidates:
+                patch = self.patches.get(k)
+                if patch is None:
+                    patch = self.patches[k] = self._patch(k)
+                patches.append(patch)
+        else:
+            h = [None] * m
+            moved = [range(n - 1) if base is None else self._base_moved] * m
+            if fields is not None:
+                h_array = np.array(fields, dtype=np.float64).reshape(m, n)
+                h = h_array.tolist()
+                if base is not None:
+                    moved = [[] for _ in candidates]
+                    for ci, i in zip(*np.nonzero(h_array[:, :-1] != base.localized.h)):
+                        moved[ci].append(int(i))
+            patches = [self._patch(k, moved[ci], h[ci]) for ci, k in enumerate(candidates)]
+        # slice i is b of candidate i over its C, so one store writes them
+        stack = np.zeros((m, n + 1, n))
+        c, b = stack[:, 1:], stack[:, 0]
+        if base is not None:
+            stack[:, 0, :-1] = base.b
+            stack[:, 1:-1, :-1] = base.C
+        slices: list[int] = []
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
+        errors: dict[int, EnumerationCapError] = {}
+        for ci, (k, patch) in enumerate(zip(candidates, patches)):
+            if isinstance(patch, EnumerationCapError):
+                errors[k] = patch
+                continue
+            p_rows, p_cols, p_vals = patch
+            slices += [ci] * len(p_rows)
+            rows += p_rows
+            cols += p_cols
+            vals += p_vals
+        stack[slices, rows, cols] = vals
+        qi = self.index.get(self.query, n - 1)
+        if errors:
+            solved = [ci for ci, k in enumerate(candidates) if k not in errors]
+            x, solved_valid = influence_matrix(c[solved], b[solved])
+            valid = np.zeros(m, dtype=bool)
+            valid[solved] = solved_valid
+            bounds = np.full(m, math.inf)
+            bounds[solved] = np.where(solved_valid, x[:, qi], math.inf)
+        else:
+            x, valid = influence_matrix(c, b)
+            bounds = np.where(valid, x[:, qi], math.inf)
+        return CertificateBatch(
+            candidates=candidates, C=c, b=b, bounds=tuple(bounds.tolist()), valid=valid, errors=errors
+        )
+
+    def accept(self, k: int, certificate: DobrushinCertificate | None) -> None:
+        """Grow alpha by k, with certificate, the certificate of alpha + (k,),
+        as the next base; None leaves no base, so the next step builds every
+        row. Drops the patches k changes (see the class docstring).
+
+        Raises:
+            ValueError: certificate does not certify alpha + (k,) of model.
+        """
+        self._set_base(self.alpha + (k,), certificate)
+        index, patches = self.index, self.patches
+        patches.pop(k, None)
+        for x, _ in self._node(k)[1]:
+            if x in index:  # x's row gains k in every patch that holds it
+                for y, _ in self._node(x)[1]:
+                    patches.pop(y, None)
+            else:
+                patches.pop(x, None)
+        index[k] = len(index)
 
 
 def local_certificate(
@@ -491,21 +627,19 @@ def local_certificate(
 ) -> DobrushinCertificate:
     """Certificate for the query marginal of a localized model.
 
-    A batch of one: extend_certificates of region.alpha[:-1] by its last
-    node, with localized.h as that node's fields, so it is assembled and
-    solved as an expansion's candidates are. For a region over range(n) with
-    DROP_OUT, local order is global order and there is no boundary, so C is
-    the whole model's interaction matrix.
+    A batch of one: a CandidateScorer on region.alpha[:-1], without base,
+    scores its last node with localized.h as that node's fields, so it is
+    assembled and solved as an expansion's candidates are. For a region over
+    range(n) with DROP_OUT, local order is global order and there is no
+    boundary, so C is the whole model's interaction matrix.
 
     Raises:
         EnumerationCapError: a row or entry computed here is over
             ENUMERATION_CAP.
     """
     alpha = region.alpha
-    batch = extend_certificates(
-        model, alpha[:-1], region.query, alpha[-1:], [localized.h], memo=memo
-    )
-    return batch.certificate(alpha[-1], localized)
+    scorer = CandidateScorer(model, alpha[:-1], region.query, memo=memo)
+    return scorer.score(alpha[-1:], [localized.h]).certificate(alpha[-1], localized)
 
 
 def _log_bound(c: float, d: float) -> tuple[float, float]:

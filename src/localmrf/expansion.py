@@ -7,15 +7,17 @@ baselines run the same loop but score only the node their rule picks, and
 always detach alpha by dropping the cross edges, so all three strategies share
 one trace format and one final-certificate rule.
 
-A candidate k shares all of alpha with the certificate its step accepted, so
-a step scores its candidates in one `extend_certificates` call on that
-certificate: each candidate's C and b are copied from it, only the rows and
-entries that k can change are recomputed, and the stacked C goes through one
-solve. Only the chosen node gets a `Region`, a localization and a
-`DobrushinCertificate`; under MEAN_FIELD each candidate is also grown and
-localized first, for its boundary solve. The alpha-only model is built when
-first read, so an unchosen candidate never builds one. Every bound is
-bit-identical to a certificate built from scratch.
+A candidate k shares all of alpha with the certificate its step accepted,
+so one `CandidateScorer` per expansion scores each step's candidates on that
+certificate: each candidate's C and b are copied from it, and only the rows
+and entries that k can change, k's patch, are written over them before the
+stacked C goes through one solve. Under drop-out a patch is kept from step
+to step until the accepted node changes it. Only the chosen node gets a
+`Region`, a localization and a `DobrushinCertificate`; under MEAN_FIELD each
+candidate is also grown and localized first, for its boundary solve. The
+alpha-only model is built when first read, so an unchosen candidate never
+builds one. Every bound is bit-identical to a certificate built from
+scratch.
 """
 from __future__ import annotations
 
@@ -27,9 +29,9 @@ from enum import Enum
 import numpy as np
 
 from .dobrushin import (
+    CandidateScorer,
     DobrushinCertificate,
     EnumerationCapError,
-    extend_certificates,
     local_certificate,
 )
 from .exact import eliminate_marginal
@@ -187,17 +189,18 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     with delta=-inf so any finite bound is accepted. When every scored node is
     invalid, the maxnorm rule picks among them and the trace is degraded.
 
-    The loop starts from the certificate of {query}. Each step scores its
-    candidates with one extend_certificates call on base, the last certificate
-    that was built, and only the chosen node gets a region, a localization
-    and a certificate. Under MEAN_FIELD every candidate is localized first,
-    since its fields come from its own boundary solve; a candidate whose
-    solve stalls scores +inf, and if it is chosen anyway its prefix is
-    localized by DROP_OUT. A prefix whose build raises or whose solve stalled
-    is recorded as _uncertified on that localization and leaves no base, so
-    the next step computes every row and entry. One memo of C rows and b
-    entries lives for the call, so a recomputed row or entry that an earlier
-    candidate already needed is looked up, not computed again.
+    The loop starts from the certificate of {query}. One CandidateScorer
+    scores every step's candidates on base, the last certificate that was
+    built, and is told the chosen node and its certificate; only the chosen
+    node gets a region, a localization and a certificate. Under MEAN_FIELD
+    every candidate is localized first, since its fields come from its own
+    boundary solve; a candidate whose solve stalls scores +inf, and if it is
+    chosen anyway its prefix is localized by DROP_OUT. A prefix whose build
+    raises or whose solve stalled is recorded as _uncertified on that
+    localization and leaves no base, so the next step computes every row and
+    entry. One memo of C rows and b entries lives for the call, so a
+    recomputed row or entry that an earlier candidate already needed is
+    looked up, not computed again.
     """
     if not (0 <= query < model.n):
         raise ValueError(f"query {query} out of range")
@@ -214,6 +217,7 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     except MeanFieldDivergence:
         base = None
     certificates = [base or _uncertified(localize(model, region, BoundaryMethod.DROP_OUT))]
+    scorer = CandidateScorer(model, region.alpha, query, memo=memo, base=base)
     while len(region.alpha) < K:
         candidates = region.boundary_beta
         if not candidates:
@@ -231,9 +235,7 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
             ks, fields = tuple(locs), [loc.h for loc in locs.values()]
         else:
             ks, fields = scored, None
-        batch = extend_certificates(
-            model, region.alpha, query, ks, fields, memo=memo, base=base
-        )
+        batch = scorer.score(ks, fields)
         bounds.update(zip(ks, batch.bounds))
         chosen = min(bounds, key=lambda k: (bounds[k], k))
         if bounds[chosen] < best_bound - delta:
@@ -256,6 +258,7 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
         else:  # its boundary solve stalled while it was scored
             loc = localize(model, region, BoundaryMethod.DROP_OUT)
         certificates.append(base or _uncertified(loc))
+        scorer.accept(chosen, base)
         steps.append(ExpansionStep(candidates, bounds, chosen, best_bound))
     return ExpansionTrace(
         query=query,

@@ -344,16 +344,30 @@ class LocalizedModel:
 
     @cached_property
     def submodel(self) -> IsingModel:
-        """alpha-internal edges in alpha order, then ascending neighbour id."""
+        """alpha-internal edges in alpha order, then ascending neighbour id.
+
+        Read straight off the global adjacency and J, which build_model
+        validated when the global model was built, and h, whose finiteness
+        localize checked, so nothing is validated again: it is the model
+        build_model would give for those edges and h.
+        """
         index = {g: i for i, g in enumerate(self.alpha)}
-        adjacency, coupling = self.model.adjacency, self.model.coupling
-        edges = [
-            (index[gi], index[gj], coupling(gi, gj))
-            for gi in self.alpha
-            for gj in adjacency[gi]
-            if gj in index and gi < gj
-        ]
-        return build_model(edges, self.h)
+        adjacency, couplings = self.model.adjacency, self.model.J
+        coupling: dict[tuple[int, int], float] = {}
+        nbrs: list[list[int]] = [[] for _ in self.alpha]
+        for i, gi in enumerate(self.alpha):
+            for gj in adjacency[gi]:
+                j = index.get(gj)
+                if j is not None and gi < gj:
+                    coupling[(i, j) if i < j else (j, i)] = couplings[(gi, gj)]
+                    nbrs[i].append(j)
+                    nbrs[j].append(i)
+        return IsingModel(
+            n=len(self.alpha),
+            adjacency=tuple(tuple(sorted(lst)) for lst in nbrs),
+            J=coupling,
+            h=np.array(self.h, dtype=np.float64),
+        )
 
     def index_of(self, node: int) -> int:
         return self.alpha.index(node)
@@ -385,9 +399,10 @@ def localize(
                 residual=state.residual,
             )
         index = {g: i for i, g in enumerate(region.alpha)}
-        with np.errstate(over="ignore"):  # an overflow is named below
-            for j, k, jv in region.cross_edges:
-                h_tilde[index[j]] += jv * means[k]
+        fields = h_tilde.tolist()  # Python floats: an overflow is inf, named below
+        for j, k, jv in region.cross_edges:
+            fields[index[j]] += jv * means[k]
+        h_tilde = np.array(fields)
         if not np.all(np.isfinite(h_tilde)):
             bad = int(np.flatnonzero(~np.isfinite(h_tilde))[0])
             raise ModelError(f"non-finite field h[{bad}]={h_tilde[bad]}")

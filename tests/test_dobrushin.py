@@ -503,6 +503,106 @@ class TestInfluenceMatrix:
         np.testing.assert_allclose(x[1], want_x, rtol=1e-12)
         assert valid[1] == want_valid
 
+def rescan_extend_certificates(model, alpha, query, candidates, fields=None, *, memo=None, base=None):
+    """Reference for CandidateScorer.score: the stateless assembly it
+    replaced, which rescans every redone node's adjacency and looks each
+    coupling up in J for every candidate at every step. It keeps no patch:
+    with base, it recomputes the rows and entries of k, of k's alpha
+    neighbours and of the nodes whose field differs from base's, and copies
+    the rest; without base, it computes every row and entry."""
+    memo = {} if memo is None else memo
+    candidates = tuple(candidates)
+    m, n = len(candidates), len(alpha) + 1
+    if fields is None:
+        h = np.empty((m, n))
+        h[:, :-1] = model.h[list(alpha)]
+        h[:, -1] = model.h[list(candidates)]
+    else:
+        h = np.array(fields, dtype=np.float64).reshape(m, n)
+    index = {g: i for i, g in enumerate(alpha)}
+    adjacency, couplings = model.adjacency, model.J
+    c = np.zeros((m, n, n))
+    b = np.zeros((m, n))
+    moved = [[] for _ in candidates]
+    if base is not None:
+        if (base.localized.model, base.localized.alpha) != (model, alpha):
+            raise ValueError("base must certify alpha of the same model")
+        c[:, :-1, :-1] = base.C
+        b[:, :-1] = base.b
+        for ci, i in zip(*np.nonzero(h[:, :-1] != base.localized.h)):
+            moved[ci].append(int(i))
+    errors = {}
+    for ci, (k, h_tilde) in enumerate(zip(candidates, h.tolist())):
+        inside = {**index, k: n - 1}
+        local = (*alpha, k)
+        if base is None:
+            redo = range(n)
+        else:
+            k_nbrs = (index[g] for g in adjacency[k] if g in index)
+            redo = sorted({n - 1, *k_nbrs, *moved[ci]})
+        c_k, b_k = c[ci], b[ci]
+        try:
+            split = []
+            for i in redo:
+                g = local[i]
+                cols, inside_js, outside_js = [], [], []
+                for x in adjacency[g]:
+                    j = couplings[(g, x) if g < x else (x, g)]
+                    if x in inside:
+                        cols.append(inside[x])
+                        inside_js.append(j)
+                    else:
+                        outside_js.append(j)
+                split.append((i, g, inside_js, outside_js))
+                row = sorted(zip(cols, inside_js))
+                js = tuple(j for _, j in row)
+                for (l, _), entry in zip(row, dobrushin._memo_row(h_tilde[i], js, memo, g)):
+                    c_k[i, l] = entry
+            for i, g, inside_js, outside_js in split:
+                b_k[i] = (
+                    dobrushin._memo_entry(
+                        h_tilde[i], float(model.h[g]), inside_js, outside_js, g, memo
+                    )
+                    if outside_js
+                    else 0.0
+                )
+        except EnumerationCapError as exc:
+            errors[k] = exc
+    solved = [ci for ci, k in enumerate(candidates) if k not in errors]
+    x, solved_valid = influence_matrix(c[solved], b[solved]) if errors else influence_matrix(c, b)
+    valid = np.zeros(m, dtype=bool)
+    valid[solved] = solved_valid
+    bounds = np.full(m, math.inf)
+    bounds[solved] = np.where(solved_valid, x[:, index.get(query, n - 1)], math.inf)
+    return dobrushin.CertificateBatch(
+        candidates=candidates, C=c, b=b, bounds=tuple(bounds.tolist()), valid=valid, errors=errors
+    )
+
+
+def assert_same_batch(got, want):
+    """Two batches agree byte for byte: bounds, validity, errors, and the C
+    and b slices of every candidate that was solved (an errored candidate's
+    slices are documented as incomplete)."""
+    assert got.candidates == want.candidates
+    assert [x.hex() for x in got.bounds] == [x.hex() for x in want.bounds]
+    assert got.valid.tolist() == want.valid.tolist()
+    assert {k: (type(e), str(e)) for k, e in got.errors.items()} == {
+        k: (type(e), str(e)) for k, e in want.errors.items()
+    }
+    for i, k in enumerate(got.candidates):
+        if k not in got.errors:
+            assert got.C[i].tobytes() == want.C[i].tobytes(), k
+            assert got.b[i].tobytes() == want.b[i].tobytes(), k
+
+
+def scored(model, alpha, query, candidates, fields=None, base=None):
+    """One step of a fresh CandidateScorer, checked against the rescan."""
+    batch = dobrushin.CandidateScorer(model, alpha, query, base=base).score(candidates, fields)
+    want = rescan_extend_certificates(model, alpha, query, candidates, fields, base=base)
+    assert_same_batch(batch, want)
+    return batch
+
+
 class TestExtendCertificates:
     """A step's candidates certified in one batch: each candidate's slices,
     bound and validity are those of the certificate of alpha + (k,) alone."""
@@ -538,7 +638,7 @@ class TestExtendCertificates:
         # singular: it is invalid and candidate 2 is still certified
         model = build_model([(0, 1, 50.0), (0, 2, 0.1)], [0.0, 0.0, 0.0])
         for base in (None, self.start(model, (0,))):
-            batch = dobrushin.extend_certificates(model, (0,), 0, (1, 2), base=base)
+            batch = scored(model, (0,), 0, (1, 2), base=base)
             assert batch.C[0, 0, 1] == batch.C[0, 1, 0] == 1.0
             assert batch.bounds[0] == math.inf and not batch.valid[0]
             assert batch.valid[1] and math.isfinite(batch.bounds[1])
@@ -553,7 +653,7 @@ class TestExtendCertificates:
         )
         alpha = tuple(range(26))
         for base in (None, self.start(model, alpha)):
-            batch = dobrushin.extend_certificates(model, alpha, 0, (26, 27, 28), base=base)
+            batch = scored(model, alpha, 0, (26, 27, 28), base=base)
             assert set(batch.errors) == {26, 27}
             assert "node 0 would enumerate 26 couplings" in str(batch.errors[26])
             assert batch.valid[2] and math.isfinite(batch.bounds[2])
@@ -567,15 +667,73 @@ class TestExtendCertificates:
             alpha, ks = region.alpha, region.boundary_beta
             base = self.start(model, alpha)
             for b in (None, base):
-                batch = dobrushin.extend_certificates(model, alpha, 0, ks, base=b)
+                batch = scored(model, alpha, 0, ks, base=b)
                 self.assert_fresh(model, alpha, batch)
                 for i, k in enumerate(ks):
-                    one = dobrushin.extend_certificates(model, alpha, 0, (k,), base=b)
+                    one = scored(model, alpha, 0, (k,), base=b)
                     assert one.C[0].tobytes() == batch.C[i].tobytes()
                     assert one.b[0].tobytes() == batch.b[i].tobytes()
                     assert one.bounds[0].hex() == batch.bounds[i].hex()
                     assert one.valid[0] == batch.valid[i]
             region = region.grow(model, ks[0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_model_fields_on_a_mean_field_base(self, seed):
+        # scored without fields, the candidates take the model's fields, so
+        # every node whose compensated field in base moved is rebuilt, and
+        # no patch is kept
+        model = random_connected_model(12, seed, j_scale=1.0)
+        region = make_region(model, (0, 1, 2, 3), 0)
+        base = local_certificate(model, region, localize(model, region, BoundaryMethod.MEAN_FIELD))
+        assert (base.localized.h != model.h[list(region.alpha)]).any()
+        scorer = dobrushin.CandidateScorer(model, region.alpha, 0, base=base)
+        batch = scorer.score(region.boundary_beta)
+        want = rescan_extend_certificates(model, region.alpha, 0, region.boundary_beta, base=base)
+        assert_same_batch(batch, want)
+        assert scorer.patches == {}
+        self.assert_fresh(model, region.alpha, batch)
+
+    def test_patch_kept_unless_the_accepted_node_changes_it(self):
+        # a 5x5 grid (node 5r + c) with alpha the middle of row 2; k* = 6
+        # sits above alpha's first node 11, so candidate 8, two hops from k*
+        # through 7, keeps its patch, while 16, below 11, gets a new one
+        edges = [(5 * r + c, 5 * r + c + 1, 0.3) for r in range(5) for c in range(4)]
+        edges += [(5 * r + c, 5 * r + c + 5, -0.2) for r in range(4) for c in range(5)]
+        model = build_model(edges, [0.1 * (i % 7) - 0.3 for i in range(25)])
+        alpha = (12, 11, 13)
+        region = make_region(model, alpha, 12)
+        scorer = dobrushin.CandidateScorer(model, alpha, 12, base=self.start(model, alpha, 12))
+        batch = scorer.score(region.boundary_beta)
+        before = dict(scorer.patches)
+        assert set(before) == set(region.boundary_beta)
+        region = region.grow(model, 6)
+        scorer.accept(6, batch.certificate(6, localize(model, region)))
+        assert 6 not in scorer.patches and 7 not in scorer.patches  # k*, and k*'s neighbour
+        assert 16 not in scorer.patches and 10 not in scorer.patches  # an alpha neighbour in N(6)
+        assert scorer.patches[8] is before[8] and scorer.patches[18] is before[18]
+        batch = scorer.score(region.boundary_beta)
+        assert scorer.patches[8] is before[8]
+        assert scorer.patches[16] is not before[16]
+        want = rescan_extend_certificates(
+            model, region.alpha, 12, region.boundary_beta, base=scorer.base
+        )
+        assert_same_batch(batch, want)
+
+    def test_accept_checks_the_certificate(self, chain3):
+        region = make_region(chain3, [0], 0)
+        scorer = dobrushin.CandidateScorer(chain3, (0,), 0, base=self.start(chain3, (0,)))
+        batch = scorer.score((1,))
+        wrong = local_certificate(chain3, region, localize(chain3, region))
+        with pytest.raises(ValueError, match="base must certify"):
+            scorer.accept(1, wrong)
+        assert scorer.alpha == (0,)
+        grown = region.grow(chain3, 1)
+        scorer.accept(1, batch.certificate(1, localize(chain3, grown)))
+        assert scorer.alpha == (0, 1) and scorer.index == {0: 0, 1: 1}
+        assert_same_batch(
+            scorer.score((2,)),
+            rescan_extend_certificates(chain3, (0, 1), 0, (2,), base=scorer.base),
+        )
 
 
 class TestSpectralRadius:
@@ -734,7 +892,7 @@ class TestCertificate:
         base = local_certificate(chain3, region, localize(chain3, region))
 
         def c_of(model=chain3, alpha=(0, 1), k=2, base=None):
-            return dobrushin.extend_certificates(model, alpha, 0, (k,), base=base).C
+            return dobrushin.CandidateScorer(model, alpha, 0, base=base).score((k,)).C
 
         assert c_of(base=base).tobytes() == c_of().tobytes()
         other = chain_model([0.3, 0.3], [0.0] * 3)

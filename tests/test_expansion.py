@@ -30,9 +30,11 @@ from localmrf import (
     query_marginal,
     random_expand,
 )
+from localmrf import dobrushin
 from localmrf.dobrushin import ENUMERATION_CAP
 from conftest import chain_model, overflowing_model, random_connected_model, sigmoid
-from test_same_answers import citation_model
+from test_dobrushin import assert_same_batch, rescan_extend_certificates
+from test_same_answers import CITATION_QUERIES, citation_model
 
 
 @pytest.fixture
@@ -43,6 +45,40 @@ def frustrated_star():
         [(0, 1, 0.1), (1, 2, 2.0), (1, 3, 2.0), (2, 3, 2.0)],
         [0.0, -2.0, -2.0, -2.0],
     )
+
+
+def wrap_scorer(monkeypatch, *after):
+    """Make the expansion's CandidateScorer pass every step's batch through
+    after(scorer, candidates, fields, batch), in turn, and return the last
+    batch. Wrappers stack, the first one innermost; local_certificate's own
+    scorer is left as it is."""
+    import localmrf.expansion as expansion
+
+    class Wrapped(expansion.CandidateScorer):
+        def score(self, candidates, fields=None):
+            batch = super().score(candidates, fields)
+            for then in after:
+                batch = then(self, tuple(candidates), fields, batch)
+            return batch
+
+    monkeypatch.setattr(expansion, "CandidateScorer", Wrapped)
+
+
+def against_rescan(monkeypatch):
+    """Check every step's batch against rescan_extend_certificates on the
+    scorer's alpha and base; returns, per step, whether it had a base."""
+    bases = []
+
+    def check(scorer, candidates, fields, batch):
+        want = rescan_extend_certificates(
+            scorer.model, scorer.alpha, scorer.query, candidates, fields, base=scorer.base
+        )
+        assert_same_batch(batch, want)
+        bases.append(scorer.base is not None)
+        return batch
+
+    wrap_scorer(monkeypatch, check)
+    return bases
 
 
 class TestGreedyExpand:
@@ -382,13 +418,11 @@ class TestCertificateExtension:
         return model, hub, spokes
 
     @staticmethod
-    def record(monkeypatch):
-        """Wrap the expansion's extend_certificates: every candidate of every
-        call is also certified from scratch, and both outcomes are kept for
-        the test as (base, region, batch outcome, fresh outcome)."""
-        import localmrf.expansion as expansion
-
-        real = expansion.extend_certificates
+    def record(monkeypatch, *then):
+        """Wrap the expansion's scorer: every candidate of every step is also
+        certified from scratch, and both outcomes are kept for the test as
+        (base, region, batch outcome, fresh outcome). then goes on to wrap
+        the batch, as wrap_scorer does."""
         calls = []
 
         def outcome(build):
@@ -397,21 +431,21 @@ class TestCertificateExtension:
             except EnumerationCapError as exc:
                 return exc
 
-        def checked(model, alpha, query, candidates, fields=None, *, memo=None, base=None):
-            batch = real(model, alpha, query, candidates, fields, memo=memo, base=base)
+        def checked(scorer, candidates, fields, batch):
+            model = scorer.model
             for i, k in enumerate(batch.candidates):
-                region = make_region(model, alpha + (k,), query)
+                region = make_region(model, scorer.alpha + (k,), scorer.query)
                 h = model.h[list(region.alpha)] if fields is None else fields[i]
                 loc = LocalizedModel(region.alpha, h, model)
                 calls.append((
-                    base,
+                    scorer.base,
                     region,
                     outcome(lambda: batch.certificate(k, loc)),
                     outcome(lambda: local_certificate(model, region, loc)),
                 ))
             return batch
 
-        monkeypatch.setattr(expansion, "extend_certificates", checked)
+        wrap_scorer(monkeypatch, checked, *then)
         return calls
 
     @staticmethod
@@ -442,15 +476,10 @@ class TestCertificateExtension:
 
     @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
     def test_step_after_raised_choice_has_no_base(self, monkeypatch, method):
-        import localmrf.expansion as expansion
-
         model, hub, spokes = self.heavy_tailed(0)
-        calls = self.record(monkeypatch)
-        recorded = expansion.extend_certificates
 
-        def raise_third(model, alpha, query, candidates, fields=None, **kwargs):
-            batch = recorded(model, alpha, query, candidates, fields, **kwargs)
-            if len(alpha) != 2:
+        def raise_third(scorer, candidates, fields, batch):
+            if len(scorer.alpha) != 2:
                 return batch
             # every candidate of the second step raises
             planted = EnumerationCapError("planted")
@@ -460,13 +489,87 @@ class TestCertificateExtension:
                 errors=dict.fromkeys(batch.candidates, planted),
             )
 
-        monkeypatch.setattr(expansion, "extend_certificates", raise_third)
+        bases = against_rescan(monkeypatch)
+        calls = self.record(monkeypatch, raise_third)
         trace = greedy_expand(model, hub, K=6, delta=-math.inf, method=method)
         assert trace.degraded and math.isnan(trace.certificates[2].c_local)
         self.assert_same(calls)
         sizes = [(len(region.alpha), base is not None) for base, region, _, _ in calls]
         assert (4, False) in sizes and (4, True) not in sizes  # rebuilt after the raise
         assert (5, True) in sizes  # and extended again from there
+        assert bases == [True, True, False, True, True]  # reset after the raise
+
+    @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
+    def test_scorer_equals_the_rescan_at_every_step(self, monkeypatch, method):
+        """Greedy, random and maxnorm traces on random models, a 10x10 grid,
+        the citation hubs and a hub at the cap: every step's batch is the
+        rescan's, byte for byte."""
+        bases = against_rescan(monkeypatch)
+        spec = GridSpec(10, 10, I1=1.0, I2=0.25, seed=3)
+        heavy, hub, spokes = self.heavy_tailed(1)
+        cases = [(random_connected_model(14, seed, j_scale=0.8), (0, 7)) for seed in range(3)]
+        cases += [(gen_grid(spec), (spec.query, 0)), (citation_model(), CITATION_QUERIES)]
+        cases += [(heavy, (hub, spokes[0]))]
+        for model, queries in cases:
+            for query in queries:
+                try:
+                    greedy_expand(model, query, K=8, delta=-math.inf, method=method)
+                except MeanFieldDivergence:
+                    pass
+                if method is BoundaryMethod.DROP_OUT:
+                    random_expand(model, query, K=8, seed=query)
+                    maxnorm_expand(model, query, K=8)
+        assert sum(bases) > len(bases) // 2
+
+    def test_scorer_equals_the_rescan_over_the_cap(self, monkeypatch):
+        # hub 0 with 27 leaves and node 28 hanging off leaf 1: once 25 leaves
+        # are in alpha, every further leaf puts the hub over the cap
+        model = build_model(
+            [(0, k, 0.05) for k in range(1, 28)] + [(1, 28, 0.3)], [0.1] * 29
+        )
+        bases = against_rescan(monkeypatch)
+        errors = []
+        wrap_scorer(monkeypatch, lambda scorer, ks, fields, batch: errors.append(batch.errors) or batch)
+        trace = greedy_expand(model, 0, K=29, delta=-math.inf)
+        assert len(trace.final_alpha) == 29 and trace.degraded
+        # the 26th leaf raises for every candidate, so the scorer resets
+        assert [bool(e) for e in errors[25:]] == [True, True, True]
+        assert bases == [True] * 26 + [False, False]
+
+    def test_a_step_builds_only_the_patches_it_must(self, monkeypatch):
+        """On a 20x20 grid, each greedy step builds a patch for exactly the
+        new candidates and the candidates the accepted node changed: those
+        in N(k*) and those with an alpha neighbour in N(k*)."""
+        spec = GridSpec(20, 20, I1=1.0, I2=0.25, seed=1)
+        model = gen_grid(spec)
+        built = []
+        real = dobrushin.CandidateScorer._patch
+
+        def counting(scorer, k, moved=(), h_tilde=None):
+            if h_tilde is None and not moved:  # a patch kept across steps
+                built.append((len(scorer.alpha), k))
+            return real(scorer, k, moved, h_tilde)
+
+        monkeypatch.setattr(dobrushin.CandidateScorer, "_patch", counting)
+        trace = greedy_expand(model, spec.query, K=16, delta=-math.inf)
+        assert all(cert.valid for cert in trace.certificates)
+        alpha = trace.final_alpha
+        for s, step in enumerate(trace.steps):
+            got = [k for size, k in built if size == s + 1]
+            if s == 0:
+                want = set(step.candidates)
+            else:
+                before = trace.steps[s - 1].candidates
+                near = set(model.adjacency[alpha[s]])  # N(k*)
+                changed = {
+                    k
+                    for k in before
+                    if k in near or any(x in near for x in model.adjacency[k] if x in alpha[:s])
+                }
+                want = set(step.candidates) - (set(before) - changed)
+            assert len(got) == len(set(got)) and set(got) == want, s
+        scored = sum(len(step.candidates) for step in trace.steps)
+        assert len(built) < 0.7 * scored
 
     @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
     def test_scored_candidates_build_no_model(self, monkeypatch, method):
@@ -477,10 +580,13 @@ class TestCertificateExtension:
         spec = GridSpec(20, 20, I1=1.0, I2=0.25, seed=2)
         model = gen_grid(spec)
         built = []
-        real = model_module.build_model
-        monkeypatch.setattr(
-            model_module, "build_model", lambda *a, **kw: built.append(a) or real(*a, **kw)
-        )
+
+        class Counted(model_module.IsingModel):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "IsingModel", Counted)
         trace = greedy_expand(model, spec.query, K=12, delta=-math.inf, method=method)
         accepted = sum(s.chosen is not None for s in trace.steps)
         scored = sum(len(s.bounds) for s in trace.steps)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from localmrf import (
     BoundaryMethod,
     IsingModel,
+    MeanFieldDivergence,
     ModelError,
     RegionError,
     build_model,
@@ -249,6 +250,16 @@ class TestLocalize:
         with pytest.raises(ModelError, match=r"non-finite field h\[0\]=inf"):
             localize(m, make_region(m, [0], 0), BoundaryMethod.MEAN_FIELD)
 
+    def test_meanfield_overflow_names_the_lowest_index(self):
+        # nodes 1 and 2 each add 8e307 * m_3 (m_3 near +1) to a field of
+        # 1.7e308: both overflow, and the error names the lower local index
+        m = build_model(
+            [(0, 1, 0.3), (0, 2, 0.2), (1, 3, 8e307), (2, 3, 8e307)],
+            [0.1, 1.7e308, 1.7e308, 1.0],
+        )
+        with pytest.raises(ModelError, match=r"non-finite field h\[1\]=inf"):
+            localize(m, make_region(m, [0, 2, 1], 0), BoundaryMethod.MEAN_FIELD)
+
     def test_dropout_equals_edge_deleted_global(self):
         m = random_connected_model(9, 11, j_scale=0.6)
         r = make_region(m, [0, 1, 2, 3], 2)
@@ -290,10 +301,13 @@ class TestLocalize:
         m = random_connected_model(10, 3, j_scale=0.4)
         r = make_region(m, [4, 0, 7, 2], 4)
         built = []
-        real = model_module.build_model
-        monkeypatch.setattr(
-            model_module, "build_model", lambda *a, **kw: built.append(a) or real(*a, **kw)
-        )
+
+        class Counted(model_module.IsingModel):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "IsingModel", Counted)
         loc = localize(m, r, method)
         assert built == []
         sub = loc.submodel
@@ -306,7 +320,7 @@ class TestLocalize:
             for v in m.adjacency[u]
             if v in index and u < v
         ]
-        assert built[0][0] == want
+        assert list(sub.edges()) == [(min(u, v), max(u, v), j) for u, v, j in want]
         assert sub.h.tobytes() == loc.h.tobytes() and sub.h is not loc.h
 
     def test_single_node_region_marginal_is_logistic(self):
@@ -315,6 +329,54 @@ class TestLocalize:
         loc = localize(m, r, BoundaryMethod.DROP_OUT)
         p = eliminate_marginal(loc.submodel, 0)
         assert p == pytest.approx(sigmoid(2 * 0.5), abs=1e-14)
+
+
+class TestSubmodel:
+    """The alpha-only model, read off the global model, is the model
+    build_model builds from alpha's internal edges and the fields."""
+
+    @staticmethod
+    def assert_built(loc):
+        index = {g: i for i, g in enumerate(loc.alpha)}
+        edges = [
+            (index[gi], index[gj], loc.model.coupling(gi, gj))
+            for gi in loc.alpha
+            for gj in loc.model.adjacency[gi]
+            if gj in index and gi < gj
+        ]
+        want, got = build_model(edges, loc.h), loc.submodel
+        assert type(got) is IsingModel and got.n == want.n
+        assert got.adjacency == want.adjacency
+        assert [(key, j.hex()) for key, j in got.J.items()] == [
+            (key, j.hex()) for key, j in want.J.items()
+        ]
+        assert got.h.dtype == want.h.dtype and got.h.tobytes() == want.h.tobytes()
+        assert got.h is not loc.h
+
+    @given(st.integers(1, 12), st.integers(0, 10**6))
+    def test_random_regions(self, n, seed):
+        model = random_connected_model(n, seed)
+        rng = np.random.Generator(np.random.Philox(seed))
+        alpha = [int(v) for v in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+        for method in BoundaryMethod:
+            try:
+                loc = localize(model, make_region(model, alpha, alpha[0]), method)
+            except MeanFieldDivergence:
+                continue
+            self.assert_built(loc)
+
+    def test_grid_and_hub_regions(self):
+        from localmrf import GridSpec, gen_grid, greedy_expand
+        from test_same_answers import CITATION_QUERIES, citation_model
+
+        spec = GridSpec(10, 10, I1=1.0, I2=0.25, seed=0)
+        citation = citation_model()
+        assert citation.degree(CITATION_QUERIES[0]) == 24
+        for model, query in [(gen_grid(spec), spec.query), (citation, CITATION_QUERIES[0])]:
+            for method in BoundaryMethod:
+                trace = greedy_expand(model, query, K=12, delta=-math.inf, method=method)
+                for cert in trace.certificates:
+                    self.assert_built(cert.localized)
 
 
 class TestFileReaders:
