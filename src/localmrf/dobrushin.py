@@ -49,17 +49,17 @@ CandidateScorer is the one place C and b are assembled, in local order;
 dobrushin_coefficient reads the rows of C for a whole model, in global order.
 Both look rows up through _memo_row, so they read the same bits. Row i of C
 reads only node i's localized field and its couplings inside alpha, and b_j
-only j's fields, couplings and cross sum. So the certificate of alpha + (k,)
-extends the certificate of alpha (the base): with k last in local order, only
-the rows and entries of k, of k's alpha neighbours and of nodes whose
-compensated field moved are recomputed, and every other one is copied. Those
-of k and its alpha neighbours are k's patch, and one scorer lives for one
-expansion: it keeps each candidate's patch from step to step and rebuilds
-only the patches the accepted node changes. A step's candidates all have
-|alpha| + 1 nodes, so their C matrices stack into one (m, n, n) array that
-influence_matrix solves against the stacked b in one call, one LAPACK gesv
-per slice, so a candidate's bound has the same bits in any batch.
-local_certificate is a batch of one.
+only j's fields, couplings and cross sum. So with the model's own fields the
+certificate of alpha + (k,) extends the certificate of alpha (the base): with
+k last in local order, only the rows and entries of k and of k's alpha
+neighbours, k's patch, are recomputed, and every other one is copied. One
+scorer lives for one expansion: it keeps each candidate's patch from step to
+step and rebuilds only the patches the accepted node changes. With any other
+fields (mean field moves them) every row and entry is built. A step's
+candidates all have |alpha| + 1 nodes, so their C matrices stack into one
+(m, n, n) array that influence_matrix solves against the stacked b in one
+call, one LAPACK gesv per slice, so a candidate's bound has the same bits in
+any batch. local_certificate is a batch of one.
 """
 from __future__ import annotations
 
@@ -341,7 +341,7 @@ class CertificateBatch:
     alpha + (k,). bounds[i] is its bound, +inf when it is invalid or its
     assembly raised; valid[i] is its validity flag. errors maps each
     candidate whose assembly raised to the EnumerationCapError; its slices
-    are incomplete and were not solved.
+    are incomplete, were solved with the others and are flagged invalid.
     """
 
     candidates: tuple[int, ...]
@@ -384,31 +384,31 @@ class CandidateScorer:
     x = (I - C)^-1 b. Everything is read off the global model and the
     fields, so no region, localization or submodel is built.
 
-    base, the certificate of alpha, is extended instead of rebuilt: with k
-    last in local order, only the rows of C and the entries of b of k, of
-    k's alpha neighbours and of nodes whose field differs from base's (mean
-    field moves them) can change. A candidate's *patch* holds those rows and
-    entries as flat (row, col, value) lists, with k's index kept as -1 (k is
-    always last), so a patch stays right while alpha grows. A step copies
-    base into every slice of one (m, n + 1, n) stack, b over C, writes every
-    patch with one fancy-index store, and makes one influence_matrix call,
-    one LAPACK gesv per slice, so a candidate's bound has the same bits in
-    any batch.
+    score takes one of two paths. With the model's own fields and a base,
+    the certificate of alpha with the model's fields (drop-out), base is
+    extended instead of rebuilt: with k last in local order, only the rows
+    of C and the entries of b of k and of k's alpha neighbours can change. A
+    candidate's *patch* holds those rows and entries as flat (row, col,
+    value) lists, with k's index kept as -1 (k is always last), so a patch
+    stays right while alpha grows. A step copies base into every slice of
+    one (m, n + 1, n) stack, b over C, and writes every patch with one
+    fancy-index store. A patch depends only on which neighbours of k and of
+    k's alpha neighbours lie in alpha, so it is kept in `patches` from step
+    to step. accept(k*, ...) drops the patches k* can change: those of the
+    candidates in N(k*) and of the candidates with an alpha neighbour in
+    N(k*). Local indices only grow, so no other input of a patch moves.
 
-    With the model's own fields a patch depends only on which neighbours of
-    k and of k's alpha neighbours lie in alpha, so it is kept in `patches`
-    from step to step. accept(k*, ...) drops the patches k* can change:
-    those of the candidates in N(k*) and of the candidates with an alpha
-    neighbour in N(k*). Local indices only grow, so no other input of a
-    patch moves. With fields given (mean field moves them at every step),
-    each patch and the moved rows are rebuilt at every step, and without
-    base every row is built, as a certificate from scratch.
+    Otherwise (fields given, no base, or a base whose fields are not the
+    model's, which is dropped) every row and entry of every candidate is
+    built, as a certificate from scratch. Either way the stack goes through
+    one influence_matrix call, one LAPACK gesv per slice, so a candidate's
+    bound has the same bits in any batch.
 
     Each node's couplings are read from J once, in adjacency order, when the
-    node is first needed. memo holds the rows of C and the entries of b
-    computed so far, each keyed on every input it reads. Neither base, memo,
-    the patches kept nor the other candidates of a batch change a bit of a
-    candidate's result.
+    node is first needed. memo, the scorer's own, holds the rows of C and
+    the entries of b computed so far, each keyed on every input it reads.
+    Neither base, memo, the patches kept nor the other candidates of a batch
+    change a bit of a candidate's result.
 
     Raises:
         ValueError: base does not certify alpha of model.
@@ -420,12 +420,11 @@ class CandidateScorer:
         alpha: Sequence[int],
         query: int,
         *,
-        memo: dict | None = None,
         base: DobrushinCertificate | None = None,
     ):
         self.model = model
         self.query = query
-        self.memo = {} if memo is None else memo
+        self.memo: dict = {}
         self.alpha: tuple[int, ...] = ()
         self.patches: dict[int, tuple | EnumerationCapError] = {}
         self._nodes: dict[int, tuple[float, tuple[tuple[int, float], ...]]] = {}
@@ -434,19 +433,16 @@ class CandidateScorer:
         self.index: dict[int, int] = {g: i for i, g in enumerate(self.alpha)}
 
     def _set_base(self, alpha: tuple[int, ...], base: DobrushinCertificate | None) -> None:
-        """Set alpha and base, which must certify alpha, and list the local
-        indices at which base's fields differ from the model's."""
+        """Set alpha and base, which must certify alpha; a base whose fields
+        are not the model's is dropped."""
         if base is not None and (base.localized.model, base.localized.alpha) != (self.model, alpha):
             raise ValueError("base must certify alpha of the same model")
         self._model_h += [self._node(g)[0] for g in alpha[len(self.alpha) :]]
+        if base is not None and base.localized.h.tolist() != self._model_h:
+            base = None
         self.alpha, self.base = alpha, base
-        self._base_moved: list[int] = []
         if base is None:
             self.patches.clear()
-            return
-        h = base.localized.h.tolist()
-        if h != self._model_h:
-            self._base_moved = [i for i, (x, y) in enumerate(zip(h, self._model_h)) if x != y]
 
     def _node(self, g: int) -> tuple[float, tuple[tuple[int, float], ...]]:
         """(h_g, the (neighbour, coupling) pairs of g in adjacency order)."""
@@ -490,11 +486,11 @@ class CandidateScorer:
             js.append(last)
         return h_g, cols, tuple(js), inside, outside
 
-    def _patch(self, k: int, moved=(), h_tilde: list[float] | None = None):
-        """k's patch: the rows of C and entries of b of k's alpha neighbours,
-        of the alpha nodes at the local indices in moved, and of k, last, as
-        (rows, cols, values) in a slice of the step's stack (see score), with
-        k's index -1; or the EnumerationCapError one of them raises.
+    def _patch(self, k: int, h_tilde: list[float] | None = None, every: bool = False):
+        """k's patch: the rows of C and entries of b of k's alpha neighbours
+        (of every alpha node, with every) and of k, last, as (rows, cols,
+        values) in a slice of the step's stack (see score), with k's index
+        -1; or the EnumerationCapError one of them raises.
 
         h_tilde holds the localized fields in local order, k's last; None
         takes the model's. Every row is computed before any entry, in local
@@ -502,9 +498,7 @@ class CandidateScorer:
         """
         alpha = self.alpha
         k_split = self._split(k, k)
-        redo = k_split[1]  # the local indices of k's alpha neighbours
-        if moved:
-            redo = sorted({*redo, *moved})
+        redo = range(len(alpha)) if every else k_split[1]  # k's alpha neighbours
         nodes = [(i, alpha[i], *self._split(alpha[i], k)) for i in redo]
         nodes.append((-1, k, *k_split))
         memo = self.memo
@@ -535,39 +529,33 @@ class CandidateScorer:
         """Certificates for the query marginal of alpha + (k,), k in candidates.
 
         fields[i] holds the localized fields of alpha + (candidates[i],) in
-        local order; None takes the model's own fields, as DROP_OUT does. A
-        slice that fails its validity test yields valid=False and
-        bound=+inf. A candidate whose row or entry is over ENUMERATION_CAP
-        is recorded in errors and scores +inf; the others are still
-        certified.
+        local order; None takes the model's own fields, as DROP_OUT does.
+        Kept patches are written over base when fields is None and there is
+        a base; otherwise every row and entry is built. A slice that fails
+        its validity test yields valid=False and bound=+inf. A candidate
+        whose row or entry is over ENUMERATION_CAP is recorded in errors,
+        flagged invalid and scores +inf; the others are still certified.
         """
         candidates = tuple(candidates)
         m, n = len(candidates), len(self.alpha) + 1
+        # slice i is b of candidate i over its C, so one store writes them
+        stack = np.zeros((m, n + 1, n))
+        c, b = stack[:, 1:], stack[:, 0]
         base = self.base
-        if base is not None and fields is None and not self._base_moved:
+        if fields is None and base is not None:
             patches = []  # kept from step to step
             for k in candidates:
                 patch = self.patches.get(k)
                 if patch is None:
                     patch = self.patches[k] = self._patch(k)
                 patches.append(patch)
-        else:
-            h = [None] * m
-            moved = [range(n - 1) if base is None else self._base_moved] * m
-            if fields is not None:
-                h_array = np.array(fields, dtype=np.float64).reshape(m, n)
-                h = h_array.tolist()
-                if base is not None:
-                    moved = [[] for _ in candidates]
-                    for ci, i in zip(*np.nonzero(h_array[:, :-1] != base.localized.h)):
-                        moved[ci].append(int(i))
-            patches = [self._patch(k, moved[ci], h[ci]) for ci, k in enumerate(candidates)]
-        # slice i is b of candidate i over its C, so one store writes them
-        stack = np.zeros((m, n + 1, n))
-        c, b = stack[:, 1:], stack[:, 0]
-        if base is not None:
             stack[:, 0, :-1] = base.b
             stack[:, 1:-1, :-1] = base.C
+        else:
+            h = [None] * m
+            if fields is not None:
+                h = np.array(fields, dtype=np.float64).reshape(m, n).tolist()
+            patches = [self._patch(k, h[ci], every=True) for ci, k in enumerate(candidates)]
         slices: list[int] = []
         rows: list[int] = []
         cols: list[int] = []
@@ -583,25 +571,19 @@ class CandidateScorer:
             cols += p_cols
             vals += p_vals
         stack[slices, rows, cols] = vals
-        qi = self.index.get(self.query, n - 1)
-        if errors:
-            solved = [ci for ci, k in enumerate(candidates) if k not in errors]
-            x, solved_valid = influence_matrix(c[solved], b[solved])
-            valid = np.zeros(m, dtype=bool)
-            valid[solved] = solved_valid
-            bounds = np.full(m, math.inf)
-            bounds[solved] = np.where(solved_valid, x[:, qi], math.inf)
-        else:
-            x, valid = influence_matrix(c, b)
-            bounds = np.where(valid, x[:, qi], math.inf)
+        x, valid = influence_matrix(c, b)
+        for k in errors:
+            valid[candidates.index(k)] = False
+        bounds = np.where(valid, x[:, self.index.get(self.query, n - 1)], math.inf)
         return CertificateBatch(
             candidates=candidates, C=c, b=b, bounds=tuple(bounds.tolist()), valid=valid, errors=errors
         )
 
     def accept(self, k: int, certificate: DobrushinCertificate | None) -> None:
         """Grow alpha by k, with certificate, the certificate of alpha + (k,),
-        as the next base; None leaves no base, so the next step builds every
-        row. Drops the patches k changes (see the class docstring).
+        as the next base; None, or a certificate on fields other than the
+        model's, leaves no base, so the next step builds every row. Drops
+        the patches k changes (see the class docstring).
 
         Raises:
             ValueError: certificate does not certify alpha + (k,) of model.
@@ -619,11 +601,7 @@ class CandidateScorer:
 
 
 def local_certificate(
-    model: IsingModel,
-    region: Region,
-    localized: LocalizedModel,
-    *,
-    memo: dict | None = None,
+    model: IsingModel, region: Region, localized: LocalizedModel
 ) -> DobrushinCertificate:
     """Certificate for the query marginal of a localized model.
 
@@ -638,7 +616,7 @@ def local_certificate(
             ENUMERATION_CAP.
     """
     alpha = region.alpha
-    scorer = CandidateScorer(model, alpha[:-1], region.query, memo=memo)
+    scorer = CandidateScorer(model, alpha[:-1], region.query)
     return scorer.score(alpha[-1:], [localized.h]).certificate(alpha[-1], localized)
 
 

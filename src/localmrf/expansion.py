@@ -7,17 +7,17 @@ baselines run the same loop but score only the node their rule picks, and
 always detach alpha by dropping the cross edges, so all three strategies share
 one trace format and one final-certificate rule.
 
-A candidate k shares all of alpha with the certificate its step accepted,
-so one `CandidateScorer` per expansion scores each step's candidates on that
-certificate: each candidate's C and b are copied from it, and only the rows
-and entries that k can change, k's patch, are written over them before the
-stacked C goes through one solve. Under drop-out a patch is kept from step
-to step until the accepted node changes it. Only the chosen node gets a
-`Region`, a localization and a `DobrushinCertificate`; under MEAN_FIELD each
-candidate is also grown and localized first, for its boundary solve. The
-alpha-only model is built when first read, so an unchosen candidate never
-builds one. Every bound is bit-identical to a certificate built from
-scratch.
+One `CandidateScorer` per expansion scores each step's candidates and stacks
+their C matrices into one solve. Under drop-out a candidate k shares all of
+alpha with the certificate its step accepted, so each candidate's C and b are
+copied from it, and only the rows and entries that k can change, k's patch,
+are written over them; a patch is kept from step to step until the accepted
+node changes it. Under MEAN_FIELD each candidate is grown and localized
+first, for its boundary solve; its fields are not the model's, so every row
+and entry of it is built. Only the chosen node gets a `Region`, a
+localization and a `DobrushinCertificate`. The alpha-only model is built
+when first read, so an unchosen candidate never builds one. Every bound is
+bit-identical to a certificate built from scratch.
 """
 from __future__ import annotations
 
@@ -194,30 +194,33 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     built, and is told the chosen node and its certificate; only the chosen
     node gets a region, a localization and a certificate. Under MEAN_FIELD
     every candidate is localized first, since its fields come from its own
-    boundary solve; a candidate whose solve stalls scores +inf, and if it is
-    chosen anyway its prefix is localized by DROP_OUT. A prefix whose build
-    raises or whose solve stalled is recorded as _uncertified on that
-    localization and leaves no base, so the next step computes every row and
-    entry. One memo of C rows and b entries lives for the call, so a
-    recomputed row or entry that an earlier candidate already needed is
-    looked up, not computed again.
+    boundary solve, and the scorer builds every row and entry; a candidate
+    whose solve stalls scores +inf, and if it is chosen anyway its prefix is
+    localized by DROP_OUT. A prefix whose build raises or whose solve
+    stalled is recorded as _uncertified on that localization and leaves no
+    base, so the next step computes every row and entry.
+
+    Raises:
+        ValueError: query out of range, K not an integer >= 1 (bools
+            refused), or delta NaN.
     """
     if not (0 <= query < model.n):
         raise ValueError(f"query {query} out of range")
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
+    if math.isnan(delta):
+        raise ValueError("delta must not be NaN")
     region = make_region(model, [query], query)
     best_bound = 1.0
     steps: list[ExpansionStep] = []
     degraded = False
     stop = StopReason.REACHED_K
-    memo: dict = {}
     try:
-        base = local_certificate(model, region, localize(model, region, method), memo=memo)
+        base = local_certificate(model, region, localize(model, region, method))
     except MeanFieldDivergence:
         base = None
     certificates = [base or _uncertified(localize(model, region, BoundaryMethod.DROP_OUT))]
-    scorer = CandidateScorer(model, region.alpha, query, memo=memo, base=base)
+    scorer = CandidateScorer(model, region.alpha, query, base=base)
     while len(region.alpha) < K:
         candidates = region.boundary_beta
         if not candidates:

@@ -427,12 +427,12 @@ def i1_sweep(
     i1_values = [float(v) for v in i1_values]
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    args = [(rows, cols, i1, I2, K, delta, seed, t) for i1 in i1_values for t in range(trials)]
+    res = _parallel_map(_sweep_trial, args, threads)
     table = []
-    for i1 in i1_values:
-        args = [(rows, cols, i1, I2, K, delta, seed, t) for t in range(trials)]
-        res = _parallel_map(_sweep_trial, args, threads)
-        errs = [e for e, _ in res]
-        bnds = [b for _, b in res]
+    for i, i1 in enumerate(i1_values):
+        errs = [e for e, _ in res[i * trials : (i + 1) * trials]]
+        bnds = [b for _, b in res[i * trials : (i + 1) * trials]]
         table.append([i1, float(np.mean(errs)), float(np.mean(bnds))])
     header = ["i1", "mean_error", "mean_bound"]
     if out_dir is not None:
@@ -615,14 +615,14 @@ def cora_pipeline(
         for q in _rng(substream(spec.seed, 3)).choice(graph.n, size=n_q, replace=False)
     )
     truth = graph.labels[queries]
+    models = [_citation_model(graph, spec, i1) for i1 in values]
+    args = [(model, q, spec.K, spec.delta) for model in models for q in queries]
+    labels = _parallel_map(_cora_query, args, threads)
     table = []
-    for i1 in values:
-        model = _citation_model(graph, spec, i1)
+    for i, (i1, model) in enumerate(zip(values, models)):
         state = mean_field(model, seed=int(substream(spec.seed, 4).generate_state(1)[0]))
-        global_all = np.where(state.m >= 0.0, 1, -1)
-        global_lab = global_all[queries]
-        args = [(model, q, spec.K, spec.delta) for q in queries]
-        local_lab = np.array(_parallel_map(_cora_query, args, threads))
+        global_lab = np.where(state.m >= 0.0, 1, -1)[queries]
+        local_lab = np.array(labels[i * n_q : (i + 1) * n_q])
         acc_gt = float(np.mean(global_lab == truth))
         acc_lt = float(np.mean(local_lab == truth))
         acc_lg = float(np.mean(local_lab == global_lab))

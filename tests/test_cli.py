@@ -230,6 +230,11 @@ class TestQuery:
         payload = _json_out(capsys)
         assert payload["bound"] is None and payload["valid"] is False
 
+    def test_nan_delta_exits_one(self, chain_file, capsys):
+        # a NaN delta compares false with every bound, so growth stopped
+        # at once with NoImprovement
+        assert run(["query", "--model", chain_file, "--node", "0", "--delta", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("error: delta must not be NaN")
 
     def test_overflowing_elimination_exits_1(self, tmp_path, capsys):
         path = tmp_path / "overflow.json"

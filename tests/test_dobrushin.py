@@ -503,14 +503,14 @@ class TestInfluenceMatrix:
         np.testing.assert_allclose(x[1], want_x, rtol=1e-12)
         assert valid[1] == want_valid
 
-def rescan_extend_certificates(model, alpha, query, candidates, fields=None, *, memo=None, base=None):
+def rescan_extend_certificates(model, alpha, query, candidates, fields=None, *, base=None):
     """Reference for CandidateScorer.score: the stateless assembly it
     replaced, which rescans every redone node's adjacency and looks each
     coupling up in J for every candidate at every step. It keeps no patch:
     with base, it recomputes the rows and entries of k, of k's alpha
     neighbours and of the nodes whose field differs from base's, and copies
     the rest; without base, it computes every row and entry."""
-    memo = {} if memo is None else memo
+    memo: dict = {}
     candidates = tuple(candidates)
     m, n = len(candidates), len(alpha) + 1
     if fields is None:
@@ -679,9 +679,9 @@ class TestExtendCertificates:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_model_fields_on_a_mean_field_base(self, seed):
-        # scored without fields, the candidates take the model's fields, so
-        # every node whose compensated field in base moved is rebuilt, and
-        # no patch is kept
+        # scored without fields, the candidates take the model's fields;
+        # base's compensated fields are not the model's, so base is dropped,
+        # every row is built, and no patch is kept
         model = random_connected_model(12, seed, j_scale=1.0)
         region = make_region(model, (0, 1, 2, 3), 0)
         base = local_certificate(model, region, localize(model, region, BoundaryMethod.MEAN_FIELD))
@@ -690,7 +690,7 @@ class TestExtendCertificates:
         batch = scorer.score(region.boundary_beta)
         want = rescan_extend_certificates(model, region.alpha, 0, region.boundary_beta, base=base)
         assert_same_batch(batch, want)
-        assert scorer.patches == {}
+        assert scorer.base is None and scorer.patches == {}
         self.assert_fresh(model, region.alpha, batch)
 
     def test_patch_kept_unless_the_accepted_node_changes_it(self):
@@ -920,6 +920,14 @@ class TestCertificate:
             assert err <= cert.bound + 1e-9
 
 
+def certificate_on(memo, model, region, localized):
+    """local_certificate, built by a scorer whose memo is `memo`."""
+    alpha = region.alpha
+    scorer = dobrushin.CandidateScorer(model, alpha[:-1], region.query)
+    scorer.memo = memo
+    return scorer.score(alpha[-1:], [localized.h]).certificate(alpha[-1], localized)
+
+
 class TestCertificateMemo:
     """A memo shared between certificates that differ in one input of a C row
     or a b entry must not hand one certificate's row or entry to the other.
@@ -952,8 +960,8 @@ class TestCertificateMemo:
     )
     def test_one_input_changed_is_a_miss(self, changed):
         memo: dict = {}
-        local_certificate(*self.star(), memo=memo)
-        shared = local_certificate(*self.star(**changed), memo=memo)
+        certificate_on(memo, *self.star())
+        shared = certificate_on(memo, *self.star(**changed))
         fresh = local_certificate(*self.star(**changed))
         assert shared.C.tobytes() == fresh.C.tobytes()
         assert shared.b.tobytes() == fresh.b.tobytes()
@@ -961,9 +969,9 @@ class TestCertificateMemo:
 
     def test_same_inputs_are_looked_up(self):
         memo: dict = {}
-        first = local_certificate(*self.star(), memo=memo)
+        first = certificate_on(memo, *self.star())
         size = len(memo)
-        again = local_certificate(*self.star(), memo=memo)
+        again = certificate_on(memo, *self.star())
         assert len(memo) == size  # every row and entry was found
         assert again.C.tobytes() == first.C.tobytes() and again.bound == first.bound
 
@@ -978,7 +986,7 @@ class TestCertificateMemo:
         for in_alpha in (27, 26):
             region = make_region(model, range(in_alpha + 1), 0)
             with pytest.raises(EnumerationCapError, match="node 0 would enumerate 26 couplings"):
-                local_certificate(model, region, localize(model, region), memo=Planted())
+                certificate_on(Planted(), model, region, localize(model, region))
 
 
 class TestDecayRadius:

@@ -87,6 +87,14 @@ class TestGreedyExpand:
             greedy_expand(chain3, 9)
         with pytest.raises(ValueError, match="K"):
             greedy_expand(chain3, 0, K=0)
+        for K in (16.5, 2.0, True):  # 16.5 grew 17 nodes, True read as 1
+            with pytest.raises(ValueError, match="K must be an integer"):
+                greedy_expand(chain3, 0, K=K)
+        with pytest.raises(ValueError, match="delta must not be NaN"):
+            greedy_expand(chain3, 0, delta=math.nan)
+        assert greedy_expand(chain3, 0, K=np.int64(2), delta=-math.inf).final_alpha == (0, 1)
+        for delta in (math.inf, -math.inf):
+            greedy_expand(chain3, 0, K=3, delta=delta)
 
     def test_k1_returns_query_only(self, chain3):
         trace = greedy_expand(chain3, 1, K=1)
@@ -206,7 +214,8 @@ class TestGreedyExpand:
     )
     def test_trace_certificates_match_fresh(self, n, seed, j_scale, strategy, coarse):
         """Every certificate a trace holds, built with the expansion's memo,
-        equals bit for bit one built afresh on the same alpha without it.
+        equals bit for bit one built afresh on the same alpha with a memo of
+        its own.
         coarse rounds fields and couplings to multiples of 0.5, so different
         nodes share fields and couplings and their memo keys meet."""
         model = random_connected_model(n, seed, j_scale=j_scale)
@@ -470,8 +479,13 @@ class TestCertificateExtension:
                 pass
         self.assert_same(calls)
         extended = [c for c in calls if c[0] is not None]
-        assert len(extended) > len(calls) // 2
-        # the hub, at the cap, sits on the boundary of extended certificates
+        if method is BoundaryMethod.MEAN_FIELD:
+            # mean-field fields are not the model's, so no step has a base
+            assert not extended
+            extended = calls
+        else:
+            assert len(extended) > len(calls) // 2
+        # the hub, at the cap, sits on the boundary of scored certificates
         assert any(hub in region.boundary_alpha for _, region, _, _ in extended)
 
     @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
@@ -496,8 +510,11 @@ class TestCertificateExtension:
         self.assert_same(calls)
         sizes = [(len(region.alpha), base is not None) for base, region, _, _ in calls]
         assert (4, False) in sizes and (4, True) not in sizes  # rebuilt after the raise
-        assert (5, True) in sizes  # and extended again from there
-        assert bases == [True, True, False, True, True]  # reset after the raise
+        if method is BoundaryMethod.MEAN_FIELD:  # no mean-field step has a base
+            assert bases == [False] * 5 and not any(has_base for _, has_base in sizes)
+        else:
+            assert (5, True) in sizes  # and extended again from there
+            assert bases == [True, True, False, True, True]  # reset after the raise
 
     @pytest.mark.parametrize("method", list(BoundaryMethod), ids=lambda m: m.value)
     def test_scorer_equals_the_rescan_at_every_step(self, monkeypatch, method):
@@ -519,7 +536,10 @@ class TestCertificateExtension:
                 if method is BoundaryMethod.DROP_OUT:
                     random_expand(model, query, K=8, seed=query)
                     maxnorm_expand(model, query, K=8)
-        assert sum(bases) > len(bases) // 2
+        if method is BoundaryMethod.MEAN_FIELD:  # no mean-field step has a base
+            assert bases and not any(bases)
+        else:
+            assert sum(bases) > len(bases) // 2
 
     def test_scorer_equals_the_rescan_over_the_cap(self, monkeypatch):
         # hub 0 with 27 leaves and node 28 hanging off leaf 1: once 25 leaves
@@ -545,10 +565,10 @@ class TestCertificateExtension:
         built = []
         real = dobrushin.CandidateScorer._patch
 
-        def counting(scorer, k, moved=(), h_tilde=None):
-            if h_tilde is None and not moved:  # a patch kept across steps
+        def counting(scorer, k, h_tilde=None, every=False):
+            if not every:  # a patch kept across steps
                 built.append((len(scorer.alpha), k))
-            return real(scorer, k, moved, h_tilde)
+            return real(scorer, k, h_tilde, every)
 
         monkeypatch.setattr(dobrushin.CandidateScorer, "_patch", counting)
         trace = greedy_expand(model, spec.query, K=16, delta=-math.inf)

@@ -38,6 +38,28 @@ from localmrf import (
 from localmrf import experiments
 from localmrf.experiments import _fmt, write_manifest
 
+
+def record_pools(monkeypatch):
+    """Replace the experiments' process pool by a serial one that records
+    the max_workers of every pool started; returns that list."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return started
+
 GOLDEN_GRID_SHA = "6a3b8848f3d2727f2119f492c4f45a73b0d8571ececf31f5d1ac6402b2e52395"
 
 
@@ -157,22 +179,7 @@ class TestHeatmap:
             dobrushin_heatmap([1.0], [0.1], trials=0)
 
     def test_workers_capped_at_item_count(self, monkeypatch):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        started = record_pools(monkeypatch)
         serial = dobrushin_heatmap([0.5], [0.2], rows=3, cols=3, trials=2, seed=1)
         pooled = dobrushin_heatmap([0.5], [0.2], rows=3, cols=3, trials=2, seed=1, threads=4096)
         assert started == [2]
@@ -377,6 +384,15 @@ class TestI1Sweep:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             i1_sweep([1.0], trials=0)
 
+    def test_one_pool_per_sweep(self, monkeypatch):
+        started = record_pools(monkeypatch)
+        kwargs = dict(rows=3, cols=3, I2=0.25, K=3, delta=0.005, trials=2, seed=1)
+        serial = i1_sweep([0.0, 1.0, 2.0], **kwargs)
+        assert started == []
+        pooled = i1_sweep([0.0, 1.0, 2.0], threads=2, **kwargs)
+        assert started == [2]
+        assert pooled == serial
+
 
 class TestCitationGraph:
     def test_generator_shape(self):
@@ -454,7 +470,7 @@ class TestCitationGraph:
 
 
 class TestCoraPipeline:
-    def test_small_end_to_end(self, tmp_path):
+    def test_small_end_to_end(self, tmp_path, monkeypatch):
         edges, labels = gen_citation_graph(60, attach=2, seed=1)
         ep, lp = tmp_path / "edges.tsv", tmp_path / "labels.tsv"
         write_edge_file(ep, edges)
@@ -491,3 +507,6 @@ class TestCoraPipeline:
         assert (out / "cora_metrics.csv").exists()
         again = cora_pipeline(spec, i1_values=[0.0, 4.0])
         assert again[1] == table
+        started = record_pools(monkeypatch)  # one pool for every I1 value
+        assert cora_pipeline(spec, i1_values=[0.0, 4.0], threads=2)[1] == table
+        assert started == [2]
