@@ -431,8 +431,9 @@ def i1_sweep(
     res = _parallel_map(_sweep_trial, args, threads)
     table = []
     for i, i1 in enumerate(i1_values):
-        errs = [e for e, _ in res[i * trials : (i + 1) * trials]]
-        bnds = [b for _, b in res[i * trials : (i + 1) * trials]]
+        chunk = res[i * trials : (i + 1) * trials]
+        errs = [e for e, _ in chunk]
+        bnds = [b for _, b in chunk]
         table.append([i1, float(np.mean(errs)), float(np.mean(bnds))])
     header = ["i1", "mean_error", "mean_bound"]
     if out_dir is not None:
@@ -621,7 +622,8 @@ def cora_pipeline(
     table = []
     for i, (i1, model) in enumerate(zip(values, models)):
         state = mean_field(model, seed=int(substream(spec.seed, 4).generate_state(1)[0]))
-        global_lab = np.where(state.m >= 0.0, 1, -1)[queries]
+        global_all = np.where(state.m >= 0.0, 1, -1)
+        global_lab = global_all[queries]
         local_lab = np.array(labels[i * n_q : (i + 1) * n_q])
         acc_gt = float(np.mean(global_lab == truth))
         acc_lt = float(np.mean(local_lab == truth))

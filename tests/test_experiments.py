@@ -60,6 +60,7 @@ def record_pools(monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     return started
 
+
 GOLDEN_GRID_SHA = "6a3b8848f3d2727f2119f492c4f45a73b0d8571ececf31f5d1ac6402b2e52395"
 
 
