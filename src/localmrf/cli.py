@@ -282,28 +282,16 @@ def _cmd_radius(ns) -> int:
 
 def _cmd_query(ns) -> int:
     model = load_model(ns.model)
-    res = query_marginal(
-        model,
-        ns.node,
-        K=ns.k,
-        delta=ns.delta,
-        method=_METHODS[ns.method],
-    )
+    res = query_marginal(model, ns.node, K=ns.k, delta=ns.delta, method=_METHODS[ns.method])
     bound_txt = f"{res.bound:.12g}" if math.isfinite(res.bound) else "unavailable"
+    stop = res.trace.stop_reason.value
     _emit(
         ns,
-        f"p(x_{ns.node} = +1) = {res.marginal:.12g}\n"
-        f"certified error bound = {bound_txt}\n"
-        f"region ({len(res.alpha)} nodes): {list(res.alpha)}\n"
-        f"stop reason: {res.trace.stop_reason.value}",
-        {
-            "node": ns.node,
-            "marginal": res.marginal,
-            "bound": _jsonable(res.bound),
-            "valid": res.valid,
-            "alpha": list(res.alpha),
-            "stop_reason": res.trace.stop_reason.value,
-        },
+        f"p(x_{ns.node} = +1) = {res.marginal:.12g}\ncertified error bound = {bound_txt}\n"
+        f"region ({len(res.alpha)} nodes): {list(res.alpha)}\nstop reason: {stop}",
+        {"node": ns.node, "marginal": res.marginal, "bound": _jsonable(res.bound),
+         "valid": res.valid, "degraded": res.trace.degraded, "alpha": list(res.alpha),
+         "stop_reason": stop},
     )
     return 0
 
@@ -333,14 +321,8 @@ def _cmd_expand(ns) -> int:
 
 def _cmd_heatmap(ns) -> int:
     dobrushin_heatmap(
-        ns.i1,
-        ns.i2,
-        rows=ns.rows,
-        cols=ns.cols,
-        trials=ns.trials,
-        seed=ns.seed,
-        out_dir=ns.out_dir,
-        threads=ns.threads,
+        ns.i1, ns.i2, rows=ns.rows, cols=ns.cols, trials=ns.trials, seed=ns.seed,
+        out_dir=ns.out_dir, threads=ns.threads,
     )
     _emit(
         ns,
@@ -354,12 +336,7 @@ def _cmd_compare(ns) -> int:
     methods = tuple(m for m in ns.methods.split(",") if m)
     spec = GridSpec(ns.rows, ns.cols, ns.i1, ns.i2, ns.seed)
     expansion_comparison(
-        spec,
-        K=ns.k,
-        trials=ns.trials,
-        methods=methods,
-        out_dir=ns.out_dir,
-        threads=ns.threads,
+        spec, K=ns.k, trials=ns.trials, methods=methods, out_dir=ns.out_dir, threads=ns.threads
     )
     _emit(
         ns,
@@ -371,16 +348,8 @@ def _cmd_compare(ns) -> int:
 
 def _cmd_i1_sweep(ns) -> int:
     i1_sweep(
-        ns.i1,
-        rows=ns.rows,
-        cols=ns.cols,
-        I2=ns.i2,
-        K=ns.k,
-        delta=ns.delta,
-        trials=ns.trials,
-        seed=ns.seed,
-        out_dir=ns.out_dir,
-        threads=ns.threads,
+        ns.i1, rows=ns.rows, cols=ns.cols, I2=ns.i2, K=ns.k, delta=ns.delta, trials=ns.trials,
+        seed=ns.seed, out_dir=ns.out_dir, threads=ns.threads,
     )
     _emit(
         ns,
@@ -392,18 +361,9 @@ def _cmd_i1_sweep(ns) -> int:
 
 def _cmd_cora(ns) -> int:
     spec = CoraSpec(
-        edge_file=ns.edges,
-        label_file=ns.labels,
-        positive_label=ns.positive_label,
-        degree_cap=ns.degree_cap,
-        I1=ns.i1[0],
-        j_mean=ns.j_mean,
-        j_spread=ns.j_spread,
-        h_scale=ns.h_scale,
-        seed=ns.seed,
-        n_queries=ns.n_queries,
-        K=ns.k,
-        delta=ns.delta,
+        edge_file=ns.edges, label_file=ns.labels, positive_label=ns.positive_label,
+        degree_cap=ns.degree_cap, I1=ns.i1[0], j_mean=ns.j_mean, j_spread=ns.j_spread,
+        h_scale=ns.h_scale, seed=ns.seed, n_queries=ns.n_queries, K=ns.k, delta=ns.delta,
         spread_is_sd=not ns.spread_is_var,
     )
     cora_pipeline(spec, i1_values=ns.i1, out_dir=ns.out_dir, threads=ns.threads)

@@ -18,12 +18,10 @@ and, for a model nu and its localisation mu agreeing inside alpha,
 where b_j is the worst-case conditional gap between the two models at j.
 So a certificate reads x = D b and never D itself: one solve of
 (I - C) [v x] = [1 b] gives x, and v = D 1 proves rho(C) < 1 when it is
-positive with C v < v (Collatz-Wielandt, C being nonnegative). The
-same geometric-series shape yields a distance form: influence decays like
-c^d, giving a radius that certifies a target accuracy from c alone. The bound
-at distance d has one free parameter t > 1, minimised in closed form at
-t* = 1 + 1/(d(1 - c) - c), and the radius is the smallest integer d whose
-bound is at most the target, found by integer bisection.
+positive with C v < v (Collatz-Wielandt, C being nonnegative). Influence
+also decays like c^d with distance, so a radius certifies a target accuracy
+from c alone; its bound has one free t > 1, minimised in closed form at
+t* = 1 + 1/(d(1 - c) - c), and the radius is found by integer bisection.
 
 Both searches run on one kernel, _nearest_sums: given couplings v_1..v_k and
 a target, it returns the achievable sums s = sum_l (+-v_l) nearest to the
@@ -31,35 +29,27 @@ target from below and from above. A C entry is f at the one of the two sums
 around -2h_i that makes |M| smallest. b_j is the max over alpha-side sums s of
 |sigma(a + s) - sigma(c + s +- t)| (a, c the two fields doubled, t the outside
 coupling mass); each term has one sign and a single extremum in s, at
-s* = -(a + c +- t)/2, so its max over any set of sums lies at the nearest sum
-on one side of s*, and b_j is read off at most four sums. Up to SCALAR_MAX_K
-couplings the kernel lists all 2^k sums in pure Python and bisects them.
-Beyond, it meets in the middle over two halves (Horowitz & Sahni 1974), in
-O(k 2^(k/2)) time and O(2^(k/2)) memory, so a search at ENUMERATION_CAP
-(k <= 25) holds two arrays of at most 8,192 sums instead of 2^25.
+s* = -(a + c +- t)/2, so b_j is read off at most four sums. Up to
+SCALAR_MAX_K couplings the kernel lists all 2^k sums; beyond, it meets in the
+middle over two halves (Horowitz & Sahni 1974), in O(k 2^(k/2)) time and
+O(2^(k/2)) memory.
 
 ENUMERATION_CAP is a constant, not a setting. It bounds the couplings one
 search enumerates: a C entry of node i searches i's other couplings inside
 alpha, and b_j searches j's couplings inside alpha (the outside ones enter
 only through t). _check_enumeration is the one check, made before any memo
-lookup. Since every search runs over couplings inside alpha, a region of at
-most ENUMERATION_CAP + 1 nodes never reaches the cap, whatever the degrees.
+lookup, so a region of at most ENUMERATION_CAP + 1 nodes never reaches it.
 
-CandidateScorer is the one place C and b are assembled, in local order;
-dobrushin_coefficient reads the rows of C for a whole model, in global order.
-Both look rows up through _memo_row, so they read the same bits. Row i of C
-reads only node i's localized field and its couplings inside alpha, and b_j
-only j's fields, couplings and cross sum. So with the model's own fields the
-certificate of alpha + (k,) extends the certificate of alpha (the base): with
-k last in local order, only the rows and entries of k and of k's alpha
-neighbours, k's patch, are recomputed, and every other one is copied. One
-scorer lives for one expansion: it keeps each candidate's patch from step to
-step and rebuilds only the patches the accepted node changes. With any other
-fields (mean field moves them) every row and entry is built. A step's
-candidates all have |alpha| + 1 nodes, so their C matrices stack into one
-(m, n, n) array that influence_matrix solves against the stacked b in one
-call, one LAPACK gesv per slice, so a candidate's bound has the same bits in
-any batch. local_certificate is a batch of one.
+CandidateScorer is the one place C and b are assembled, and
+dobrushin_coefficient reads the rows of C for a whole model; both go through
+_memo_row, so they read the same bits. Row i of C reads only node i's field
+and couplings inside alpha, and b_j only j's fields, inside couplings and t:
+the split the scorer's model.Frontier keeps per node, patched for each
+candidate k. With the model's own fields only k's patch (the rows and entries
+of k and of k's alpha neighbours) moves from the certificate of alpha; with
+mean-field fields every row and entry is built. A step's candidates stack
+into one solve, one LAPACK gesv per slice, so a bound has the same bits in
+any batch.
 """
 from __future__ import annotations
 
@@ -71,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import IsingModel, LocalMRFError, LocalizedModel, Region
+from .model import Candidate, Frontier, IsingModel, LocalMRFError, LocalizedModel, Region
 
 ENUMERATION_CAP = 25
 SCALAR_MAX_K = 8  # _nearest_sums lists all 2^k sums up to here, splits in halves beyond
@@ -106,13 +96,9 @@ def _nearest_sums(values: list[float], targets: tuple[float, ...]) -> list[float
     at or above it (one of them when the target lies outside the range). Each
     sum is added left to right from 0.0, so it carries the bits a full
     enumeration gives its sign pattern, and SCALAR_MAX_K decides only the
-    speed (up to which rounding is returned when two patterns reach one exact
-    sum). Up to SCALAR_MAX_K values all 2^k sums are listed in pure Python
-    and bisected.
-    Beyond, the values are split in two halves whose 2^(k/2) sums are listed
-    with numpy, and for each left sum the sorted right half is searched for
-    its nearest partners (Horowitz & Sahni 1974): time O(k 2^(k/2)), memory
-    O(2^(k/2)), not O(2^k).
+    speed. Up to SCALAR_MAX_K values all 2^k sums are listed and bisected.
+    Beyond, for each sum of the left half the sorted sums of the right half
+    are searched for its nearest partners (Horowitz & Sahni 1974).
     """
     if len(values) <= SCALAR_MAX_K:
         sums = [0.0]
@@ -270,34 +256,25 @@ def _perturbation_entry(
 
 
 def _memo_entry(
-    h_tilde: float,
-    h: float,
-    inside_js: list[float],
-    outside_js: list[float],
-    node: int,
-    memo: dict,
+    h_tilde: float, h: float, inside_js: list[float], t: float, node: int, memo: dict
 ) -> float:
     """b_j at boundary node j = `node`, whose localized field is h_tilde and
-    global field h, with couplings inside_js to its alpha neighbours and
-    outside_js to its other neighbours, each in adjacency order; looked up in
-    memo under every float it reads.
+    global field h, with couplings inside_js to its alpha neighbours in
+    adjacency order and t = 2 sum |J| over its other neighbours (both from
+    j's split); looked up in memo under every float it reads.
 
     The localized conditional at j uses h_tilde and j's alpha neighbours only;
     the full model's also sums j's outside neighbours. An interior node has no
     outside neighbour, so both conditionals agree and its b entry is exactly
     zero. At a boundary node the full conditional is monotone in the outside
     cross sum, so the gap's sup over outside assignments is attained at the
-    extreme cross sums +-t (every outside spin aligned with, or against, its
-    coupling), and only the alpha-side sums are searched. So b_j is a pure
-    function of h_tilde, h_j, the in-alpha couplings in global adjacency
-    order and t.
+    extreme cross sums +-t, and only the alpha-side sums are searched.
 
     Raises EnumerationCapError, before the lookup, when j has more couplings
     inside alpha, the ones searched, than ENUMERATION_CAP.
     """
     alpha_js = tuple([2.0 * x for x in inside_js])
     _check_enumeration(node, len(alpha_js))
-    t = 2.0 * sum(map(abs, outside_js))
     key = ("b", h_tilde, h, alpha_js, t)
     entry = memo.get(key)
     if entry is None:
@@ -377,114 +354,49 @@ class CandidateScorer:
     step after step; the one place C and b are assembled.
 
     For each candidate, C is the interaction matrix of its localized model
-    (localized fields, edges inside alpha + (k,) only), row i in local
-    adjacency order, k last; b compares the two conditionals at the boundary
-    (see _memo_entry), zero inside, where a node is on the boundary when a
-    neighbour lies outside alpha + (k,); the bound is entry `query` of
-    x = (I - C)^-1 b. Everything is read off the global model and the
-    fields, so no region, localization or submodel is built.
+    (localized fields, edges inside alpha + (k,) only), rows in local order,
+    k last; b compares the two conditionals at the boundary (see
+    _memo_entry); the bound is entry `query` of x = (I - C)^-1 b. Every row
+    and entry reads its node's split off `frontier`, the expansion's one
+    frontier state, so no region, localization or submodel is built.
 
-    score takes one of two paths. With the model's own fields and a base,
-    the certificate of alpha with the model's fields (drop-out), base is
-    extended instead of rebuilt: with k last in local order, only the rows
-    of C and the entries of b of k and of k's alpha neighbours can change. A
-    candidate's *patch* holds those rows and entries as flat (row, col,
-    value) lists, with k's index kept as -1 (k is always last), so a patch
-    stays right while alpha grows. A step copies base into every slice of
-    one (m, n + 1, n) stack, b over C, and writes every patch with one
-    fancy-index store. A patch depends only on which neighbours of k and of
-    k's alpha neighbours lie in alpha, so it is kept in `patches` from step
-    to step. accept(k*, ...) drops the patches k* can change: those of the
-    candidates in N(k*) and of the candidates with an alpha neighbour in
-    N(k*). Local indices only grow, so no other input of a patch moves.
-
-    Otherwise (fields given, no base, or a base whose fields are not the
-    model's, which is dropped) every row and entry of every candidate is
-    built, as a certificate from scratch. Either way the stack goes through
-    one influence_matrix call, one LAPACK gesv per slice, so a candidate's
-    bound has the same bits in any batch.
-
-    Each node's couplings are read from J once, in adjacency order, when the
-    node is first needed. memo, the scorer's own, holds the rows of C and
-    the entries of b computed so far, each keyed on every input it reads.
-    Neither base, memo, the patches kept nor the other candidates of a batch
-    change a bit of a candidate's result.
+    With the model's own fields and a base, the drop-out certificate of
+    alpha, base is copied into every slice of one (m, n + 1, n) stack, b over
+    C, and each candidate's *patch*, the rows and entries of k and of k's
+    alpha neighbours as flat (row, col, value) lists with k's index -1, is
+    written over it. A patch depends only on which neighbours of k and of
+    k's alpha neighbours lie in alpha, so `patches` keeps it until accept(k*)
+    drops it: for the candidates in N(k*) and those with an alpha neighbour
+    in N(k*). Otherwise (mean-field fields, or no base on the model's fields)
+    every row and entry is built. memo holds every row and entry computed,
+    keyed on all it reads, so no state changes a bit of any result.
 
     Raises:
         ValueError: base does not certify alpha of model.
     """
 
-    def __init__(
-        self,
-        model: IsingModel,
-        alpha: Sequence[int],
-        query: int,
-        *,
-        base: DobrushinCertificate | None = None,
-    ):
-        self.model = model
-        self.query = query
+    def __init__(self, model: IsingModel, alpha: Sequence[int], query: int, *, base=None):
+        self.model, self.query = model, query
         self.memo: dict = {}
-        self.alpha: tuple[int, ...] = ()
         self.patches: dict[int, tuple | EnumerationCapError] = {}
-        self._nodes: dict[int, tuple[float, tuple[tuple[int, float], ...]]] = {}
+        self.frontier = Frontier(model, query)
+        self.index = self.frontier.index
         self._model_h: list[float] = []  # the model's fields of alpha, in local order
-        self._set_base(tuple(alpha), base)
-        self.index: dict[int, int] = {g: i for i, g in enumerate(self.alpha)}
+        self.base = self._own_base(tuple(alpha), base)
+        for g in alpha:
+            self.frontier.accept(g)
 
-    def _set_base(self, alpha: tuple[int, ...], base: DobrushinCertificate | None) -> None:
-        """Set alpha and base, which must certify alpha; a base whose fields
-        are not the model's is dropped."""
+    @property
+    def alpha(self) -> tuple[int, ...]:
+        return self.frontier.alpha
+
+    def _own_base(self, alpha: tuple[int, ...], base: DobrushinCertificate | None):
+        """base, which must certify alpha, or None if it is None or its
+        fields are not the model's."""
         if base is not None and (base.localized.model, base.localized.alpha) != (self.model, alpha):
             raise ValueError("base must certify alpha of the same model")
-        self._model_h += [self._node(g)[0] for g in alpha[len(self.alpha) :]]
-        if base is not None and base.localized.h.tolist() != self._model_h:
-            base = None
-        self.alpha, self.base = alpha, base
-        if base is None:
-            self.patches.clear()
-
-    def _node(self, g: int) -> tuple[float, tuple[tuple[int, float], ...]]:
-        """(h_g, the (neighbour, coupling) pairs of g in adjacency order)."""
-        node = self._nodes.get(g)
-        if node is None:
-            couplings = self.model.J
-            node = self._nodes[g] = (
-                float(self.model.h[g]),
-                tuple(
-                    (x, couplings[(g, x) if g < x else (x, g)])
-                    for x in self.model.adjacency[g]
-                ),
-            )
-        return node
-
-    def _split(self, g: int, k: int):
-        """(h_g, cols, js, inside, outside) of node g in alpha + (k,): js are
-        g's couplings to its neighbours inside, ordered by their local
-        indices cols, ascending with k's index -1 last; inside and outside
-        hold g's couplings to the neighbours inside and outside, in
-        adjacency order."""
-        index = self.index
-        h_g, pairs = self._node(g)
-        row, inside, outside = [], [], []
-        last = None
-        for x, j in pairs:
-            col = index.get(x)
-            if col is not None:
-                row.append((col, j))
-                inside.append(j)
-            elif x == k:
-                last = j
-                inside.append(j)
-            else:
-                outside.append(j)
-        row.sort()
-        cols = [col for col, _ in row]
-        js = [j for _, j in row]
-        if last is not None:
-            cols.append(-1)
-            js.append(last)
-        return h_g, cols, tuple(js), inside, outside
+        self._model_h += [self.frontier.node(g)[0] for g in alpha[len(self._model_h) :]]
+        return base if base is not None and base.localized.h.tolist() == self._model_h else None
 
     def _patch(self, k: int, h_tilde: list[float] | None = None, every: bool = False):
         """k's patch: the rows of C and entries of b of k's alpha neighbours
@@ -496,26 +408,25 @@ class CandidateScorer:
         takes the model's. Every row is computed before any entry, in local
         order, so the error raised is the one a rebuild raises.
         """
-        alpha = self.alpha
-        k_split = self._split(k, k)
-        redo = range(len(alpha)) if every else k_split[1]  # k's alpha neighbours
-        nodes = [(i, alpha[i], *self._split(alpha[i], k)) for i in redo]
-        nodes.append((-1, k, *k_split))
-        memo = self.memo
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
+        frontier = self.frontier
+        alpha, own = frontier.alpha, frontier.split(k)
+        if every:  # zip stops at alpha, before k's own split
+            nodes = list(zip(range(len(alpha)), alpha, frontier.local_splits(k)))
+        else:  # a patch is built once, so its splits are not kept
+            nodes = [(i, alpha[i], frontier.split_with(alpha[i], k)) for i in own[1]]
+        nodes.append((-1, k, own))
+        memo, rows, cols, vals = self.memo, [], [], []
         try:
-            for i, g, h_g, g_cols, js, _, _ in nodes:
+            for i, g, (h_g, g_cols, js, _, _, _) in nodes:
                 vals += _memo_row(h_g if h_tilde is None else h_tilde[i], js, memo, g)
                 rows += [i + 1 if i >= 0 else -1] * len(g_cols)
                 cols += g_cols
             # a node that left the boundary had k as its last outside neighbour
             vals += [
-                _memo_entry(h_g if h_tilde is None else h_tilde[i], h_g, inside, outside, g, memo)
+                _memo_entry(h_g if h_tilde is None else h_tilde[i], h_g, inside, t, g, memo)
                 if outside
                 else 0.0
-                for i, g, h_g, _, _, inside, outside in nodes
+                for i, g, (h_g, _, _, inside, outside, t) in nodes
             ]
         except EnumerationCapError as exc:
             return exc
@@ -529,15 +440,12 @@ class CandidateScorer:
         """Certificates for the query marginal of alpha + (k,), k in candidates.
 
         fields[i] holds the localized fields of alpha + (candidates[i],) in
-        local order; None takes the model's own fields, as DROP_OUT does.
-        Kept patches are written over base when fields is None and there is
-        a base; otherwise every row and entry is built. A slice that fails
-        its validity test yields valid=False and bound=+inf. A candidate
-        whose row or entry is over ENUMERATION_CAP is recorded in errors,
-        flagged invalid and scores +inf; the others are still certified.
+        local order; None takes the model's own fields, as DROP_OUT does. A
+        slice that fails its validity test, or whose row or entry is over
+        ENUMERATION_CAP (recorded in errors), is invalid and scores +inf.
         """
         candidates = tuple(candidates)
-        m, n = len(candidates), len(self.alpha) + 1
+        m, n = len(candidates), len(self.frontier.alpha) + 1
         # slice i is b of candidate i over its C, so one store writes them
         stack = np.zeros((m, n + 1, n))
         c, b = stack[:, 1:], stack[:, 0]
@@ -556,10 +464,7 @@ class CandidateScorer:
             if fields is not None:
                 h = np.array(fields, dtype=np.float64).reshape(m, n).tolist()
             patches = [self._patch(k, h[ci], every=True) for ci, k in enumerate(candidates)]
-        slices: list[int] = []
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
+        slices, rows, cols, vals = [], [], [], []
         errors: dict[int, EnumerationCapError] = {}
         for ci, (k, patch) in enumerate(zip(candidates, patches)):
             if isinstance(patch, EnumerationCapError):
@@ -580,36 +485,37 @@ class CandidateScorer:
         )
 
     def accept(self, k: int, certificate: DobrushinCertificate | None) -> None:
-        """Grow alpha by k, with certificate, the certificate of alpha + (k,),
-        as the next base; None, or a certificate on fields other than the
-        model's, leaves no base, so the next step builds every row. Drops
-        the patches k changes (see the class docstring).
+        """Accept k into the frontier, with certificate, that of alpha + (k,),
+        as the next base (none if it is None or not on the model's fields),
+        and drop the patches k changes.
 
         Raises:
             ValueError: certificate does not certify alpha + (k,) of model.
         """
-        self._set_base(self.alpha + (k,), certificate)
-        index, patches = self.index, self.patches
+        self.base = self._own_base(self.frontier.alpha + (k,), certificate)
+        index, patches, node = self.index, self.patches, self.frontier.node
+        if self.base is None:
+            patches.clear()
         patches.pop(k, None)
-        for x, _ in self._node(k)[1]:
+        for x, _ in node(k)[1]:
             if x in index:  # x's row gains k in every patch that holds it
-                for y, _ in self._node(x)[1]:
+                for y, _ in node(x)[1]:
                     patches.pop(y, None)
             else:
                 patches.pop(x, None)
-        index[k] = len(index)
+        self.frontier.accept(k)
 
 
 def local_certificate(
-    model: IsingModel, region: Region, localized: LocalizedModel
+    model: IsingModel, region: Region | Candidate, localized: LocalizedModel
 ) -> DobrushinCertificate:
-    """Certificate for the query marginal of a localized model.
+    """Certificate for the query marginal of a localized model, on a Region
+    or a Candidate.
 
     A batch of one: a CandidateScorer on region.alpha[:-1], without base,
     scores its last node with localized.h as that node's fields, so it is
     assembled and solved as an expansion's candidates are. For a region over
-    range(n) with DROP_OUT, local order is global order and there is no
-    boundary, so C is the whole model's interaction matrix.
+    range(n) with DROP_OUT, C is the whole model's interaction matrix.
 
     Raises:
         EnumerationCapError: a row or entry computed here is over

@@ -7,16 +7,14 @@ baselines run the same loop but score only the node their rule picks, and
 always detach alpha by dropping the cross edges, so all three strategies share
 one trace format and one final-certificate rule.
 
-One `CandidateScorer` per expansion scores each step's candidates and stacks
-their C matrices into one solve. Under drop-out a candidate k shares all of
-alpha with the certificate its step accepted, so each candidate's C and b are
-copied from it, and only the rows and entries that k can change, k's patch,
-are written over them; a patch is kept from step to step until the accepted
-node changes it. Under MEAN_FIELD each candidate is grown and localized
-first, for its boundary solve; its fields are not the model's, so every row
-and entry of it is built. Only the chosen node gets a `Region`, a
-localization and a `DobrushinCertificate`. The alpha-only model is built
-when first read, so an unchosen candidate never builds one. Every bound is
+An expansion keeps one state: its `CandidateScorer` and the scorer's
+`Frontier`, which holds alpha and splits each nearby node's couplings into
+inside and outside alpha, updated as each node is accepted. Every step reads
+its candidates, their C and b, their boundary solves and compensated fields
+(MEAN_FIELD) and the maxnorm pick off that state, each candidate k as a
+`Candidate` patched around k; no `Region` is built. Under drop-out each
+candidate's C and b are the accepted certificate's with k's patch written
+over them; under MEAN_FIELD every row and entry is built. Every bound is
 bit-identical to a certificate built from scratch.
 """
 from __future__ import annotations
@@ -37,11 +35,12 @@ from .dobrushin import (
 from .exact import eliminate_marginal
 from .model import (
     BoundaryMethod,
+    Candidate,
+    Frontier,
     IsingModel,
     LocalizedModel,
     MeanFieldDivergence,
     localize,
-    make_region,
 )
 
 
@@ -95,39 +94,35 @@ class ExpansionTrace:
 
     def to_jsonl(self) -> str:
         """One JSON object per step (inf bounds serialised as null)."""
-        lines = []
-        for s in self.steps:
-            lines.append(
-                json.dumps(
-                    {
-                        "candidates": list(s.candidates),
-                        "bounds": {
-                            str(k): (v if math.isfinite(v) else None)
-                            for k, v in s.bounds.items()
-                        },
-                        "chosen": s.chosen,
-                        "best_bound": s.best_bound if math.isfinite(s.best_bound) else None,
-                    },
-                    sort_keys=True,
-                )
+        def finite(v: float) -> float | None:
+            return v if math.isfinite(v) else None
+
+        lines = [
+            json.dumps(
+                {
+                    "candidates": list(s.candidates),
+                    "bounds": {str(k): finite(v) for k, v in s.bounds.items()},
+                    "chosen": s.chosen,
+                    "best_bound": finite(s.best_bound),
+                },
+                sort_keys=True,
             )
+            for s in self.steps
+        ]
         return "\n".join(lines) + "\n" if lines else ""
 
 
-def _maxnorm_choice(
-    model: IsingModel, alpha: tuple[int, ...], candidates: tuple[int, ...]
-) -> int:
+def _maxnorm_choice(frontier: Frontier, candidates: tuple[int, ...]) -> int:
     """argmax over candidates of sum over alpha neighbours of J^2, ties low id.
 
     A square that overflows (|J| above about 1.3e154) scores the candidate
     +inf. `**` raises there where `x * x` would give inf, but the two round
     differently for some x, so `**` is kept for every other score.
     """
-    inside = set(alpha)
     best, best_score = candidates[0], -1.0
     for k in candidates:
         try:
-            score = sum(model.coupling(k, j) ** 2 for j in model.adjacency[k] if j in inside)
+            score = sum(j ** 2 for j in frontier.split(k)[3])
         except OverflowError:
             score = math.inf
         if score > best_score:
@@ -136,10 +131,7 @@ def _maxnorm_choice(
 
 
 def greedy_expand(
-    model: IsingModel,
-    query: int,
-    K: int = 16,
-    delta: float = 0.005,
+    model: IsingModel, query: int, K: int = 16, delta: float = 0.005,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
 ) -> ExpansionTrace:
     """Bound-driven expansion.
@@ -152,14 +144,11 @@ def greedy_expand(
     every candidate is invalid the maxnorm rule picks the node instead and the
     trace is marked degraded.
     """
-    return _expand(model, query, K, delta, method, lambda alpha, cands: cands)
+    return _expand(model, query, K, delta, method, lambda frontier, cands: cands)
 
 
 def random_expand(
-    model: IsingModel,
-    query: int,
-    K: int = 16,
-    seed: int | np.random.Generator = 0,
+    model: IsingModel, query: int, K: int = 16, seed: int | np.random.Generator = 0
 ) -> ExpansionTrace:
     """Uniform random boundary growth; bounds still computed for reporting."""
     rng = (
@@ -169,7 +158,7 @@ def random_expand(
     )
     return _expand(
         model, query, K, -math.inf, BoundaryMethod.DROP_OUT,
-        lambda alpha, cands: [cands[int(rng.integers(len(cands)))]],
+        lambda frontier, cands: [cands[int(rng.integers(len(cands)))]],
     )
 
 
@@ -177,28 +166,26 @@ def maxnorm_expand(model: IsingModel, query: int, K: int = 16) -> ExpansionTrace
     """Strongest-coupling growth: argmax sum of squared couplings into alpha."""
     return _expand(
         model, query, K, -math.inf, BoundaryMethod.DROP_OUT,
-        lambda alpha, cands: [_maxnorm_choice(model, alpha, cands)],
+        lambda frontier, cands: [_maxnorm_choice(frontier, cands)],
     )
 
 
 def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
     """The growth loop every strategy shares.
 
-    to_score(alpha, candidates) names the candidates scored at a step: all of
-    them for greedy, the one its pick rule names for a baseline, which runs
-    with delta=-inf so any finite bound is accepted. When every scored node is
-    invalid, the maxnorm rule picks among them and the trace is degraded.
+    to_score(frontier, candidates) names the candidates scored at a step:
+    all of them for greedy, the one its pick rule names for a baseline, which
+    runs with delta=-inf so any finite bound is accepted. When every scored
+    node is invalid, the maxnorm rule picks among them and the trace is
+    degraded.
 
     The loop starts from the certificate of {query}. One CandidateScorer
-    scores every step's candidates on base, the last certificate that was
-    built, and is told the chosen node and its certificate; only the chosen
-    node gets a region, a localization and a certificate. Under MEAN_FIELD
-    every candidate is localized first, since its fields come from its own
-    boundary solve, and the scorer builds every row and entry; a candidate
-    whose solve stalls scores +inf, and if it is chosen anyway its prefix is
-    localized by DROP_OUT. A prefix whose build raises or whose solve
-    stalled is recorded as _uncertified on that localization and leaves no
-    base, so the next step computes every row and entry.
+    scores every step's candidates on base, the last certificate built, and
+    accepts the chosen node; only the chosen node gets a certificate. Under
+    MEAN_FIELD every candidate is localized first, for its own boundary
+    solve; one whose solve stalls scores +inf, and if chosen anyway its prefix
+    is localized by DROP_OUT. A prefix whose build raises or whose solve
+    stalled is recorded as _uncertified and leaves no base.
 
     Raises:
         ValueError: query out of range, K not an integer >= 1 (bools
@@ -210,29 +197,28 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
     if math.isnan(delta):
         raise ValueError("delta must not be NaN")
-    region = make_region(model, [query], query)
-    best_bound = 1.0
+    scorer = CandidateScorer(model, (), query)
+    frontier, start = scorer.frontier, Candidate(scorer.frontier, query)
     steps: list[ExpansionStep] = []
-    degraded = False
-    stop = StopReason.REACHED_K
+    best_bound, degraded, stop = 1.0, False, StopReason.REACHED_K
     try:
-        base = local_certificate(model, region, localize(model, region, method))
+        base = local_certificate(model, start, localize(model, start, method))
     except MeanFieldDivergence:
         base = None
-    certificates = [base or _uncertified(localize(model, region, BoundaryMethod.DROP_OUT))]
-    scorer = CandidateScorer(model, region.alpha, query, base=base)
-    while len(region.alpha) < K:
-        candidates = region.boundary_beta
+    certificates = [base or _uncertified(localize(model, start, BoundaryMethod.DROP_OUT))]
+    scorer.accept(query, base)
+    while len(frontier.alpha) < K:
+        candidates = tuple(sorted(frontier.beta))
         if not candidates:
             stop = StopReason.BOUNDARY_EMPTY
             break
-        scored = tuple(to_score(region.alpha, candidates))
+        scored = tuple(to_score(frontier, candidates))
         bounds = dict.fromkeys(scored, math.inf)
         locs: dict[int, LocalizedModel] = {}
         if method is BoundaryMethod.MEAN_FIELD:
             for k in scored:
                 try:
-                    locs[k] = localize(model, region.grow(model, k), method)
+                    locs[k] = localize(model, Candidate(frontier, k), method)
                 except MeanFieldDivergence:
                     pass
             ks, fields = tuple(locs), [loc.h for loc in locs.values()]
@@ -244,22 +230,22 @@ def _expand(model, query, K, delta, method, to_score) -> ExpansionTrace:
         if bounds[chosen] < best_bound - delta:
             best_bound = bounds[chosen]
         elif all(math.isinf(b) for b in bounds.values()):
-            chosen = _maxnorm_choice(model, region.alpha, scored)
+            chosen = _maxnorm_choice(frontier, scored)
             degraded = True
         else:
             steps.append(ExpansionStep(candidates, bounds, None, best_bound))
             stop = StopReason.NO_IMPROVEMENT
             break
-        region = region.grow(model, chosen)
         base = None
         if chosen in ks:
-            loc = locs[chosen] if chosen in locs else localize(model, region, method)
+            grown = Candidate(frontier, chosen)
+            loc = locs[chosen] if chosen in locs else localize(model, grown, method)
             try:
                 base = batch.certificate(chosen, loc)
             except EnumerationCapError:
                 pass
         else:  # its boundary solve stalled while it was scored
-            loc = localize(model, region, BoundaryMethod.DROP_OUT)
+            loc = localize(model, Candidate(frontier, chosen), BoundaryMethod.DROP_OUT)
         certificates.append(base or _uncertified(loc))
         scorer.accept(chosen, base)
         steps.append(ExpansionStep(candidates, bounds, chosen, best_bound))
@@ -298,25 +284,22 @@ class QueryResult:
 
 
 def query_marginal(
-    model: IsingModel,
-    query: int,
-    K: int = 16,
-    delta: float = 0.005,
+    model: IsingModel, query: int, K: int = 16, delta: float = 0.005,
     method: BoundaryMethod = BoundaryMethod.DROP_OUT,
 ) -> QueryResult:
     """Greedy-expand around the query and infer exactly on alpha only.
 
     The marginal is the exact marginal of the localized model the final
-    certificate was built on, which is what the certificate's bound covers,
-    so the region is localized once per answer. The answer never touches
-    nodes beyond the expanded region, so its cost is independent of the
-    global graph size.
+    certificate was built on, which is what the certificate's bound covers.
+    The bound is +inf whenever the answer is not valid, a degraded trace's
+    too. The answer never reads nodes beyond the expanded region, so its
+    cost is independent of the global graph size.
     """
     trace = greedy_expand(model, query, K=K, delta=delta, method=method)
     loc = trace.final_certificate.localized
     return QueryResult(
         marginal=eliminate_marginal(loc.submodel, loc.index_of(query)),
-        bound=trace.final_certificate.bound,
+        bound=trace.final_certificate.bound if trace.valid else math.inf,
         valid=trace.valid,
         alpha=trace.final_alpha,
         trace=trace,

@@ -195,15 +195,28 @@ def write_manifest(out_dir, experiment: str, params: dict) -> None:
         f.write("\n")
 
 
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map; serial when threads <= 1. Results are identical
-    either way because each item carries its own named substream. At most one
-    worker per item is started: under fork the pool starts every worker at
-    the first submit."""
+_SHARED: tuple = ()  # what _parallel_map sends each worker once
+
+
+def _share(shared: tuple) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _parallel_map(fn, items, threads: int, shared: tuple = ()):
+    """Order-preserving map; serial when threads <= 1, with identical results
+    since each item carries its own named substream. shared becomes _SHARED
+    in each worker once, so items can name its entries instead of carrying
+    them. At most one worker per item is started."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=min(threads, len(items))) as ex:
+        _share(shared)
+        try:
+            return [fn(it) for it in items]
+        finally:
+            _share(())
+    workers = min(threads, len(items))
+    with ProcessPoolExecutor(workers, initializer=_share, initargs=(shared,)) as ex:
         return list(ex.map(fn, items))
 
 
@@ -588,8 +601,8 @@ def _citation_model(graph: CitationGraph, spec: CoraSpec, i1: float) -> IsingMod
 
 
 def _cora_query(args) -> int:
-    model, q, K, delta = args
-    res = query_marginal(model, q, K=K, delta=delta, method=BoundaryMethod.DROP_OUT)
+    i, q, K, delta = args  # the model is _SHARED[i]
+    res = query_marginal(_SHARED[i], q, K=K, delta=delta, method=BoundaryMethod.DROP_OUT)
     return 1 if res.marginal >= 0.5 else -1
 
 
@@ -617,8 +630,8 @@ def cora_pipeline(
     )
     truth = graph.labels[queries]
     models = [_citation_model(graph, spec, i1) for i1 in values]
-    args = [(model, q, spec.K, spec.delta) for model in models for q in queries]
-    labels = _parallel_map(_cora_query, args, threads)
+    args = [(i, q, spec.K, spec.delta) for i in range(len(models)) for q in queries]
+    labels = _parallel_map(_cora_query, args, threads, tuple(models))
     table = []
     for i, (i1, model) in enumerate(zip(values, models)):
         state = mean_field(model, seed=int(substream(spec.seed, 4).generate_state(1)[0]))
@@ -633,21 +646,10 @@ def cora_pipeline(
         fn = int(np.sum((local_lab == -1) & (global_lab == 1)))
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         table.append([i1, acc_gt, acc_lt, acc_lg, precision, recall, f1])
-    header = [
-        "i1",
-        "acc_global_vs_true",
-        "acc_local_vs_true",
-        "acc_local_vs_global",
-        "precision",
-        "recall",
-        "f1",
-    ]
+    header = ["i1", "acc_global_vs_true", "acc_local_vs_true", "acc_local_vs_global"]
+    header += ["precision", "recall", "f1"]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, "cora_metrics.csv"), header, table)

@@ -11,10 +11,10 @@ The solver's limits are constants that no caller sets: a run stops when no
 mean moves by more than `TOL` in a sweep, or after `MAX_SWEEPS` sweeps, and a
 model that is not a max-norm contraction gets the best of `RESTARTS` starts.
 
-`mean_field` and `boundary_mean_field` share one solve on neighbour lists.
-The boundary solve reads its lists off the global model and builds the
-subproblem as a model only when the variational objective must rank several
-starts.
+`mean_field` and `boundary_mean_field` share one solve on rows of neighbour
+slots. The boundary solve reads its rows off the frontier state of the
+expansion (model.Frontier.layers) and builds the subproblem as a model only
+when the variational objective must rank several starts.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IsingModel, Region, build_model
+from .model import Candidate, IsingModel, Region, build_model
 
 TOL = 1e-8
 MAX_SWEEPS = 1000
@@ -54,26 +54,17 @@ def variational_objective(model: IsingModel, m: np.ndarray) -> float:
         return float(pair + np.dot(model.h, m) + entropy)
 
 
-def _sweeps(
-    nbr_ids: list[list[int]],
-    nbr_js: list[list[float]],
-    h: list[float],
-    m: list[float],
-    tol: float,
-    max_iter: int,
-) -> tuple[int, float, bool]:
-    """Gauss-Seidel sweeps in place; returns (sweeps, last residual, converged).
-
-    h holds Python floats, so a field that overflows gives inf without
-    numpy's overflow warning.
+def _sweeps(rows: list[tuple], m: list[float], tol: float, max_iter: int):
+    """Gauss-Seidel sweeps in place over rows, each (slot, [(slot, J), ...],
+    h, mass), in order; m holds the means by slot. Returns (sweeps, last
+    residual, converged). h is a Python float, so a field that overflows
+    gives inf without numpy's overflow warning.
     """
     tanh = math.tanh
-    rows = [list(zip(ids, js)) for ids, js in zip(nbr_ids, nbr_js)]
-    nodes = list(zip(range(len(m)), rows, h))
     residual = math.inf
     for it in range(1, max_iter + 1):
         residual = 0.0
-        for j, row, s in nodes:
+        for j, row, s, _ in rows:
             for k, jv in row:
                 s += jv * m[k]
             new = tanh(s)
@@ -86,10 +77,13 @@ def _sweeps(
     return max_iter, residual, False
 
 
-def _neighbor_arrays(model: IsingModel) -> tuple[list[list[int]], list[list[float]]]:
-    ids = [list(model.adjacency[i]) for i in range(model.n)]
-    js = [[model.coupling(i, k) for k in ids[i]] for i in range(model.n)]
-    return ids, js
+def _rows(model: IsingModel) -> list[tuple]:
+    """The solve rows of a whole model, slot i for node i (see _sweeps)."""
+    rows = []
+    for i, nbrs in enumerate(model.adjacency):
+        row = [(k, model.coupling(i, k)) for k in nbrs]
+        rows.append((i, row, float(model.h[i]), math.fsum([abs(j) for _, j in row])))
+    return rows
 
 
 def mean_field(model: IsingModel, seed: int = 0) -> MeanFieldState:
@@ -106,29 +100,28 @@ def mean_field(model: IsingModel, seed: int = 0) -> MeanFieldState:
     wins. Each run sweeps until the largest change is at most `TOL`, or
     `MAX_SWEEPS` times.
     """
-    nbr_ids, nbr_js = _neighbor_arrays(model)
-    states = _runs(nbr_ids, nbr_js, model.h, seed)
+    states = _runs(_rows(model), model.n, model.h, seed)
     return states[0] if len(states) == 1 else _best(model, states)
 
 
-def _runs(
-    nbr_ids: list[list[int]], nbr_js: list[list[float]], h: np.ndarray, seed: int
-) -> list[MeanFieldState]:
-    """The runs `mean_field` makes, on neighbour lists (ascending ids) and
-    fields h: one from tanh(h) on a contraction, else `RESTARTS`."""
+def _runs(rows: list[tuple], size: int, h: np.ndarray, seed: int) -> list[MeanFieldState]:
+    """The runs `mean_field` makes on solve rows (see _sweeps) with slots
+    below size and fields h, in row order: one from tanh(h) when every row's
+    |J| mass is below 1 (a contraction), else `RESTARTS`. Each state's m
+    follows the row order."""
     inits: list[np.ndarray] = [np.tanh(h)]
-    if not all(math.fsum(map(abs, js)) < 1.0 for js in nbr_js):
+    if not all(row[3] < 1.0 for row in rows):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         for _ in range(RESTARTS - 1):
             inits.append(rng.uniform(-1.0, 1.0, size=len(h)))
-    fields = h.tolist()
     states = []
     for start in inits:
-        m = start.tolist()
-        iters, residual, converged = _sweeps(nbr_ids, nbr_js, fields, m, TOL, MAX_SWEEPS)
-        states.append(
-            MeanFieldState(m=np.array(m), iterations=iters, residual=residual, converged=converged)
-        )
+        m = [0.0] * size
+        for row, x in zip(rows, start.tolist()):
+            m[row[0]] = x
+        sweeps, residual, converged = _sweeps(rows, m, TOL, MAX_SWEEPS)
+        m = np.array([m[row[0]] for row in rows])
+        states.append(MeanFieldState(m, sweeps, residual, converged))
     return states
 
 
@@ -145,47 +138,41 @@ def _best(model: IsingModel, states: list[MeanFieldState]) -> MeanFieldState:
 
 
 def boundary_mean_field(
-    model: IsingModel, region: Region
+    model: IsingModel, region: Region | Candidate
 ) -> tuple[dict[int, float], MeanFieldState]:
-    """Mean-field means of the outside boundary spins.
+    """Mean-field means of the outside boundary spins of a Region or a
+    Candidate.
 
     The subproblem holds the two boundary layers: variables are
-    boundary_alpha + boundary_beta in ascending id, edges are the cross
-    edges plus the original edges inside each layer (together, every edge of
-    the model between two of them), fields are the original fields. It is
-    solved as `mean_field` solves a model, on neighbour lists read off the
-    model's adjacency; the subproblem model itself, edges in the order
-    above, is built only when the best of several starts is chosen by its
-    objective. Its fields and |J| row sums are finite because the global
-    model's are. The start count follows `mean_field`'s rule; on a
-    contraction it runs one. Either way the certificate stays sound, since b
-    is computed against whatever means were used; the number of starts only
-    decides how tight it is.
+    boundary_alpha + boundary_beta in ascending id, edges are every edge of
+    the model between two of them (the cross edges, then the edges inside
+    each layer), fields are the original fields. It is solved as
+    `mean_field` solves a model, on the rows that the frontier keeps for the
+    layers (Frontier.layers; a Region is read through Candidate.of). The
+    subproblem model itself, edges in the order above, is built only when
+    the best of several starts is chosen by its objective. On a contraction
+    one start runs. Either way the certificate stays sound, since b is
+    computed against whatever means were used.
 
     Returns the means of the boundary_beta nodes and the underlying solver
     state.
     """
-    nodes = sorted(set(region.boundary_alpha) | set(region.boundary_beta))
-    index = {g: i for i, g in enumerate(nodes)}
-    adjacency, couplings = model.adjacency, model.J
-    nbr_ids: list[list[int]] = []
-    nbr_js: list[list[float]] = []
-    for g in nodes:
-        inside = [v for v in adjacency[g] if v in index]
-        nbr_ids.append([index[v] for v in inside])
-        nbr_js.append([couplings[(g, v) if g < v else (v, g)] for v in inside])
-
-    states = _runs(nbr_ids, nbr_js, model.h[nodes], 0)
+    candidate = Candidate.of(model, region)
+    nodes, rows, size = candidate.frontier.layers(candidate.k)
+    states = _runs(rows, size, model.h[nodes], 0)
     if len(states) == 1:
         state = states[0]
     else:
+        region = candidate.frontier.region(candidate.k)
+        index = {g: i for i, g in enumerate(nodes)}
         edges = [(index[j], index[k], jv) for j, k, jv in region.cross_edges]
         for side in (region.boundary_alpha, region.boundary_beta):
             side_set = set(side)
             for u in side:
-                for v in adjacency[u]:
+                for v in model.adjacency[u]:
                     if v in side_set and u < v:
-                        edges.append((index[u], index[v], couplings[(u, v)]))
+                        edges.append((index[u], index[v], model.J[(u, v)]))
         state = _best(build_model(edges, model.h[nodes]), states)
-    means = {k: float(state.m[index[k]]) for k in region.boundary_beta}
+    inside, k = candidate.frontier.index, candidate.k
+    means = {g: m for g, m in zip(nodes, state.m.tolist()) if g not in inside and g != k}
     return means, state

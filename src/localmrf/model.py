@@ -4,13 +4,15 @@ A model is a pairwise binary MRF over spins x_i in {-1, +1}:
 
     p(x) proportional to exp( sum_{(i,j) in E} J_ij x_i x_j + sum_i h_i x_i )
 
-`Region` splits the nodes into a small set alpha around a query node and the
-rest (beta); `Region.grow` adds one node, and `make_region` is that growth from
-the empty region. `localize` replaces the global model with a model on alpha
-only, either by deleting the alpha-beta edges outright (DROP_OUT) or by
-additionally folding a mean-field estimate of the boundary spins into the
-fields of alpha's boundary nodes (MEAN_FIELD). It computes the fields; the
-alpha-only `IsingModel` is built when it is first read.
+A `Frontier` holds one growing set alpha around a query node and splits each
+nearby node's couplings into inside and outside alpha, once, updating the
+split as nodes are accepted; a `Candidate` reads alpha + (k,) off it without
+accepting k. `Region` is the value of a split (boundaries and cross edges),
+and `make_region` grows a frontier to build one. `localize` replaces the
+global model with a model on alpha only, either by deleting the alpha-beta
+edges outright (DROP_OUT) or by additionally folding a mean-field estimate of
+the boundary spins into the fields of alpha's boundary nodes (MEAN_FIELD). It
+computes the fields; the alpha-only `IsingModel` is built when first read.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from numbers import Integral, Real
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -274,7 +276,7 @@ def connected_components(model: IsingModel) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Region:
-    """A query-centred node split.
+    """A query-centred node split, as a value; `Frontier.region` builds it.
 
     alpha is an ordered node tuple containing the query. boundary_alpha are the
     alpha nodes with at least one neighbour outside alpha; boundary_beta are the
@@ -288,29 +290,9 @@ class Region:
     boundary_beta: tuple[int, ...]
     cross_edges: tuple[tuple[int, int, float], ...]
 
-    def grow(self, model: IsingModel, k: int) -> "Region":
-        """The region of alpha + (k,), k not in alpha.
-
-        The cross edges that end at k go inside, k's edges to nodes outside the
-        new alpha are appended in ascending neighbour id, and both boundaries
-        are the sorted endpoint sets of the cross edges, so the result equals a
-        region built from alpha + (k,) at once. k is not validated.
-        """
-        alpha = self.alpha + (k,)
-        inside = set(alpha)
-        cross = [e for e in self.cross_edges if e[1] != k]
-        cross += [(k, v, model.coupling(k, v)) for v in model.adjacency[k] if v not in inside]
-        return Region(
-            query=self.query,
-            alpha=alpha,
-            boundary_alpha=tuple(sorted({j for j, _, _ in cross})),
-            boundary_beta=tuple(sorted({v for _, v, _ in cross})),
-            cross_edges=tuple(cross),
-        )
-
 
 def make_region(model: IsingModel, alpha: Sequence[int], query: int) -> Region:
-    """Validate alpha and the query, then grow the empty region node by node."""
+    """Validate alpha and the query, then grow a Frontier node by node."""
     alpha_t = tuple(int(a) for a in alpha)
     alpha_set = set(alpha_t)
     if len(alpha_set) != len(alpha_t):
@@ -320,12 +302,190 @@ def make_region(model: IsingModel, alpha: Sequence[int], query: int) -> Region:
     for a in alpha_t:
         if not (0 <= a < model.n):
             raise RegionError(f"alpha node {a} out of range")
-    region = Region(
-        query=int(query), alpha=(), boundary_alpha=(), boundary_beta=(), cross_edges=()
-    )
+    frontier = Frontier(model, int(query))
     for a in alpha_t:
-        region = region.grow(model, a)
-    return region
+        frontier.accept(a)
+    return frontier.region()
+
+
+class Frontier:
+    """One growing alpha, and the split of its nodes' couplings into inside
+    and outside alpha: the one place that split is worked out.
+
+    A node's split by alpha, or by alpha + (k,), is (h, cols, js, inside,
+    outside, t): its field; the local indices of its neighbours inside,
+    ascending with k's as -1 last, and js their couplings in that order; its
+    couplings inside and its (neighbour, J) pairs outside, each in adjacency
+    order; and t = 2 sum |J| over outside. split(g) keeps g's split by alpha,
+    grown(k) the splits by alpha + (k,) of k and of k's alpha neighbours, the
+    only ones k changes, and layers(k) patches the solve rows around k.
+    accept(k) drops the splits of k's neighbours and rebuilds the rows next
+    to the nodes k moves into or out of the layers. J is read once per node."""
+
+    def __init__(self, model: IsingModel, query: int):
+        self.model, self.query = model, query
+        self.alpha: tuple[int, ...] = ()
+        self.index: dict[int, int] = {}  # alpha node -> local index
+        self.beta: set[int] = set()  # the outside nodes adjacent to alpha
+        self._nodes: dict[int, tuple[float, tuple[tuple[int, float], ...]]] = {}
+        self._splits: dict[int, tuple] = {}  # by alpha
+        self._grown: dict[int, tuple[tuple, dict[int, tuple]]] = {}  # per candidate
+        self._layer: set[int] | None = None  # alpha's two layers, once a solve asks
+        self._rows: dict[int, tuple] = {}  # node of _layer -> its solve row
+        self._slots: dict[int, int] = {}  # node -> its place in a solve's means
+
+    def node(self, g: int) -> tuple[float, tuple[tuple[int, float], ...]]:
+        """(h_g, the (neighbour, coupling) pairs of g in adjacency order)."""
+        node = self._nodes.get(g)
+        if node is None:
+            J, adjacency = self.model.J, self.model.adjacency
+            pairs = tuple((x, J[(g, x) if g < x else (x, g)]) for x in adjacency[g])
+            node = self._nodes[g] = (float(self.model.h[g]), pairs)
+        return node
+
+    def split_with(self, g: int, k: int | None = None) -> tuple:
+        """g's split by alpha + (k,), or by alpha when k is None, not kept."""
+        index = self.index
+        h, pairs = self.node(g)
+        row, inside, outside, outside_js = [], [], [], []
+        last = None
+        for pair in pairs:
+            x, j = pair
+            col = index.get(x)
+            if col is not None:
+                row.append((col, j))
+                inside.append(j)
+            elif x == k:
+                last = j
+                inside.append(j)
+            else:
+                outside.append(pair)
+                outside_js.append(j)
+        row.sort()
+        cols = [col for col, _ in row]
+        js = [j for _, j in row]
+        if last is not None:
+            cols.append(-1)
+            js.append(last)
+        return h, cols, tuple(js), inside, outside, 2.0 * sum(map(abs, outside_js))
+
+    def split(self, g: int) -> tuple:
+        """g's split by alpha."""
+        split = self._splits.get(g)
+        if split is None:
+            split = self._splits[g] = self.split_with(g)
+        return split
+
+    def grown(self, k: int) -> tuple[tuple, dict[int, tuple]]:
+        """(k's split, {g: g's split by alpha + (k,)} over k's alpha
+        neighbours g), for k outside alpha."""
+        grown = self._grown.get(k)
+        if grown is None:
+            own, alpha = self._splits.get(k) or self.split(k), self.alpha
+            grown = self._grown[k] = own, {alpha[i]: self.split_with(alpha[i], k) for i in own[1]}
+        return grown
+
+    def local_splits(self, k: int) -> list[tuple]:
+        """The splits by alpha + (k,) of its nodes, in local order."""
+        own, near = self.grown(k)
+        return [near.get(g) or self.split(g) for g in self.alpha] + [own]
+
+    def region(self, k: int | None = None) -> Region:
+        """The Region of alpha + (k,), or of alpha when k is None."""
+        alpha = self.alpha if k is None else self.alpha + (k,)
+        splits = map(self.split, alpha) if k is None else self.local_splits(k)
+        cross = tuple((g, x, j) for g, split in zip(alpha, splits) for x, j in split[4])
+        return Region(
+            query=self.query,
+            alpha=alpha,
+            boundary_alpha=tuple(sorted({g for g, _, _ in cross})),
+            boundary_beta=tuple(sorted({x for _, x, _ in cross})),
+            cross_edges=cross,
+        )
+
+    def _flips(self, k: int) -> list[int]:
+        """The nodes that enter or leave the two boundary layers with k."""
+        layer, (own, near) = self._layer, self.grown(k)
+        flips = [g for g, split in near.items() if not split[4]]
+        if bool(own[4]) != (k in layer):
+            flips.append(k)
+        return flips + [x for x, _ in own[4] if x not in layer]
+
+    def _row(self, u: int, layer: set[int]) -> tuple:
+        slots = self._slots
+        h, pairs = self.node(u)
+        nbrs = [(slots.setdefault(x, len(slots)), j) for x, j in pairs if x in layer]
+        return slots.setdefault(u, len(slots)), nbrs, h, math.fsum([abs(j) for _, j in nbrs])
+
+    def _touched(self, nodes: list[int]) -> set[int]:
+        return set(nodes).union(*[[x for x, _ in self.node(u)[1]] for u in nodes])
+
+    def layers(self, k: int) -> tuple[list[int], list[tuple], int]:
+        """(nodes, rows, size) of the two boundary layers of alpha + (k,),
+        for its mean-field solve: nodes ascend, and rows[i] is nodes[i]'s
+        (slot, [(slot, J) of its layer neighbours, ascending], h, fsum of
+        their |J|), every slot below size. Only rows next to a node that k
+        moves in or out of alpha's layers are built for k."""
+        if self._layer is None:
+            self._layer = {g for g in self.alpha if self.split(g)[4]} | self.beta
+            self._rows = {u: self._row(u, self._layer) for u in self._layer}
+        flips = self._flips(k)
+        new, rows = self._layer.symmetric_difference(flips), self._rows
+        if flips:
+            rows = {**rows, **{u: self._row(u, new) for u in self._touched(flips) if u in new}}
+        nodes = sorted(new)
+        return nodes, [rows[u] for u in nodes], len(self._slots)
+
+    def accept(self, k: int) -> None:
+        """Add k, not in alpha, to alpha."""
+        if self._layer is not None:
+            layer, flips = self._layer, self._flips(k)
+            layer.symmetric_difference_update(flips)
+            for u in self._touched(flips):
+                if u in layer:
+                    self._rows[u] = self._row(u, layer)
+                else:
+                    self._rows.pop(u, None)
+        self.index[k] = len(self.alpha)
+        self.alpha += (k,)
+        self.beta.discard(k)
+        for x, _ in self.node(k)[1]:
+            self._splits.pop(x, None)  # split again when next asked
+            if x not in self.index:
+                self.beta.add(x)
+        self._grown.clear()
+
+
+class Candidate(NamedTuple):
+    """alpha + (k,) of a frontier, read off its state; valid until the
+    frontier accepts a node. It reads as a Region: query and alpha directly,
+    the three boundary fields through frontier.region(k)."""
+
+    frontier: Frontier
+    k: int
+
+    @property
+    def query(self) -> int:
+        return self.frontier.query
+
+    @property
+    def alpha(self) -> tuple[int, ...]:
+        return self.frontier.alpha + (self.k,)
+
+    def __getattr__(self, name: str):
+        if name not in ("boundary_alpha", "boundary_beta", "cross_edges"):
+            raise AttributeError(name)
+        return getattr(self.frontier.region(self.k), name)
+
+    @staticmethod
+    def of(model: IsingModel, region: Region | Candidate) -> Candidate:
+        """region itself, or a Region's last node on a frontier of the rest."""
+        if isinstance(region, Candidate):
+            return region
+        frontier = Frontier(model, region.query)
+        for g in region.alpha[:-1]:
+            frontier.accept(g)
+        return Candidate(frontier, region.alpha[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,36 +534,38 @@ class LocalizedModel:
 
 
 def localize(
-    model: IsingModel,
-    region: Region,
-    method: BoundaryMethod = BoundaryMethod.DROP_OUT,
+    model: IsingModel, region: Region | Candidate, method: BoundaryMethod = BoundaryMethod.DROP_OUT
 ) -> LocalizedModel:
     """Localize a region: alpha and its fields (the submodel is built lazily).
 
     DROP_OUT deletes cross edges and keeps fields. MEAN_FIELD additionally adds
-    sum_k J_jk m_k to each boundary node j, with m the boundary mean-field
-    estimate of the adjacent outside spins.
+    sum_k J_jk m_k to each boundary node j, over j's outside neighbours k in
+    adjacency order (its split), with m the boundary mean-field estimate of
+    the adjacent outside spins; a Region is read through Candidate.of.
 
     Raises:
         MeanFieldDivergence: the boundary solve missed its tolerance.
         ModelError: a compensated field is not finite.
     """
-    h_tilde = model.h[list(region.alpha)]
-    if method is BoundaryMethod.MEAN_FIELD:
-        from .meanfield import boundary_mean_field
+    alpha = region.alpha
+    if method is not BoundaryMethod.MEAN_FIELD:
+        return LocalizedModel(alpha=alpha, h=model.h[list(alpha)], model=model)
+    from .meanfield import boundary_mean_field
 
-        means, state = boundary_mean_field(model, region)
-        if not state.converged:
-            raise MeanFieldDivergence(
-                f"boundary mean field stalled at residual {state.residual:.3e}",
-                residual=state.residual,
-            )
-        index = {g: i for i, g in enumerate(region.alpha)}
-        fields = h_tilde.tolist()  # Python floats: an overflow is inf, named below
-        for j, k, jv in region.cross_edges:
-            fields[index[j]] += jv * means[k]
-        h_tilde = np.array(fields)
-        if not np.all(np.isfinite(h_tilde)):
-            bad = int(np.flatnonzero(~np.isfinite(h_tilde))[0])
-            raise ModelError(f"non-finite field h[{bad}]={h_tilde[bad]}")
-    return LocalizedModel(alpha=region.alpha, h=h_tilde, model=model)
+    candidate = Candidate.of(model, region)
+    means, state = boundary_mean_field(model, candidate)
+    if not state.converged:
+        raise MeanFieldDivergence(
+            f"boundary mean field stalled at residual {state.residual:.3e}",
+            residual=state.residual,
+        )
+    fields = []  # Python floats: an overflow is inf, named below
+    for h, _, _, _, outside, _ in candidate.frontier.local_splits(candidate.k):
+        for x, j in outside:
+            h += j * means[x]
+        fields.append(h)
+    h_tilde = np.array(fields)
+    if not np.all(np.isfinite(h_tilde)):
+        bad = int(np.flatnonzero(~np.isfinite(h_tilde))[0])
+        raise ModelError(f"non-finite field h[{bad}]={h_tilde[bad]}")
+    return LocalizedModel(alpha=alpha, h=h_tilde, model=model)

@@ -20,7 +20,7 @@ from localmrf import (
     write_label_file,
 )
 from localmrf.cli import _HANDLERS, run
-from conftest import chain_model, overflowing_model
+from conftest import chain_model, overflowing_model, random_connected_model
 from test_same_answers import citation_model
 
 
@@ -229,6 +229,19 @@ class TestQuery:
         assert code == 0
         payload = _json_out(capsys)
         assert payload["bound"] is None and payload["valid"] is False
+
+    def test_degraded_query_reports_no_bound(self, tmp_path, capsys):
+        # a degraded trace whose final certificate is valid: the answer is
+        # not, so neither output may show the certificate's finite bound
+        path = tmp_path / "degraded.json"
+        save_model(random_connected_model(12, 207, j_scale=4.0), path)
+        args = ["query", "--model", str(path), "--node", "0", "--k", "8", "--delta=-inf"]
+        assert run(args + ["--method", "meanfield", "--json"]) == 0
+        payload = _json_out(capsys)
+        assert payload["degraded"] is True and payload["valid"] is False
+        assert payload["bound"] is None
+        assert run(args + ["--method", "meanfield"]) == 0
+        assert "certified error bound = unavailable" in capsys.readouterr().out
 
     def test_nan_delta_exits_one(self, chain_file, capsys):
         # a NaN delta compares false with every bound, so growth stopped

@@ -561,7 +561,12 @@ def rescan_extend_certificates(model, alpha, query, candidates, fields=None, *, 
             for i, g, inside_js, outside_js in split:
                 b_k[i] = (
                     dobrushin._memo_entry(
-                        h_tilde[i], float(model.h[g]), inside_js, outside_js, g, memo
+                        h_tilde[i],
+                        float(model.h[g]),
+                        tuple(inside_js),
+                        2.0 * sum(map(abs, outside_js)),
+                        g,
+                        memo,
                     )
                     if outside_js
                     else 0.0
@@ -675,7 +680,7 @@ class TestExtendCertificates:
                     assert one.b[0].tobytes() == batch.b[i].tobytes()
                     assert one.bounds[0].hex() == batch.bounds[i].hex()
                     assert one.valid[0] == batch.valid[i]
-            region = region.grow(model, ks[0])
+            region = make_region(model, alpha + (ks[0],), 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_model_fields_on_a_mean_field_base(self, seed):
@@ -706,7 +711,7 @@ class TestExtendCertificates:
         batch = scorer.score(region.boundary_beta)
         before = dict(scorer.patches)
         assert set(before) == set(region.boundary_beta)
-        region = region.grow(model, 6)
+        region = make_region(model, alpha + (6,), 12)
         scorer.accept(6, batch.certificate(6, localize(model, region)))
         assert 6 not in scorer.patches and 7 not in scorer.patches  # k*, and k*'s neighbour
         assert 16 not in scorer.patches and 10 not in scorer.patches  # an alpha neighbour in N(6)
@@ -727,7 +732,7 @@ class TestExtendCertificates:
         with pytest.raises(ValueError, match="base must certify"):
             scorer.accept(1, wrong)
         assert scorer.alpha == (0,)
-        grown = region.grow(chain3, 1)
+        grown = make_region(chain3, (0, 1), 0)
         scorer.accept(1, batch.certificate(1, localize(chain3, grown)))
         assert scorer.alpha == (0, 1) and scorer.index == {0: 0, 1: 1}
         assert_same_batch(

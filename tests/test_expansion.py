@@ -821,6 +821,15 @@ class TestQueryMarginal:
         # accepted certificates nor the answer localize again
         assert len(solves) == 1 + sum(len(s.bounds) for s in res.trace.steps)
 
+    def test_degraded_answer_reports_inf_bound(self):
+        # the last steps are maxnorm picks, and the final certificate is
+        # valid with a finite bound; the answer is degraded, so it is not
+        model = random_connected_model(12, 207, j_scale=4.0)
+        res = query_marginal(model, 0, K=8, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD)
+        assert res.trace.degraded and res.trace.final_certificate.valid
+        assert math.isfinite(res.trace.final_certificate.bound)
+        assert not res.valid and res.bound == math.inf
+
     def test_invalid_region_reports_inf_bound(self, frustrated_star=None):
         m = build_model(
             [(0, 1, 0.1), (1, 2, 2.0), (1, 3, 2.0), (2, 3, 2.0)],

@@ -11,6 +11,7 @@ from localmrf import (
     BoundaryMethod,
     CoraSpec,
     GridSpec,
+    IsingModel,
     ModelError,
     build_model,
     cora_pipeline,
@@ -41,12 +42,15 @@ from localmrf.experiments import _fmt, write_manifest
 
 def record_pools(monkeypatch):
     """Replace the experiments' process pool by a serial one that records
-    the max_workers of every pool started; returns that list."""
+    the max_workers of every pool started, and runs its initializer as each
+    worker would; returns that list."""
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -511,3 +515,30 @@ class TestCoraPipeline:
         started = record_pools(monkeypatch)  # one pool for every I1 value
         assert cora_pipeline(spec, i1_values=[0.0, 4.0], threads=2)[1] == table
         assert started == [2]
+
+    def test_pool_gets_each_model_once(self, tmp_path, monkeypatch):
+        """Items name their model and query only; each worker receives the
+        models once, and the CSV is byte-identical with two workers."""
+        edges, labels = gen_citation_graph(60, attach=2, seed=2)
+        ep, lp = tmp_path / "edges.tsv", tmp_path / "labels.tsv"
+        write_edge_file(ep, edges)
+        write_label_file(lp, {i: int(l) for i, l in enumerate(labels)})
+        spec = CoraSpec(str(ep), str(lp), positive_label="1", n_queries=10, K=4, seed=0)
+        real, mapped = experiments._parallel_map, []
+
+        def recording(fn, items, threads, shared=()):
+            items = list(items)
+            mapped.append((items, shared))
+            return real(fn, items, threads, shared)
+
+        monkeypatch.setattr(experiments, "_parallel_map", recording)
+        csv = {}
+        for threads in (1, 2):
+            cora_pipeline(spec, i1_values=[0.0, 2.0], out_dir=tmp_path / str(threads), threads=threads)
+            csv[threads] = (tmp_path / str(threads) / "cora_metrics.csv").read_bytes()
+        assert csv[1] == csv[2]
+        for items, shared in mapped:
+            assert len(items) == 20 and len(shared) == 2
+            assert not any(isinstance(x, IsingModel) for item in items for x in item)
+            assert all(isinstance(model, IsingModel) for model in shared)
+        assert experiments._SHARED == ()  # the serial run lets the models go

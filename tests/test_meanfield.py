@@ -26,9 +26,8 @@ from conftest import chain_model, random_connected_model
 
 def sweep(model, start, tol, max_iter):
     """The private sweep kernel from `start`: (means, sweeps, residual, converged)."""
-    ids, js = meanfield._neighbor_arrays(model)
     m = [float(x) for x in start]
-    iters, residual, converged = meanfield._sweeps(ids, js, model.h.tolist(), m, tol, max_iter)
+    iters, residual, converged = meanfield._sweeps(meanfield._rows(model), m, tol, max_iter)
     return np.array(m), iters, residual, converged
 
 

@@ -27,6 +27,7 @@ from localmrf import (
     read_labels,
     save_model,
 )
+from test_frontier import grown_reference
 from conftest import chain_model, random_connected_model, sigmoid
 
 
@@ -206,7 +207,7 @@ class TestRegion:
         assert r.boundary_alpha == tuple(sorted({j for j, _, _ in cross}))
         assert r.boundary_beta == tuple(sorted({k for _, k, _ in cross}))
         if len(alpha) > 1:
-            assert make_region(m, alpha[:-1], alpha[0]).grow(m, alpha[-1]) == r
+            assert grown_reference(m, make_region(m, alpha[:-1], alpha[0]), alpha[-1]) == r
 
 
 class TestLocalize:
@@ -236,7 +237,7 @@ class TestLocalize:
         real = meanfield._sweeps
         monkeypatch.setattr(
             meanfield, "_sweeps",
-            lambda ids, js, h, m, tol, max_iter: real(ids, js, h, m, 1e-30, 1),
+            lambda rows, m, tol, max_iter: real(rows, m, 1e-30, 1),
         )
         r = make_region(chain3_mf, [0, 1], 0)
         with pytest.raises(MeanFieldDivergence) as exc:
