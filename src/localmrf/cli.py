@@ -182,18 +182,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and turn its entries into leading defaults.
+    """Pull --config PATH or --config=PATH, before or after the subcommand,
+    out of argv and turn its entries into leading defaults.
 
     Injected flags go right after the subcommand so later explicit flags
     override them (argparse keeps the last occurrence).
     """
-    if "--config" not in argv:
+    at = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+    _, joined, path = argv[at].partition("=")
+    if not joined:  # the path is the next argument
+        path = argv[at + 1] if at + 1 < len(argv) else ""
+    if not path:
         parser.error("--config needs a path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2 :]
+    rest = argv[:at] + argv[at + (1 if joined else 2) :]
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)

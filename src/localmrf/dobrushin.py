@@ -23,33 +23,39 @@ also decays like c^d with distance, so a radius certifies a target accuracy
 from c alone; its bound has one free t > 1, minimised in closed form at
 t* = 1 + 1/(d(1 - c) - c), and the radius is found by integer bisection.
 
-Both searches run on one kernel, _nearest_sums: given couplings v_1..v_k and
-a target, it returns the achievable sums s = sum_l (+-v_l) nearest to the
-target from below and from above. A C entry is f at the one of the two sums
-around -2h_i that makes |M| smallest. b_j is the max over alpha-side sums s of
+Each search splits into a part that reads no field and a readout that does.
+The first is the sorted list of all 2^k signed sums s = sum_l (+-v_l) of a
+coupling tuple v_1..v_k, each added left to right from 0.0 (_signed_sums, the
+one enumeration); a scorer builds it once per tuple and keeps it in its memo.
+The readout bisects it for the sums nearest a target from below and from
+above: a C entry is f at the one of the two sums around -2h_i that makes |M|
+smallest (_interaction_row). b_j is the max over alpha-side sums s of
 |sigma(a + s) - sigma(c + s +- t)| (a, c the two fields doubled, t the outside
 coupling mass); each term has one sign and a single extremum in s, at
-s* = -(a + c +- t)/2, so b_j is read off at most four sums. Up to
-SCALAR_MAX_K couplings the kernel lists all 2^k sums; beyond, it meets in the
-middle over two halves (Horowitz & Sahni 1974), in O(k 2^(k/2)) time and
-O(2^(k/2)) memory.
+s* = -(a + c +- t)/2, so b_j is read off at most four sums
+(_perturbation_entry). Both readouts write the sigmoids out with math.exp.
+Beyond SCALAR_MAX_K couplings no list is kept: _nearest_sums meets in the
+middle over two halves on every call (Horowitz & Sahni 1974), in
+O(k 2^(k/2)) time and O(2^(k/2)) memory.
 
 ENUMERATION_CAP is a constant, not a setting. It bounds the couplings one
 search enumerates: a C entry of node i searches i's other couplings inside
 alpha, and b_j searches j's couplings inside alpha (the outside ones enter
 only through t). _check_enumeration is the one check, made before any memo
-lookup, so a region of at most ENUMERATION_CAP + 1 nodes never reaches it.
+lookup, the sums' included, so a region of at most ENUMERATION_CAP + 1 nodes
+never reaches it.
 
 CandidateScorer is the one place C and b are assembled, and
 dobrushin_coefficient reads the rows of C for a whole model; both go through
-_memo_row, so they read the same bits. Row i of C reads only node i's field
-and couplings inside alpha, and b_j only j's fields, inside couplings and t:
-the split the scorer's model.Frontier keeps per node, patched for each
-candidate k. With the model's own fields only k's patch (the rows and entries
-of k and of k's alpha neighbours) moves from the certificate of alpha; with
-mean-field fields every row and entry is built. A step's candidates stack
-into one solve, one LAPACK gesv per slice, so a bound has the same bits in
-any batch.
+_memo_row at the model's own fields, so they read the same bits. Row i of C
+reads only node i's field and couplings inside alpha, and b_j only j's
+fields, inside couplings and t: the split the scorer's model.Frontier keeps
+per node, patched for each candidate k. With the model's own fields only k's
+patch (the rows and entries of k and of k's alpha neighbours) moves from the
+certificate of alpha; with mean-field fields every row and entry is built,
+and one at a compensated field, which no other candidate shares, is read off
+the kept sums and never stored. A step's candidates stack into one solve, one
+LAPACK gesv per slice, so a bound has the same bits in any batch.
 """
 from __future__ import annotations
 
@@ -64,7 +70,7 @@ import numpy as np
 from .model import Candidate, Frontier, IsingModel, LocalMRFError, LocalizedModel, Region
 
 ENUMERATION_CAP = 25
-SCALAR_MAX_K = 8  # _nearest_sums lists all 2^k sums up to here, splits in halves beyond
+SCALAR_MAX_K = 8  # all 2^k sums are listed up to here, split in halves beyond
 _T_LOW = 1e-6  # the decay bound's t is clamped to [1 + _T_LOW, _T_HIGH]
 _T_HIGH = 1e4
 
@@ -89,22 +95,30 @@ def conditional_gap(m: float, j: float) -> float:
     return abs(_sigmoid(-(m + 2.0 * j)) - _sigmoid(-(m - 2.0 * j)))
 
 
-def _nearest_sums(values: list[float], targets: tuple[float, ...]) -> list[float]:
+def _signed_sums(values: Sequence[float]) -> list[float]:
+    """All 2^k signed sums sum_l (+-values_l), each added left to right from
+    0.0, sorted: the one full enumeration, for at most SCALAR_MAX_K values."""
+    sums = [0.0]
+    for v in values:
+        sums = [s - v for s in sums] + [s + v for s in sums]
+    sums.sort()
+    return sums
+
+
+def _nearest_sums(values: Sequence[float], targets: tuple[float, ...]) -> list[float]:
     """Achievable signed sums sum_l (+-values_l) nearest to each target.
 
     For every target it returns the largest sum below it and the smallest sum
     at or above it (one of them when the target lies outside the range). Each
     sum is added left to right from 0.0, so it carries the bits a full
     enumeration gives its sign pattern, and SCALAR_MAX_K decides only the
-    speed. Up to SCALAR_MAX_K values all 2^k sums are listed and bisected.
+    speed. Up to SCALAR_MAX_K values the sorted list of _signed_sums is
+    bisected (the readouts bisect the list a scorer keeps in its memo).
     Beyond, for each sum of the left half the sorted sums of the right half
     are searched for its nearest partners (Horowitz & Sahni 1974).
     """
     if len(values) <= SCALAR_MAX_K:
-        sums = [0.0]
-        for v in values:
-            sums = [s - v for s in sums] + [s + v for s in sums]
-        sums.sort()
+        sums = _signed_sums(values)
         nearest = []
         for target in targets:
             i = bisect_left(sums, target)
@@ -141,15 +155,70 @@ def _min_abs_offset_sum(values: list[float], offset: float) -> float:
     return min([abs(offset + s) for s in _nearest_sums(values, (-offset,))])
 
 
-def _interaction_row(h: float, js: tuple[float, ...]) -> list[float]:
-    """Row of C, in adjacency order, for a node with field h and couplings js."""
-    row = []
+def _sums(values: tuple[float, ...], memo: dict) -> list[float] | None:
+    """The sorted _signed_sums of values, built once per memo; None beyond
+    SCALAR_MAX_K, where each search meets in the middle instead."""
+    if len(values) > SCALAR_MAX_K:
+        return None
+    key = ("S", values)
+    sums = memo.get(key)
+    if sums is None:
+        sums = memo[key] = _signed_sums(values)
+    return sums
+
+
+def _row_sums(js: tuple[float, ...], memo: dict) -> list:
+    """Per entry p of a C row with couplings js: (the other couplings
+    doubled, their _sums), or None where js[p] is 0."""
+    per_entry = []
     for p, j in enumerate(js):
         if j == 0.0:
+            per_entry.append(None)
+            continue
+        others = tuple([2.0 * x for l, x in enumerate(js) if l != p])
+        per_entry.append((others, _sums(others, memo)))
+    return per_entry
+
+
+def _interaction_row(h: float, js: tuple[float, ...], per_entry: list) -> list[float]:
+    """Row of C, in adjacency order, for a node with field h and couplings
+    js, read off their _row_sums: per nonzero entry, f(M, J) at the achievable
+    M = 2h + s nearest to zero, both sigmoids inlined."""
+    exp = math.exp
+    offset = 2.0 * h
+    target = -offset
+    row = []
+    for j, entry in zip(js, per_entry):
+        if entry is None:
             row.append(0.0)
             continue
-        others = [2.0 * x for l, x in enumerate(js) if l != p]
-        row.append(conditional_gap(_min_abs_offset_sum(others, 2.0 * h), j))
+        sums = entry[1]
+        if sums is None:
+            m = _min_abs_offset_sum(entry[0], offset)
+        else:  # the one or two sums around target, as _nearest_sums picks them
+            i = bisect_left(sums, target)
+            if i:
+                m = abs(offset + sums[i - 1])
+                if i < len(sums):
+                    m2 = abs(offset + sums[i])
+                    if m2 < m:
+                        m = m2
+            else:
+                m = abs(offset + sums[0])
+        # conditional_gap(m, j)
+        x = -(m + 2.0 * j)
+        if x >= 0.0:
+            p = 1.0 / (1.0 + exp(-x))
+        else:
+            e = exp(x)
+            p = e / (1.0 + e)
+        x = -(m - 2.0 * j)
+        if x >= 0.0:
+            q = 1.0 / (1.0 + exp(-x))
+        else:
+            e = exp(x)
+            q = e / (1.0 + e)
+        row.append(abs(p - q))
     return row
 
 
@@ -164,7 +233,8 @@ def _check_enumeration(node: int, couplings: int) -> None:
 
 
 def _memo_row(h: float, js: tuple[float, ...], memo: dict, node: int) -> list[float]:
-    """_interaction_row(h, js), looked up in memo under exactly those floats.
+    """_interaction_row(h, js), looked up in memo under exactly those floats
+    and stored on a miss, read off the _sums memo keeps.
 
     Raises EnumerationCapError, whatever memo holds, when a nonzero entry of
     the row would search the other len(js) - 1 couplings of `node` and they
@@ -175,7 +245,7 @@ def _memo_row(h: float, js: tuple[float, ...], memo: dict, node: int) -> list[fl
     key = ("C", h, js)
     row = memo.get(key)
     if row is None:
-        row = memo[key] = _interaction_row(h, js)
+        row = memo[key] = _interaction_row(h, js, _row_sums(js, memo))
     return row
 
 
@@ -242,26 +312,58 @@ def influence_matrix(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _perturbation_entry(
-    h_tilde: float, h: float, alpha_js: tuple[float, ...], t: float
+    h_tilde: float, h: float, alpha_js: tuple[float, ...], t: float, sums: list[float] | None
 ) -> float:
     """max over alpha-side sums s of |sigma(2h~ + s) - sigma(2h + s +- t)|,
     read at the sums nearest each term's peak -(2h~ + 2h +- t)/2, where
-    sigma(x + d) - sigma(x) is extreme (x = -d/2)."""
+    sigma(x + d) - sigma(x) is extreme (x = -d/2); sums is _sums(alpha_js),
+    and the sigmoids are inlined."""
+    exp = math.exp
     a, c = 2.0 * h_tilde, 2.0 * h
+    targets = (-(a + c + t) / 2.0, -(a + c - t) / 2.0)
+    if sums is None:
+        near = _nearest_sums(alpha_js, targets)
+    else:  # _nearest_sums's picks, less a pick both targets share
+        i = bisect_left(sums, targets[0])
+        near = sums[max(i - 1, 0) : i + 1]
+        j = bisect_left(sums, targets[1])
+        if j != i:
+            near += sums[j if j == i + 1 else max(j - 1, 0) : j + 1]
     best = 0.0
-    for s in _nearest_sums(alpha_js, (-(a + c + t) / 2.0, -(a + c - t) / 2.0)):
-        p_mu = _sigmoid(a + s)
-        best = max(best, abs(p_mu - _sigmoid(c + s + t)), abs(p_mu - _sigmoid(c + s - t)))
+    for s in near:
+        x = a + s
+        if x >= 0.0:
+            p_mu = 1.0 / (1.0 + exp(-x))
+        else:
+            e = exp(x)
+            p_mu = e / (1.0 + e)
+        x = c + s + t
+        if x >= 0.0:
+            gap = abs(p_mu - 1.0 / (1.0 + exp(-x)))
+        else:
+            e = exp(x)
+            gap = abs(p_mu - e / (1.0 + e))
+        if gap > best:
+            best = gap
+        x = c + s - t
+        if x >= 0.0:
+            gap = abs(p_mu - 1.0 / (1.0 + exp(-x)))
+        else:
+            e = exp(x)
+            gap = abs(p_mu - e / (1.0 + e))
+        if gap > best:
+            best = gap
     return best
 
 
 def _memo_entry(
-    h_tilde: float, h: float, inside_js: list[float], t: float, node: int, memo: dict
+    h_tilde: float, h: float, inside_js: tuple[float, ...], t: float, node: int, memo: dict
 ) -> float:
     """b_j at boundary node j = `node`, whose localized field is h_tilde and
     global field h, with couplings inside_js to its alpha neighbours in
     adjacency order and t = 2 sum |J| over its other neighbours (both from
-    j's split); looked up in memo under every float it reads.
+    j's split); looked up in memo under every float it reads and stored on a
+    miss, read off the _sums memo keeps for inside_js doubled.
 
     The localized conditional at j uses h_tilde and j's alpha neighbours only;
     the full model's also sums j's outside neighbours. An interior node has no
@@ -270,15 +372,15 @@ def _memo_entry(
     cross sum, so the gap's sup over outside assignments is attained at the
     extreme cross sums +-t, and only the alpha-side sums are searched.
 
-    Raises EnumerationCapError, before the lookup, when j has more couplings
+    Raises EnumerationCapError, before any lookup, when j has more couplings
     inside alpha, the ones searched, than ENUMERATION_CAP.
     """
-    alpha_js = tuple([2.0 * x for x in inside_js])
-    _check_enumeration(node, len(alpha_js))
-    key = ("b", h_tilde, h, alpha_js, t)
+    _check_enumeration(node, len(inside_js))
+    key = ("b", h_tilde, h, inside_js, t)
     entry = memo.get(key)
     if entry is None:
-        entry = memo[key] = _perturbation_entry(h_tilde, h, alpha_js, t)
+        alpha_js = tuple([2.0 * x for x in inside_js])
+        entry = memo[key] = _perturbation_entry(h_tilde, h, alpha_js, t, _sums(alpha_js, memo))
     return entry
 
 
@@ -368,8 +470,15 @@ class CandidateScorer:
     k's alpha neighbours lie in alpha, so `patches` keeps it until accept(k*)
     drops it: for the candidates in N(k*) and those with an alpha neighbour
     in N(k*). Otherwise (mean-field fields, or no base on the model's fields)
-    every row and entry is built. memo holds every row and entry computed,
-    keyed on all it reads, so no state changes a bit of any result.
+    every row and entry is built.
+
+    memo holds what can recur within the expansion, keyed on all it reads:
+    the sorted signed sums of each coupling tuple (built once), and the rows
+    and entries at the model's own fields (kept patches, interior nodes). A
+    row or entry at a compensated field is read off those sums and not
+    stored; the sums a node's row and entry last read there are also kept
+    by node, for as long as its split stands, so the next candidate skips
+    the lookups. No state changes a bit of any result.
 
     Raises:
         ValueError: base does not certify alpha of model.
@@ -379,6 +488,10 @@ class CandidateScorer:
         self.model, self.query = model, query
         self.memo: dict = {}
         self.patches: dict[int, tuple | EnumerationCapError] = {}
+        # node -> its row's or entry's couplings and their sums, as last read
+        # at a compensated field
+        self._node_row_sums: dict[int, tuple] = {}
+        self._node_entry_sums: dict[int, tuple] = {}
         self.frontier = Frontier(model, query)
         self.index = self.frontier.index
         self._model_h: list[float] = []  # the model's fields of alpha, in local order
@@ -402,32 +515,51 @@ class CandidateScorer:
         """k's patch: the rows of C and entries of b of k's alpha neighbours
         (of every alpha node, with every) and of k, last, as (rows, cols,
         values) in a slice of the step's stack (see score), with k's index
-        -1; or the EnumerationCapError one of them raises.
+        -1 (n - 1 with every); or the EnumerationCapError one of them raises.
 
         h_tilde holds the localized fields in local order, k's last; None
-        takes the model's. Every row is computed before any entry, in local
+        takes the model's. A row or entry at the model's field goes through
+        the memo; one at a compensated field is read off its sums (see the
+        class docstring). Every row is computed before any entry, in local
         order, so the error raised is the one a rebuild raises.
         """
         frontier = self.frontier
-        alpha, own = frontier.alpha, frontier.split(k)
-        if every:  # zip stops at alpha, before k's own split
-            nodes = list(zip(range(len(alpha)), alpha, frontier.local_splits(k)))
+        alpha = frontier.alpha
+        if every:
+            nodes = list(zip(range(len(alpha) + 1), alpha + (k,), frontier.local_splits(k)))
         else:  # a patch is built once, so its splits are not kept
+            own = frontier.split(k)
             nodes = [(i, alpha[i], frontier.split_with(alpha[i], k)) for i in own[1]]
-        nodes.append((-1, k, own))
+            nodes.append((-1, k, own))
+        fields = h_tilde or [split[0] for _, _, split in nodes]
         memo, rows, cols, vals = self.memo, [], [], []
+        prepared_rows, prepared_entries = self._node_row_sums, self._node_entry_sums
         try:
-            for i, g, (h_g, g_cols, js, _, _, _) in nodes:
-                vals += _memo_row(h_g if h_tilde is None else h_tilde[i], js, memo, g)
+            for (i, g, (h_g, g_cols, js, _, _, _)), f in zip(nodes, fields):
+                if f == h_g:
+                    vals += _memo_row(f, js, memo, g)
+                else:  # a compensated field does not recur: read off the sums
+                    if any(js):
+                        _check_enumeration(g, len(js) - 1)
+                    row_sums = prepared_rows.get(g)
+                    if row_sums is None or row_sums[0] is not js:
+                        row_sums = prepared_rows[g] = js, _row_sums(js, memo)
+                    vals += _interaction_row(f, js, row_sums[1])
                 rows += [i + 1 if i >= 0 else -1] * len(g_cols)
                 cols += g_cols
             # a node that left the boundary had k as its last outside neighbour
-            vals += [
-                _memo_entry(h_g if h_tilde is None else h_tilde[i], h_g, inside, t, g, memo)
-                if outside
-                else 0.0
-                for i, g, (h_g, _, _, inside, outside, t) in nodes
-            ]
+            for (_, g, (h_g, _, _, inside, outside, t)), f in zip(nodes, fields):
+                if not outside:
+                    vals.append(0.0)
+                elif f == h_g:
+                    vals.append(_memo_entry(f, h_g, inside, t, g, memo))
+                else:
+                    _check_enumeration(g, len(inside))
+                    entry_sums = prepared_entries.get(g)
+                    if entry_sums is None or entry_sums[0] is not inside:
+                        alpha_js = tuple([2.0 * x for x in inside])
+                        entry_sums = prepared_entries[g] = inside, alpha_js, _sums(alpha_js, memo)
+                    vals.append(_perturbation_entry(f, h_g, entry_sums[1], t, entry_sums[2]))
         except EnumerationCapError as exc:
             return exc
         rows += [0] * len(nodes)

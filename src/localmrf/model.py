@@ -318,9 +318,11 @@ class Frontier:
     couplings inside and its (neighbour, J) pairs outside, each in adjacency
     order; and t = 2 sum |J| over outside. split(g) keeps g's split by alpha,
     grown(k) the splits by alpha + (k,) of k and of k's alpha neighbours, the
-    only ones k changes, and layers(k) patches the solve rows around k.
-    accept(k) drops the splits of k's neighbours and rebuilds the rows next
-    to the nodes k moves into or out of the layers. J is read once per node."""
+    only ones k changes, local_splits(k) all of them in local order, and
+    layers(k) patches the solve rows around k. accept(k) drops the splits of
+    k's neighbours and those kept per candidate, and rebuilds the rows next
+    to the nodes k moves into or out of the layers. J is read once per
+    node."""
 
     def __init__(self, model: IsingModel, query: int):
         self.model, self.query = model, query
@@ -330,6 +332,8 @@ class Frontier:
         self._nodes: dict[int, tuple[float, tuple[tuple[int, float], ...]]] = {}
         self._splits: dict[int, tuple] = {}  # by alpha
         self._grown: dict[int, tuple[tuple, dict[int, tuple]]] = {}  # per candidate
+        self._alpha_splits: list[tuple] | None = None  # alpha's, in local order
+        self._local: dict[int, list[tuple]] = {}  # per candidate, see local_splits
         self._layer: set[int] | None = None  # alpha's two layers, once a solve asks
         self._rows: dict[int, tuple] = {}  # node of _layer -> its solve row
         self._slots: dict[int, int] = {}  # node -> its place in a solve's means
@@ -367,7 +371,7 @@ class Frontier:
         if last is not None:
             cols.append(-1)
             js.append(last)
-        return h, cols, tuple(js), inside, outside, 2.0 * sum(map(abs, outside_js))
+        return h, cols, tuple(js), tuple(inside), outside, 2.0 * sum(map(abs, outside_js))
 
     def split(self, g: int) -> tuple:
         """g's split by alpha."""
@@ -386,9 +390,17 @@ class Frontier:
         return grown
 
     def local_splits(self, k: int) -> list[tuple]:
-        """The splits by alpha + (k,) of its nodes, in local order."""
-        own, near = self.grown(k)
-        return [near.get(g) or self.split(g) for g in self.alpha] + [own]
+        """The splits by alpha + (k,) of its nodes, in local order, kept
+        until the next accept (localize and the scorer both read them)."""
+        splits = self._local.get(k)
+        if splits is None:
+            if self._alpha_splits is None:
+                self._alpha_splits = [self.split(g) for g in self.alpha]
+            own, near = self.grown(k)
+            splits = self._local[k] = self._alpha_splits + [own]
+            for i in own[1]:
+                splits[i] = near[self.alpha[i]]
+        return splits
 
     def region(self, k: int | None = None) -> Region:
         """The Region of alpha + (k,), or of alpha when k is None."""
@@ -418,23 +430,23 @@ class Frontier:
         return slots.setdefault(u, len(slots)), nbrs, h, math.fsum([abs(j) for _, j in nbrs])
 
     def _touched(self, nodes: list[int]) -> set[int]:
-        return set(nodes).union(*[[x for x, _ in self.node(u)[1]] for u in nodes])
+        return set(nodes).union(*[self.model.adjacency[u] for u in nodes])
 
     def layers(self, k: int) -> tuple[list[int], list[tuple], int]:
         """(nodes, rows, size) of the two boundary layers of alpha + (k,),
         for its mean-field solve: nodes ascend, and rows[i] is nodes[i]'s
         (slot, [(slot, J) of its layer neighbours, ascending], h, fsum of
         their |J|), every slot below size. Only rows next to a node that k
-        moves in or out of alpha's layers are built for k."""
+        moves in or out of alpha's layers are built for k; the others are
+        alpha's."""
         if self._layer is None:
             self._layer = {g for g in self.alpha if self.split(g)[4]} | self.beta
             self._rows = {u: self._row(u, self._layer) for u in self._layer}
         flips = self._flips(k)
         new, rows = self._layer.symmetric_difference(flips), self._rows
-        if flips:
-            rows = {**rows, **{u: self._row(u, new) for u in self._touched(flips) if u in new}}
+        moved = {u: self._row(u, new) for u in self._touched(flips) if u in new}
         nodes = sorted(new)
-        return nodes, [rows[u] for u in nodes], len(self._slots)
+        return nodes, [moved.get(u) or rows[u] for u in nodes], len(self._slots)
 
     def accept(self, k: int) -> None:
         """Add k, not in alpha, to alpha."""
@@ -454,6 +466,8 @@ class Frontier:
             if x not in self.index:
                 self.beta.add(x)
         self._grown.clear()
+        self._alpha_splits = None
+        self._local.clear()
 
 
 class Candidate(NamedTuple):
@@ -559,13 +573,12 @@ def localize(
             f"boundary mean field stalled at residual {state.residual:.3e}",
             residual=state.residual,
         )
-    fields = []  # Python floats: an overflow is inf, named below
+    fields = []  # Python floats: an overflow is inf, named here
     for h, _, _, _, outside, _ in candidate.frontier.local_splits(candidate.k):
-        for x, j in outside:
-            h += j * means[x]
+        if outside:  # a model field is finite
+            for x, j in outside:
+                h += j * means[x]
+            if not math.isfinite(h):
+                raise ModelError(f"non-finite field h[{len(fields)}]={h}")
         fields.append(h)
-    h_tilde = np.array(fields)
-    if not np.all(np.isfinite(h_tilde)):
-        bad = int(np.flatnonzero(~np.isfinite(h_tilde))[0])
-        raise ModelError(f"non-finite field h[{bad}]={h_tilde[bad]}")
-    return LocalizedModel(alpha=alpha, h=h_tilde, model=model)
+    return LocalizedModel(alpha=alpha, h=np.array(fields), model=model)

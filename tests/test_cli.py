@@ -386,6 +386,22 @@ class TestConfig:
         assert run(["--config", str(cfg), "radius", "--json"]) == 0
         assert _json_out(capsys)["radius"] == 11
 
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_config_equals_path_is_read(self, tmp_path, capsys, before):
+        # --config=PATH reads the file as --config PATH does, in either position
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"json": True}))
+        radius = ["radius", "--c", "0.5", "--eps", "0.01"]
+        flag = [f"--config={cfg}"]
+        assert run(flag + radius if before else radius + flag) == 0
+        assert _json_out(capsys) == {"c": 0.5, "eps": 0.01, "radius": 11, "t": 1.2}
+
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_config_equals_empty_is_usage_error(self, capsys, before):
+        radius = ["radius", "--c", "0.5", "--eps", "0.01"]
+        assert run(["--config="] + radius if before else radius + ["--config="]) == 2
+        assert "--config needs a path" in capsys.readouterr().err
+
     def test_config_missing_file_is_usage_error(self, capsys):
         assert run(["gen-grid", "--config", "/nope.json", "--out", "x"]) == 2
 

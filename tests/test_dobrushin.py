@@ -1,5 +1,7 @@
 """Interaction matrix C and perturbation vector b (both read through
 local_certificate), the influence series, certificates and decay bounds."""
+import bisect
+import collections
 import math
 import re
 import time
@@ -36,6 +38,7 @@ from localmrf.dobrushin import (
     _min_abs_offset_sum,
     _nearest_sums,
     _perturbation_entry,
+    _sums,
 )
 from conftest import chain_model, random_connected_model, sigmoid
 
@@ -197,6 +200,12 @@ def _enumerated_b(h_tilde, h, alpha_js, t):
     return float(np.max(gap))
 
 
+def perturbation_entry(h_tilde, h, vals, t):
+    """b's readout on the sorted sums a scorer's memo would hold for vals."""
+    vals = tuple(vals)
+    return _perturbation_entry(h_tilde, h, vals, t, _sums(vals, {}))
+
+
 def _rounding(vals, offset=0.0):
     """Bound on how far two left-to-right roundings of one exact signed sum
     (plus offset) can differ: the kernel and the enumeration may round a sum
@@ -224,7 +233,7 @@ class TestNearestSums:
     )
     def test_b_entry_matches_full_enumeration(self, vals, h_tilde, h, t):
         want = _enumerated_b(h_tilde, h, vals, t)
-        assert _perturbation_entry(h_tilde, h, tuple(vals), t) == pytest.approx(want, abs=1e-15)
+        assert perturbation_entry(h_tilde, h, vals, t) == pytest.approx(want, abs=1e-15)
 
     @given(st.lists(st.floats(-2, 2), max_size=12), st.floats(-30, 30))
     def test_nearest_from_each_side(self, vals, target):
@@ -244,7 +253,7 @@ class TestNearestSums:
 
         def run():
             return [
-                (_min_abs_offset_sum(v, o), _perturbation_entry(0.3 * o, -0.2, tuple(v), abs(o)))
+                (_min_abs_offset_sum(v, o), perturbation_entry(0.3 * o, -0.2, v, abs(o)))
                 for v, o in cases
             ]
 
@@ -252,6 +261,85 @@ class TestNearestSums:
         halves = run()
         monkeypatch.setattr(dobrushin, "SCALAR_MAX_K", 16)
         assert run() == halves
+
+
+def reference_nearest_sums(values, targets):
+    """_nearest_sums as it was, enumerating the small sums on every call."""
+    if len(values) <= dobrushin.SCALAR_MAX_K:
+        sums = [0.0]
+        for v in values:
+            sums = [s - v for s in sums] + [s + v for s in sums]
+        sums.sort()
+        nearest = []
+        for target in targets:
+            i = bisect.bisect_left(sums, target)
+            nearest += sums[max(i - 1, 0) : i + 1]
+        return nearest
+    return _nearest_sums(values, targets)  # the halves are unchanged
+
+
+def reference_row(h, js):
+    """A C row as it was built per call: every entry enumerates its sums."""
+    row = []
+    for p, j in enumerate(js):
+        if j == 0.0:
+            row.append(0.0)
+            continue
+        others = [2.0 * x for l, x in enumerate(js) if l != p]
+        m = min([abs(2.0 * h + s) for s in reference_nearest_sums(others, (-(2.0 * h),))])
+        row.append(abs(sigmoid(-(m + 2.0 * j)) - sigmoid(-(m - 2.0 * j))))
+    return row
+
+
+def reference_entry(h_tilde, h, inside_js, t):
+    """A b entry as it was built per call."""
+    alpha_js = [2.0 * x for x in inside_js]
+    a, c = 2.0 * h_tilde, 2.0 * h
+    best = 0.0
+    for s in reference_nearest_sums(alpha_js, (-(a + c + t) / 2.0, -(a + c - t) / 2.0)):
+        p_mu = sigmoid(a + s)
+        best = max(best, abs(p_mu - sigmoid(c + s + t)), abs(p_mu - sigmoid(c + s - t)))
+    return best
+
+
+couplings = st.lists(
+    st.one_of(st.just(0.0), st.floats(-50, 50)), max_size=dobrushin.SCALAR_MAX_K + 3
+)
+
+
+class TestKernelsAgainstReference:
+    """The kernels read off cached sorted sums give the bits the per-call
+    kernels gave, whatever the memo already holds, through both halves of
+    _nearest_sums and at zero couplings."""
+
+    @given(couplings, st.floats(-50, 50), st.floats(-50, 50))
+    @example(js=[], h=0.3, h_tilde=-0.3)
+    @example(js=[0.0, 0.0], h=0.1, h_tilde=0.2)
+    def test_row_bits(self, js, h, h_tilde):
+        js = tuple(js)
+        memo: dict = {}
+        for field in (h, h_tilde, h):  # the second read of each is off the memo
+            want = [x.hex() for x in reference_row(field, js)]
+            read = dobrushin._interaction_row(field, js, dobrushin._row_sums(js, memo))
+            assert [x.hex() for x in read] == want
+            assert [x.hex() for x in dobrushin._memo_row(field, js, memo, 0)] == want
+
+    @given(
+        couplings,
+        st.lists(st.floats(-50, 50), min_size=1, max_size=3),
+        st.floats(-50, 50),
+        st.floats(-50, 50),
+    )
+    def test_entry_bits(self, inside, outside, h, h_tilde):
+        inside = tuple(inside)
+        t = 2.0 * sum(map(abs, outside))
+        memo: dict = {}
+        for field in (h_tilde, h, h_tilde):
+            want = reference_entry(field, h, inside, t).hex()
+            alpha_js = tuple([2.0 * x for x in inside])
+            read = dobrushin._perturbation_entry(field, h, alpha_js, t, _sums(alpha_js, memo))
+            assert read.hex() == want
+            assert dobrushin._memo_entry(field, h, inside, t, 0, memo).hex() == want
 
 
 class TestAtTheCap:
@@ -992,6 +1080,84 @@ class TestCertificateMemo:
             region = make_region(model, range(in_alpha + 1), 0)
             with pytest.raises(EnumerationCapError, match="node 0 would enumerate 26 couplings"):
                 certificate_on(Planted(), model, region, localize(model, region))
+
+
+class TestMeanFieldMemo:
+    """A MEAN_FIELD greedy expansion on a 10x10 grid: every candidate's
+    compensated fields are new, so its rows and entries are read off sorted
+    sums the scorer builds once, and only rows and entries at the model's own
+    fields are kept."""
+
+    @staticmethod
+    def expand(monkeypatch, scorer_class=None):
+        from localmrf import GridSpec, gen_grid, greedy_expand
+        import localmrf.expansion as expansion
+
+        model = gen_grid(GridSpec(10, 10, I1=1.0, I2=0.25, seed=3))
+        if scorer_class is not None:
+            monkeypatch.setattr(expansion, "CandidateScorer", scorer_class)
+        greedy_expand(model, 55, K=16, delta=-math.inf, method=BoundaryMethod.MEAN_FIELD)
+        return model
+
+    def test_memo_keeps_only_the_models_fields(self, monkeypatch):
+        scorers = []
+
+        class Kept(dobrushin.CandidateScorer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                scorers.append(self)
+
+        model = self.expand(monkeypatch, Kept)
+        fields = set(model.h.tolist())
+        (scorer,) = scorers
+        rows = [key for key in scorer.memo if key[0] == "C"]
+        entries = [key for key in scorer.memo if key[0] == "b"]
+        assert rows  # the interior nodes'
+        assert all(h in fields for _, h, _ in rows)
+        assert all(h_tilde == h for _, h_tilde, h, _, _ in entries)
+
+    def test_sums_are_built_once_per_expansion(self, monkeypatch):
+        built, scoring = collections.Counter(), []
+        real = dobrushin._signed_sums
+
+        def counting(values):
+            if scoring:  # the expansion's scorer, not the start certificate's
+                built[tuple(values)] += 1
+            return real(values)
+
+        class Counted(dobrushin.CandidateScorer):
+            def score(self, candidates, fields=None):
+                scoring.append(True)
+                try:
+                    return super().score(candidates, fields)
+                finally:
+                    scoring.pop()
+
+        monkeypatch.setattr(dobrushin, "_signed_sums", counting)
+        self.expand(monkeypatch, Counted)
+        assert len(built) > 100
+        assert max(built.values()) == 1
+
+    def test_every_slice_equals_a_fresh_certificate(self, monkeypatch):
+        from test_expansion import wrap_scorer
+
+        steps = []
+
+        def check(scorer, candidates, fields, batch):
+            frontier = scorer.frontier
+            for i, k in enumerate(candidates):
+                loc = LocalizedModel(frontier.alpha + (k,), np.asarray(fields[i]), scorer.model)
+                region = make_region(scorer.model, loc.alpha, scorer.query)
+                fresh = local_certificate(scorer.model, region, loc)
+                assert batch.C[i].tobytes() == fresh.C.tobytes(), k
+                assert batch.b[i].tobytes() == fresh.b.tobytes(), k
+                assert batch.bounds[i] == fresh.bound or not fresh.valid
+            steps.append(len(candidates))
+            return batch
+
+        wrap_scorer(monkeypatch, check)
+        self.expand(monkeypatch)
+        assert len(steps) == 15 and sum(steps) > 100
 
 
 class TestDecayRadius:
