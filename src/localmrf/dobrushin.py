@@ -47,7 +47,8 @@ never reaches it.
 
 CandidateScorer is the one place C and b are assembled, and
 dobrushin_coefficient reads the rows of C for a whole model; both go through
-_memo_row at the model's own fields, so they read the same bits. Row i of C
+_memo_row at the model's own fields, so they read the same bits (the second
+keeps the rows, not their sums, which do not recur across a model). Row i of C
 reads only node i's field and couplings inside alpha, and b_j only j's
 fields, inside couplings and t: the split the scorer's model.Frontier keeps
 per node, patched for each candidate k. With the model's own fields only k's
@@ -106,24 +107,17 @@ def _signed_sums(values: Sequence[float]) -> list[float]:
 
 
 def _nearest_sums(values: Sequence[float], targets: tuple[float, ...]) -> list[float]:
-    """Achievable signed sums sum_l (+-values_l) nearest to each target.
+    """Achievable signed sums sum_l (+-values_l) nearest to each target,
+    without listing all 2^k of them: the search beyond SCALAR_MAX_K.
 
     For every target it returns the largest sum below it and the smallest sum
-    at or above it (one of them when the target lies outside the range). Each
-    sum is added left to right from 0.0, so it carries the bits a full
-    enumeration gives its sign pattern, and SCALAR_MAX_K decides only the
-    speed. Up to SCALAR_MAX_K values the sorted list of _signed_sums is
-    bisected (the readouts bisect the list a scorer keeps in its memo).
-    Beyond, for each sum of the left half the sorted sums of the right half
-    are searched for its nearest partners (Horowitz & Sahni 1974).
+    at or above it (one of them when the target lies outside the range). For
+    each sum of the left half the sorted sums of the right half are searched
+    for its nearest partners (Horowitz & Sahni 1974). Each pick is then added
+    left to right from 0.0, so it carries the bits _signed_sums gives its sign
+    pattern, and the readouts' bisection of that sorted list picks the same
+    sums: SCALAR_MAX_K decides only the speed.
     """
-    if len(values) <= SCALAR_MAX_K:
-        sums = _signed_sums(values)
-        nearest = []
-        for target in targets:
-            i = bisect_left(sums, target)
-            nearest += sums[max(i - 1, 0) : i + 1]
-        return nearest
     half = len(values) // 2
     left, right = np.zeros(1), np.zeros(1)
     for v in values[:half]:  # bit l of an index set means +values[l]
@@ -170,12 +164,13 @@ def _sums(values: tuple[float, ...], memo: dict) -> list[float] | None:
 def _row_sums(js: tuple[float, ...], memo: dict) -> list:
     """Per entry p of a C row with couplings js: (the other couplings
     doubled, their _sums), or None where js[p] is 0."""
+    doubled = [2.0 * x for x in js]
     per_entry = []
     for p, j in enumerate(js):
         if j == 0.0:
             per_entry.append(None)
             continue
-        others = tuple([2.0 * x for l, x in enumerate(js) if l != p])
+        others = tuple(doubled[:p] + doubled[p + 1 :])
         per_entry.append((others, _sums(others, memo)))
     return per_entry
 
@@ -232,20 +227,26 @@ def _check_enumeration(node: int, couplings: int) -> None:
         )
 
 
-def _memo_row(h: float, js: tuple[float, ...], memo: dict, node: int) -> list[float]:
-    """_interaction_row(h, js), looked up in memo under exactly those floats
-    and stored on a miss, read off the _sums memo keeps.
+def _memo_row(
+    h: float, js: tuple[float, ...], memo: dict | None, sums: dict, node: int
+) -> list[float]:
+    """_interaction_row(h, js), read off the _sums kept in `sums`; looked up
+    in memo under exactly those floats and stored on a miss, unless memo is
+    None.
 
-    Raises EnumerationCapError, whatever memo holds, when a nonzero entry of
-    the row would search the other len(js) - 1 couplings of `node` and they
-    are over the cap. A row without a nonzero coupling searches nothing.
+    Raises EnumerationCapError, whatever memo and sums hold, when a nonzero
+    entry of the row would search the other len(js) - 1 couplings of `node`
+    and they are over the cap. A row without a nonzero coupling searches
+    nothing.
     """
     if any(js):
         _check_enumeration(node, len(js) - 1)
+    if memo is None:
+        return _interaction_row(h, js, _row_sums(js, sums))
     key = ("C", h, js)
     row = memo.get(key)
     if row is None:
-        row = memo[key] = _interaction_row(h, js, _row_sums(js, memo))
+        row = memo[key] = _interaction_row(h, js, _row_sums(js, sums))
     return row
 
 
@@ -253,7 +254,9 @@ def dobrushin_coefficient(model: IsingModel) -> tuple[float, int]:
     """(c, argmax node) where c = max_i sum_j C_ij, ties to the lowest id.
 
     Row i of C reads h_i and i's couplings in adjacency order, so nodes with
-    equal inputs share one row through the memo.
+    equal inputs share one row through the memo. The sums of a row's search
+    are dropped with it: with real-valued couplings they do not recur, and
+    keeping them would hold up to 2^(d-1) floats per entry of a degree-d row.
     """
     best = 0.0
     best_node = 0
@@ -261,7 +264,7 @@ def dobrushin_coefficient(model: IsingModel) -> tuple[float, int]:
     for i, nbrs in enumerate(model.adjacency):
         js = tuple(model.coupling(i, j) for j in nbrs)
         row = 0.0
-        for entry in _memo_row(float(model.h[i]), js, memo, i):
+        for entry in _memo_row(float(model.h[i]), js, memo, {}, i):
             row += entry
         if row > best:
             best, best_node = row, i
@@ -357,13 +360,20 @@ def _perturbation_entry(
 
 
 def _memo_entry(
-    h_tilde: float, h: float, inside_js: tuple[float, ...], t: float, node: int, memo: dict
+    h_tilde: float,
+    h: float,
+    inside_js: tuple[float, ...],
+    t: float,
+    node: int,
+    memo: dict | None,
+    sums: dict,
 ) -> float:
     """b_j at boundary node j = `node`, whose localized field is h_tilde and
     global field h, with couplings inside_js to its alpha neighbours in
     adjacency order and t = 2 sum |J| over its other neighbours (both from
-    j's split); looked up in memo under every float it reads and stored on a
-    miss, read off the _sums memo keeps for inside_js doubled.
+    j's split), read off the _sums kept in `sums` for inside_js doubled;
+    looked up in memo under every float it reads and stored on a miss, unless
+    memo is None.
 
     The localized conditional at j uses h_tilde and j's alpha neighbours only;
     the full model's also sums j's outside neighbours. An interior node has no
@@ -376,11 +386,15 @@ def _memo_entry(
     inside alpha, the ones searched, than ENUMERATION_CAP.
     """
     _check_enumeration(node, len(inside_js))
-    key = ("b", h_tilde, h, inside_js, t)
-    entry = memo.get(key)
-    if entry is None:
-        alpha_js = tuple([2.0 * x for x in inside_js])
-        entry = memo[key] = _perturbation_entry(h_tilde, h, alpha_js, t, _sums(alpha_js, memo))
+    if memo is not None:
+        key = ("b", h_tilde, h, inside_js, t)
+        entry = memo.get(key)
+        if entry is not None:
+            return entry
+    alpha_js = tuple([2.0 * x for x in inside_js])
+    entry = _perturbation_entry(h_tilde, h, alpha_js, t, _sums(alpha_js, sums))
+    if memo is not None:
+        memo[key] = entry
     return entry
 
 
@@ -476,9 +490,7 @@ class CandidateScorer:
     the sorted signed sums of each coupling tuple (built once), and the rows
     and entries at the model's own fields (kept patches, interior nodes). A
     row or entry at a compensated field is read off those sums and not
-    stored; the sums a node's row and entry last read there are also kept
-    by node, for as long as its split stands, so the next candidate skips
-    the lookups. No state changes a bit of any result.
+    stored. No state changes a bit of any result.
 
     Raises:
         ValueError: base does not certify alpha of model.
@@ -488,10 +500,6 @@ class CandidateScorer:
         self.model, self.query = model, query
         self.memo: dict = {}
         self.patches: dict[int, tuple | EnumerationCapError] = {}
-        # node -> its row's or entry's couplings and their sums, as last read
-        # at a compensated field
-        self._node_row_sums: dict[int, tuple] = {}
-        self._node_entry_sums: dict[int, tuple] = {}
         self.frontier = Frontier(model, query)
         self.index = self.frontier.index
         self._model_h: list[float] = []  # the model's fields of alpha, in local order
@@ -519,9 +527,10 @@ class CandidateScorer:
 
         h_tilde holds the localized fields in local order, k's last; None
         takes the model's. A row or entry at the model's field goes through
-        the memo; one at a compensated field is read off its sums (see the
-        class docstring). Every row is computed before any entry, in local
-        order, so the error raised is the one a rebuild raises.
+        the memo; one at a compensated field is only read off the sums memo
+        keeps (see the class docstring). Every row is computed before any
+        entry, in local order, so the error raised is the one a rebuild
+        raises.
         """
         frontier = self.frontier
         alpha = frontier.alpha
@@ -533,33 +542,18 @@ class CandidateScorer:
             nodes.append((-1, k, own))
         fields = h_tilde or [split[0] for _, _, split in nodes]
         memo, rows, cols, vals = self.memo, [], [], []
-        prepared_rows, prepared_entries = self._node_row_sums, self._node_entry_sums
-        try:
+        try:  # a compensated field does not recur, so nothing read at one is stored
             for (i, g, (h_g, g_cols, js, _, _, _)), f in zip(nodes, fields):
-                if f == h_g:
-                    vals += _memo_row(f, js, memo, g)
-                else:  # a compensated field does not recur: read off the sums
-                    if any(js):
-                        _check_enumeration(g, len(js) - 1)
-                    row_sums = prepared_rows.get(g)
-                    if row_sums is None or row_sums[0] is not js:
-                        row_sums = prepared_rows[g] = js, _row_sums(js, memo)
-                    vals += _interaction_row(f, js, row_sums[1])
+                vals += _memo_row(f, js, memo if f == h_g else None, memo, g)
                 rows += [i + 1 if i >= 0 else -1] * len(g_cols)
                 cols += g_cols
             # a node that left the boundary had k as its last outside neighbour
             for (_, g, (h_g, _, _, inside, outside, t)), f in zip(nodes, fields):
-                if not outside:
-                    vals.append(0.0)
-                elif f == h_g:
-                    vals.append(_memo_entry(f, h_g, inside, t, g, memo))
-                else:
-                    _check_enumeration(g, len(inside))
-                    entry_sums = prepared_entries.get(g)
-                    if entry_sums is None or entry_sums[0] is not inside:
-                        alpha_js = tuple([2.0 * x for x in inside])
-                        entry_sums = prepared_entries[g] = inside, alpha_js, _sums(alpha_js, memo)
-                    vals.append(_perturbation_entry(f, h_g, entry_sums[1], t, entry_sums[2]))
+                vals.append(
+                    _memo_entry(f, h_g, inside, t, g, memo if f == h_g else None, memo)
+                    if outside
+                    else 0.0
+                )
         except EnumerationCapError as exc:
             return exc
         rows += [0] * len(nodes)

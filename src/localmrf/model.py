@@ -318,11 +318,9 @@ class Frontier:
     couplings inside and its (neighbour, J) pairs outside, each in adjacency
     order; and t = 2 sum |J| over outside. split(g) keeps g's split by alpha,
     grown(k) the splits by alpha + (k,) of k and of k's alpha neighbours, the
-    only ones k changes, local_splits(k) all of them in local order, and
-    layers(k) patches the solve rows around k. accept(k) drops the splits of
-    k's neighbours and those kept per candidate, and rebuilds the rows next
-    to the nodes k moves into or out of the layers. J is read once per
-    node."""
+    only ones k changes, and layers(k) patches the solve rows around k.
+    accept(k) drops the splits of k's neighbours and rebuilds the rows next
+    to the nodes k moves into or out of the layers. J is read once per node."""
 
     def __init__(self, model: IsingModel, query: int):
         self.model, self.query = model, query
@@ -332,8 +330,6 @@ class Frontier:
         self._nodes: dict[int, tuple[float, tuple[tuple[int, float], ...]]] = {}
         self._splits: dict[int, tuple] = {}  # by alpha
         self._grown: dict[int, tuple[tuple, dict[int, tuple]]] = {}  # per candidate
-        self._alpha_splits: list[tuple] | None = None  # alpha's, in local order
-        self._local: dict[int, list[tuple]] = {}  # per candidate, see local_splits
         self._layer: set[int] | None = None  # alpha's two layers, once a solve asks
         self._rows: dict[int, tuple] = {}  # node of _layer -> its solve row
         self._slots: dict[int, int] = {}  # node -> its place in a solve's means
@@ -390,17 +386,9 @@ class Frontier:
         return grown
 
     def local_splits(self, k: int) -> list[tuple]:
-        """The splits by alpha + (k,) of its nodes, in local order, kept
-        until the next accept (localize and the scorer both read them)."""
-        splits = self._local.get(k)
-        if splits is None:
-            if self._alpha_splits is None:
-                self._alpha_splits = [self.split(g) for g in self.alpha]
-            own, near = self.grown(k)
-            splits = self._local[k] = self._alpha_splits + [own]
-            for i in own[1]:
-                splits[i] = near[self.alpha[i]]
-        return splits
+        """The splits by alpha + (k,) of its nodes, in local order."""
+        own, near = self.grown(k)
+        return [near.get(g) or self.split(g) for g in self.alpha] + [own]
 
     def region(self, k: int | None = None) -> Region:
         """The Region of alpha + (k,), or of alpha when k is None."""
@@ -466,8 +454,6 @@ class Frontier:
             if x not in self.index:
                 self.beta.add(x)
         self._grown.clear()
-        self._alpha_splits = None
-        self._local.clear()
 
 
 class Candidate(NamedTuple):

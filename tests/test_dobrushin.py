@@ -149,6 +149,20 @@ class TestInteractionMatrix:
         assert 0.0 < coeff < 1.0
         assert 0 <= node < 100
 
+    def test_coefficient_memo_keeps_rows_not_sums(self, monkeypatch):
+        # the memo is shared by the whole model, and the sums of real-valued
+        # couplings do not recur, so only rows are kept
+        memos, real = [], dobrushin._memo_row
+
+        def recording(h, js, memo, sums, node):
+            memos.append(memo)
+            return real(h, js, memo, sums, node)
+
+        monkeypatch.setattr(dobrushin, "_memo_row", recording)
+        dobrushin_coefficient(random_connected_model(40, 3, max_degree=5, j_scale=0.6))
+        (memo,) = {id(memo): memo for memo in memos}.values()
+        assert len(memo) == 40 and {key[0] for key in memo} == {"C"}
+
 
 class TestMinAbsOffsetSum:
     def test_frozen_small_cases(self):
@@ -246,14 +260,17 @@ class TestNearestSums:
     def test_switch_point_changes_no_bit(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(11))
         cases = [
-            ([float(v) for v in rng.uniform(-1, 1, size=k)], float(rng.uniform(-3, 3)))
+            (tuple(float(v) for v in rng.uniform(-1, 1, size=k)), float(rng.uniform(-3, 3)))
             for k in range(13)
             for _ in range(20)
         ]
 
-        def run():
+        def run():  # the C and b readouts, on fresh sums
             return [
-                (_min_abs_offset_sum(v, o), perturbation_entry(0.3 * o, -0.2, v, abs(o)))
+                (
+                    dobrushin._interaction_row(o, v, dobrushin._row_sums(v, {})),
+                    perturbation_entry(0.3 * o, -0.2, v, abs(o)),
+                )
                 for v, o in cases
             ]
 
@@ -322,7 +339,8 @@ class TestKernelsAgainstReference:
             want = [x.hex() for x in reference_row(field, js)]
             read = dobrushin._interaction_row(field, js, dobrushin._row_sums(js, memo))
             assert [x.hex() for x in read] == want
-            assert [x.hex() for x in dobrushin._memo_row(field, js, memo, 0)] == want
+            assert [x.hex() for x in dobrushin._memo_row(field, js, memo, memo, 0)] == want
+            assert [x.hex() for x in dobrushin._memo_row(field, js, None, memo, 0)] == want
 
     @given(
         couplings,
@@ -339,7 +357,8 @@ class TestKernelsAgainstReference:
             alpha_js = tuple([2.0 * x for x in inside])
             read = dobrushin._perturbation_entry(field, h, alpha_js, t, _sums(alpha_js, memo))
             assert read.hex() == want
-            assert dobrushin._memo_entry(field, h, inside, t, 0, memo).hex() == want
+            assert dobrushin._memo_entry(field, h, inside, t, 0, memo, memo).hex() == want
+            assert dobrushin._memo_entry(field, h, inside, t, 0, None, memo).hex() == want
 
 
 class TestAtTheCap:
@@ -644,7 +663,7 @@ def rescan_extend_certificates(model, alpha, query, candidates, fields=None, *, 
                 split.append((i, g, inside_js, outside_js))
                 row = sorted(zip(cols, inside_js))
                 js = tuple(j for _, j in row)
-                for (l, _), entry in zip(row, dobrushin._memo_row(h_tilde[i], js, memo, g)):
+                for (l, _), entry in zip(row, dobrushin._memo_row(h_tilde[i], js, memo, memo, g)):
                     c_k[i, l] = entry
             for i, g, inside_js, outside_js in split:
                 b_k[i] = (
@@ -654,6 +673,7 @@ def rescan_extend_certificates(model, alpha, query, candidates, fields=None, *, 
                         tuple(inside_js),
                         2.0 * sum(map(abs, outside_js)),
                         g,
+                        memo,
                         memo,
                     )
                     if outside_js
